@@ -30,8 +30,11 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.h"
 #include "buf/buffer_pool.h"
+#include "util/crc32c.h"
 #include "ycsb/generator.h"
 
 namespace sealdb::bench {
@@ -467,6 +470,21 @@ void EmitConfig(std::FILE* f, const ConfigResult& r, bool trailing_comma) {
                trailing_comma ? "," : "");
 }
 
+// What the wall-clock figures were measured on, so results from different
+// hosts or builds are not compared as if they were alike.
+struct HostStamp {
+  long nproc = sysconf(_SC_NPROCESSORS_ONLN);
+#if defined(__clang__)
+  std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  std::string compiler = "unknown";
+#endif
+  std::string build_type = SEALDB_BUILD_TYPE;
+  std::string crc32c = crc32c::internal::Implementation();
+};
+
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   BenchParams params = BenchParams::FromFlags(flags);
@@ -481,6 +499,9 @@ int Run(int argc, char** argv) {
   PrintKV("entries", static_cast<double>(params.entries()), "");
 
   const bool uniform_reads = flags.GetBool("uniform", false);
+  const HostStamp host;
+  PrintKV("host", std::to_string(host.nproc) + " cpus, " + host.compiler +
+                      ", " + host.build_type + ", crc32c " + host.crc32c);
 
   // Baseline: the seed's single-threaded configuration. Treatments: the
   // executor bundle with four workers, and the sharded engine (4 shards,
@@ -587,9 +608,14 @@ int Run(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n\"bench\": \"smoke\",\n\"system\": \"SEALDB\",\n"
-               "\"scale\": %llu,\n\"load_mb\": %llu,\n\"configs\": [\n",
+               "\"scale\": %llu,\n\"load_mb\": %llu,\n"
+               "\"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\", \"crc32c\": \"%s\"},\n"
+               "\"configs\": [\n",
                static_cast<unsigned long long>(params.scale),
-               static_cast<unsigned long long>(params.load_mb));
+               static_cast<unsigned long long>(params.load_mb), host.nproc,
+               host.compiler.c_str(), host.build_type.c_str(),
+               host.crc32c.c_str());
   EmitConfig(f, serial, true);
   EmitConfig(f, parallel, true);
   EmitConfig(f, sharded, true);

@@ -182,6 +182,15 @@ def selftest():
     assert ok, "regression not reproduced across runs must pass"
     ok, _ = gate(base, [synthetic(0.80), synthetic(0.79)], 0.15, 0.35)
     assert not ok, "regression reproduced in every run must fail"
+    # Keys the gate does not judge, such as bench_smoke's host stamp, are
+    # ignored on either side.
+    stamped = dict(synthetic(1.0), host={"nproc": 4, "compiler": "gcc 12",
+                                         "build_type": "Release",
+                                         "crc32c": "sse4.2"})
+    ok, _ = gate(base, stamped, 0.15, 0.35)
+    assert ok, "a host block must not affect the verdict"
+    ok, _ = gate(stamped, synthetic(0.80), 0.15, 0.35)
+    assert not ok, "a stamped baseline must still gate regressions"
     print("bench_gate selftest: ok")
     return 0
 

@@ -15,7 +15,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <semaphore>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,6 +31,36 @@
 namespace sealdb::server {
 
 namespace {
+
+// Work tokens for the worker pool: Release(n) adds n tokens and Acquire()
+// blocks until it can take one. A mutex and condition variable rather than
+// std::counting_semaphore: libstdc++ 12's futex-based semaphore can leave a
+// released token with every waiter asleep, and Stop() then never returns.
+class WorkTokens {
+ public:
+  void Release(size_t n = 1) {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      count_ += n;
+    }
+    if (n == 1) {
+      cv_.notify_one();
+    } else {
+      cv_.notify_all();
+    }
+  }
+
+  void Acquire() {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return count_ > 0; });
+    count_--;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t count_ = 0;  // guarded by mu_
+};
 
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
@@ -250,7 +279,7 @@ struct SealServer::Impl {
   // Each queue elects its own group-commit leader and carries its OWN
   // mutex, so two shards never contend on enqueue or leader election; a
   // separate read_mu_ covers the shared read queue. Work tokens travel
-  // through a counting semaphore: Dispatch releases one per enqueued
+  // through work_tokens_: Dispatch releases one per enqueued
   // request, a worker acquires one and scans the write queues from a
   // rotating start before falling back to the read queue. A finishing
   // leader re-releases one token when its queue still holds tasks (their
@@ -266,7 +295,7 @@ struct SealServer::Impl {
   std::vector<std::unique_ptr<WriteQueue>> write_queues_;
   std::mutex read_mu_;
   std::deque<Request> read_tasks_;  // guarded by read_mu_
-  std::counting_semaphore<> work_sem_{0};
+  WorkTokens work_tokens_;
   // Total write payload bytes across every queue. Admission does a
   // fetch_add and undoes it on reject; leaders subtract exactly the bytes
   // they drained, so the counter never underflows.
@@ -435,11 +464,6 @@ struct SealServer::Impl {
         break;
       }
 
-      if (stopping_.load(std::memory_order_acquire) && !reads_disabled) {
-        QuiesceReads();
-        reads_disabled = true;
-      }
-
       for (int i = 0; i < n; i++) {
         const int fd = events[i].data.fd;
         const uint32_t ev = events[i].events;
@@ -466,6 +490,14 @@ struct SealServer::Impl {
           if (ev & EPOLLOUT) TryFlush(conn);
           MaybeClose(conn);
         }
+      }
+
+      // Checked after the events, not before: draining wake_fd_ above can
+      // consume the Wake() that Stop() sent after setting stopping_, and
+      // the next epoll_wait would then sleep through the shutdown.
+      if (stopping_.load(std::memory_order_acquire) && !reads_disabled) {
+        QuiesceReads();
+        reads_disabled = true;
       }
 
       if (flush_and_exit_.load(std::memory_order_acquire)) {
@@ -566,9 +598,11 @@ struct SealServer::Impl {
     std::string frame;
     net::EncodeFrame(&frame, net::kOpError | net::kResponseBit,
                      /*request_id=*/0, payload);
+    // Counted before the client can see the rejection, so a client that
+    // got the Busy frame also finds it in the server's stats.
+    c_rej_conns_->Inc();
     (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     net::CloseFd(fd);
-    c_rej_conns_->Inc();
   }
 
   void ReadAndDispatch(const ConnPtr& conn) {
@@ -752,7 +786,7 @@ struct SealServer::Impl {
       RejectBusy(conn, header, Status::Busy("write queue over byte budget"));
       return;
     }
-    work_sem_.release();
+    work_tokens_.Release();
   }
 
   // Answer a rejected request with an op-shaped payload carrying `busy`,
@@ -959,7 +993,7 @@ struct SealServer::Impl {
   void WorkerMain() {
     const uint64_t n = write_queues_.size();
     for (;;) {
-      work_sem_.acquire();
+      work_tokens_.Acquire();
       if (workers_exit_.load(std::memory_order_acquire)) return;
       // Writes first (the same priority as the old single-lock scheduler):
       // scan the queues from a rotating start so a busy shard cannot
@@ -1003,7 +1037,7 @@ struct SealServer::Impl {
           q.leader_active = false;
           more = !q.tasks.empty();
         }
-        if (more) work_sem_.release();
+        if (more) work_tokens_.Release();
         NotifyDrain();
         led_group = true;
       }
@@ -1358,7 +1392,7 @@ struct SealServer::Impl {
     // observes the exit flag, and returns.
     workers_exit_.store(true, std::memory_order_release);
     if (!workers_.empty()) {
-      work_sem_.release(static_cast<std::ptrdiff_t>(workers_.size()));
+      work_tokens_.Release(workers_.size());
     }
     for (auto& w : workers_) w.join();
     workers_.clear();

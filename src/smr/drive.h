@@ -77,10 +77,6 @@ class MediaStore {
   Geometry geo_;
   mutable std::unordered_map<uint64_t, std::vector<char>> chunks_;
   std::vector<uint64_t> valid_bits_;  // one bit per block
-
-  bool BlockValid(uint64_t block) const {
-    return (valid_bits_[block >> 6] >> (block & 63)) & 1;
-  }
 };
 
 // All factories take an optional metrics registry; traffic counters are

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -46,11 +47,23 @@ void MediaStore::Read(uint64_t offset, uint64_t n, char* scratch) const {
   }
 }
 
+namespace {
+
+// Bits of valid-map word `w` that fall inside blocks [first, last].
+uint64_t RangeMask(uint64_t w, uint64_t first, uint64_t last) {
+  const uint64_t lo = w == (first >> 6) ? (first & 63) : 0;
+  const uint64_t hi = w == (last >> 6) ? (last & 63) : 63;
+  return (~0ull << lo) & (~0ull >> (63 - hi));
+}
+
+}  // namespace
+
 void MediaStore::MarkValid(uint64_t offset, uint64_t n) {
+  if (n == 0) return;
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t b = first; b <= last; b++) {
-    valid_bits_[b >> 6] |= (1ull << (b & 63));
+  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
+    valid_bits_[w] |= RangeMask(w, first, last);
   }
 }
 
@@ -58,8 +71,8 @@ void MediaStore::MarkInvalid(uint64_t offset, uint64_t n) {
   if (n == 0) return;
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t b = first; b <= last; b++) {
-    valid_bits_[b >> 6] &= ~(1ull << (b & 63));
+  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
+    valid_bits_[w] &= ~RangeMask(w, first, last);
   }
 }
 
@@ -67,8 +80,9 @@ bool MediaStore::AllValid(uint64_t offset, uint64_t n) const {
   if (n == 0) return true;
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t b = first; b <= last; b++) {
-    if (!BlockValid(b)) return false;
+  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
+    const uint64_t mask = RangeMask(w, first, last);
+    if ((valid_bits_[w] & mask) != mask) return false;
   }
   return true;
 }
@@ -77,8 +91,8 @@ bool MediaStore::AnyValid(uint64_t offset, uint64_t n) const {
   if (n == 0) return false;
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t b = first; b <= last; b++) {
-    if (BlockValid(b)) return true;
+  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
+    if (valid_bits_[w] & RangeMask(w, first, last)) return true;
   }
   return false;
 }
@@ -88,8 +102,8 @@ uint64_t MediaStore::CountValidBytes(uint64_t offset, uint64_t n) const {
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
   uint64_t count = 0;
-  for (uint64_t b = first; b <= last; b++) {
-    if (BlockValid(b)) count++;
+  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
+    count += std::popcount(valid_bits_[w] & RangeMask(w, first, last));
   }
   return count * geo_.block_bytes;
 }
@@ -98,8 +112,12 @@ uint64_t MediaStore::ValidFrontier(uint64_t offset, uint64_t n) const {
   if (n == 0) return offset;
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t b = last + 1; b > first; b--) {
-    if (BlockValid(b - 1)) return b * geo_.block_bytes;
+  for (uint64_t w = (last >> 6) + 1; w > first >> 6; w--) {
+    const uint64_t bits = valid_bits_[w - 1] & RangeMask(w - 1, first, last);
+    if (bits != 0) {
+      const uint64_t block = ((w - 1) << 6) + 63 - std::countl_zero(bits);
+      return (block + 1) * geo_.block_bytes;
+    }
   }
   return offset;
 }

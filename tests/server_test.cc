@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -467,6 +471,62 @@ TEST_F(ServerTest, GracefulShutdownDrainsInflightWrites) {
   // The writers must have been genuinely mid-flight when Stop() hit.
   EXPECT_GT(total_acked, 0u);
   server_.reset();
+}
+
+// Short request bursts, each followed by Stop(), on fresh servers over one
+// store. A lost worker wake-up strands a request: its client times out and
+// Stop() waits forever for the drain, which the watchdog turns into a
+// failure instead of a hung test.
+TEST_F(ServerTest, RepeatedBurstsThenStopNeverHang) {
+  ASSERT_TRUE(BuildStack(SmallConfig(), "/served", &stack_).ok());
+  constexpr int kCycles = 500;
+  constexpr int kClients = 3;
+  constexpr int kOps = 40;
+  for (int cycle = 0; cycle < kCycles; cycle++) {
+    server::ServerOptions opts;
+    opts.num_workers = 4;
+    server::SealServer server(stack_->db(), stack_.get(), opts);
+    ASSERT_TRUE(server.Start().ok());
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; c++) {
+      clients.emplace_back([&, c] {
+        net::SealClient client;
+        if (!client.Connect("127.0.0.1", server.port()).ok()) {
+          failures++;
+          return;
+        }
+        // Writes of this cycle interleaved with reads of the last one's.
+        for (int i = 0; i < kOps; i++) {
+          client.QueuePut(Key(c, cycle * kOps + i), Value(c, i));
+          if (cycle > 0) client.QueueGet(Key(c, (cycle - 1) * kOps + i));
+        }
+        std::vector<net::SealClient::Result> results;
+        const size_t expected = cycle > 0 ? 2 * kOps : kOps;
+        if (!client.Flush(&results).ok() || results.size() != expected) {
+          failures++;
+          return;
+        }
+        for (const auto& r : results) {
+          if (!r.status.ok()) failures++;
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0) << "cycle " << cycle;
+    auto stopped =
+        std::async(std::launch::async, [&server] { server.Stop(); });
+    if (stopped.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "SealServer::Stop() hung in cycle %d\n", cycle);
+      std::abort();
+    }
+  }
+  std::string value;
+  ASSERT_TRUE(stack_->db()
+                  ->Get(ReadOptions(), Key(0, kCycles * kOps - 1), &value)
+                  .ok());
+  EXPECT_EQ(value, Value(0, kOps - 1));
 }
 
 TEST_F(ServerTest, FaultInjectionSurfacesTypedErrorsNotHangs) {

@@ -4,8 +4,11 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "smr/drive.h"
 
@@ -41,6 +44,85 @@ TEST(Geometry, Math) {
   EXPECT_TRUE(geo.aligned(4096));
   EXPECT_FALSE(geo.aligned(4095));
   EXPECT_EQ(geo.guard_bytes(), 4ull << 20);
+}
+
+// ------------------------------------------------------------ media store
+
+// The valid-bit map answers range queries a 64-bit word at a time; check
+// every query against a one-block-at-a-time reference over random
+// unaligned byte ranges, the first and last block, and ranges that start
+// or end on either side of a word boundary.
+TEST(MediaStore, WordRangeQueriesMatchPerBlockReference) {
+  Geometry geo;
+  geo.block_bytes = 512;
+  geo.capacity_bytes = 300 * 512ull;  // last word only partly used
+  const uint64_t blocks = geo.num_blocks();
+  MediaStore media(geo);
+  std::vector<bool> ref(blocks, false);
+  std::mt19937_64 rng(20181016);
+
+  // A byte range [offset, offset + n) with n >= 1 inside the drive.
+  auto random_range = [&](uint64_t* offset, uint64_t* n) {
+    *offset = rng() % geo.capacity_bytes;
+    *n = 1 + rng() % std::min<uint64_t>(geo.capacity_bytes - *offset,
+                                        (rng() & 1) ? 200 * 512 : 3 * 512);
+  };
+  std::vector<std::pair<uint64_t, uint64_t>> fixed = {
+      {0, 1}, {0, 512}, {(blocks - 1) * 512, 512}, {blocks * 512 - 1, 1},
+      {0, geo.capacity_bytes}};
+  for (uint64_t edge : {64ull, 128ull, 192ull, 256ull}) {
+    for (uint64_t b : {edge - 1, edge}) {
+      fixed.push_back({b * 512, 512});
+      fixed.push_back({b * 512 + 100, 512});
+      fixed.push_back({(edge - 2) * 512, 4 * 512});
+      fixed.push_back({b * 512, (blocks - b) * 512});
+      fixed.push_back({0, b * 512 + 1});
+    }
+  }
+
+  auto check = [&](uint64_t offset, uint64_t n) {
+    const uint64_t first = offset / 512, last = (offset + n - 1) / 512;
+    bool any = false, all = true;
+    uint64_t count = 0, frontier = offset;
+    for (uint64_t b = first; b <= last; b++) {
+      any = any || ref[b];
+      all = all && ref[b];
+      if (ref[b]) {
+        count++;
+        frontier = (b + 1) * 512;
+      }
+    }
+    SCOPED_TRACE("range [" + std::to_string(offset) + ", +" +
+                 std::to_string(n) + ")");
+    EXPECT_EQ(any, media.AnyValid(offset, n));
+    EXPECT_EQ(all, media.AllValid(offset, n));
+    EXPECT_EQ(count * 512, media.CountValidBytes(offset, n));
+    EXPECT_EQ(frontier, media.ValidFrontier(offset, n));
+  };
+
+  for (int round = 0; round < 400; round++) {
+    uint64_t offset, n;
+    random_range(&offset, &n);
+    const bool valid = rng() % 3 != 0;
+    if (valid) {
+      media.MarkValid(offset, n);
+    } else {
+      media.MarkInvalid(offset, n);
+    }
+    for (uint64_t b = offset / 512; b <= (offset + n - 1) / 512; b++) {
+      ref[b] = valid;
+    }
+    for (int q = 0; q < 8; q++) {
+      random_range(&offset, &n);
+      check(offset, n);
+    }
+    for (const auto& [o, len] : fixed) check(o, len);
+    if (HasFailure()) return;
+  }
+  EXPECT_FALSE(media.AnyValid(0, 0));
+  EXPECT_TRUE(media.AllValid(0, 0));
+  EXPECT_EQ(0u, media.CountValidBytes(0, 0));
+  EXPECT_EQ(4096u, media.ValidFrontier(4096, 0));
 }
 
 // --------------------------------------------------------- latency model

@@ -173,25 +173,63 @@ TEST(Coding, Strings) {
 
 // ---------------------------------------------------------------- crc32c
 
-TEST(Crc32c, StandardResults) {
+// Each kernel behind crc32c::Extend is checked directly; the accelerated
+// one only on CPUs that can run it.
+using Crc32cFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+bool CpuHasSse42() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+class Crc32cKernel : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "portable") {
+      fn_ = crc32c::internal::ExtendPortable;
+      return;
+    }
+    if (!CpuHasSse42()) GTEST_SKIP() << "CPU lacks SSE4.2";
+#if defined(__x86_64__)
+    fn_ = crc32c::internal::ExtendSse42;
+#endif
+  }
+
+  uint32_t Value(const void* data, size_t n) const {
+    return fn_(0, static_cast<const char*>(data), n);
+  }
+
+  Crc32cFn fn_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernel, ::testing::Values("portable", "sse4.2"),
+    [](const auto& info) {
+      return info.param == "sse4.2" ? std::string("sse42") : info.param;
+    });
+
+TEST_P(Crc32cKernel, StandardResults) {
   // From rfc3720 section B.4.
   char buf[32];
 
   memset(buf, 0, sizeof(buf));
-  EXPECT_EQ(0x8a9136aau, crc32c::Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x8a9136aau, Value(buf, sizeof(buf)));
 
   memset(buf, 0xff, sizeof(buf));
-  EXPECT_EQ(0x62a8ab43u, crc32c::Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x62a8ab43u, Value(buf, sizeof(buf)));
 
   for (int i = 0; i < 32; i++) {
     buf[i] = i;
   }
-  EXPECT_EQ(0x46dd794eu, crc32c::Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x46dd794eu, Value(buf, sizeof(buf)));
 
   for (int i = 0; i < 32; i++) {
     buf[i] = 31 - i;
   }
-  EXPECT_EQ(0x113fdb5cu, crc32c::Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x113fdb5cu, Value(buf, sizeof(buf)));
 
   uint8_t data[48] = {
       0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -199,8 +237,61 @@ TEST(Crc32c, StandardResults) {
       0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
-  EXPECT_EQ(0xd9963a56u,
-            crc32c::Value(reinterpret_cast<char*>(data), sizeof(data)));
+  EXPECT_EQ(0xd9963a56u, Value(data, sizeof(data)));
+}
+
+std::string RandomBytes(size_t n, uint32_t seed) {
+  Random rnd(seed);
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rnd.Uniform(256));
+  return s;
+}
+
+TEST_P(Crc32cKernel, ExtendSplitsAcrossStreamThresholds) {
+  // The accelerated kernel switches to three streams at 3 x 256 B and to
+  // longer streams at 3 x 8 KiB; splitting an input anywhere around those
+  // sizes must not change its checksum.
+  const std::string data = RandomBytes(3 * 8192 + 1024, 7);
+  const uint32_t whole = crc32c::internal::ExtendPortable(0, data.data(),
+                                                          data.size());
+  ASSERT_EQ(whole, Value(data.data(), data.size()));
+  for (size_t center : {size_t{768}, size_t{3 * 8192}}) {
+    for (size_t split = center - 17; split <= center + 17; split++) {
+      const uint32_t head = Value(data.data(), split);
+      EXPECT_EQ(whole, fn_(head, data.data() + split, data.size() - split))
+          << "split at " << split;
+    }
+  }
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, data.size() - 1,
+                       data.size()}) {
+    const uint32_t head = Value(data.data(), split);
+    EXPECT_EQ(whole, fn_(head, data.data() + split, data.size() - split))
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32c, AcceleratedMatchesPortable) {
+  if (!CpuHasSse42()) GTEST_SKIP() << "CPU lacks SSE4.2";
+#if defined(__x86_64__)
+  // Every length up to three 4 KiB blocks and a bit, from every start
+  // alignment, so the byte-wise head, each stream loop and the tail are
+  // all exercised at every offset.
+  const size_t kMaxLen = 3 * 4096 + 64;
+  const std::string data = RandomBytes(kMaxLen + 8, 11);
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t n = 0; n <= kMaxLen; n++) {
+      const char* p = data.data() + align;
+      ASSERT_EQ(crc32c::internal::ExtendPortable(0, p, n),
+                crc32c::internal::ExtendSse42(0, p, n))
+          << "length " << n << ", alignment " << align;
+    }
+  }
+#endif
+}
+
+TEST(Crc32c, ExtendUsesTheCpusKernel) {
+  EXPECT_STREQ(CpuHasSse42() ? "sse4.2" : "portable",
+               crc32c::internal::Implementation());
 }
 
 TEST(Crc32c, Values) {
