@@ -90,13 +90,17 @@ std::string MakeValue(uint64_t seed, uint64_t value_bytes) {
   return v;
 }
 
+double DeviceBusySeconds(baselines::Stack* stack) {
+  return stack->drive()->metrics().busy->Seconds();
+}
+
 LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
                         const BenchParams& params, bool random_order,
                         uint32_t seed) {
   LoadResult result;
   DB* db = stack->db();
   Random rnd(seed);
-  const double device_before = stack->device_stats().busy_seconds;
+  const double device_before = DeviceBusySeconds(stack);
   WriteOptions wo;
   for (uint64_t i = 0; i < entries; i++) {
     const uint64_t id = random_order ? rnd.Next64() % entries : i;
@@ -112,7 +116,7 @@ LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
     result.user_bytes += key.size() + value.size();
   }
   db->WaitForIdle();
-  result.device_seconds = stack->device_stats().busy_seconds - device_before;
+  result.device_seconds = DeviceBusySeconds(stack) - device_before;
   if (result.device_seconds > 0) {
     result.ops_per_second = result.entries / result.device_seconds;
     result.mb_per_second =
@@ -128,14 +132,14 @@ ReadResult RandomRead(baselines::Stack* stack, uint64_t entries, uint64_t ops,
   Random rnd(seed);
   ReadOptions ro;
   std::string value;
-  const double device_before = stack->device_stats().busy_seconds;
+  const double device_before = DeviceBusySeconds(stack);
   for (uint64_t i = 0; i < ops; i++) {
     const std::string key = MakeKey(rnd.Next64() % entries, params.key_bytes);
     Status s = db->Get(ro, key, &value);
     if (s.IsNotFound()) result.not_found++;
     result.ops++;
   }
-  result.device_seconds = stack->device_stats().busy_seconds - device_before;
+  result.device_seconds = DeviceBusySeconds(stack) - device_before;
   if (result.device_seconds > 0) {
     result.ops_per_second = result.ops / result.device_seconds;
   }
@@ -149,7 +153,7 @@ ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
   (void)entries;
   (void)params;
   ReadOptions ro;
-  const double device_before = stack->device_stats().busy_seconds;
+  const double device_before = DeviceBusySeconds(stack);
   std::unique_ptr<Iterator> iter(db->NewIterator(ro));
   iter->SeekToFirst();
   std::string value;
@@ -157,7 +161,7 @@ ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
     value.assign(iter->value().data(), iter->value().size());
     result.ops++;
   }
-  result.device_seconds = stack->device_stats().busy_seconds - device_before;
+  result.device_seconds = DeviceBusySeconds(stack) - device_before;
   if (result.device_seconds > 0) {
     result.ops_per_second = result.ops / result.device_seconds;
   }
@@ -174,10 +178,6 @@ void PrintKV(const std::string& key, const std::string& value) {
 
 void PrintKV(const std::string& key, double value, const char* unit) {
   std::printf("%-42s %.3f %s\n", key.c_str(), value, unit);
-}
-
-void PrintDeviceStats(const std::string& key, const smr::DeviceStats& stats) {
-  PrintKV(key, stats.ToString());
 }
 
 std::string FormatMB(uint64_t bytes) {

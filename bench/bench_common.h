@@ -72,6 +72,10 @@ struct LoadResult {
 };
 
 // Load `entries` records in sequential or uniformly random key order.
+// Simulated busy time of the stack's drive so far (the device currency
+// every bench reports deltas of).
+double DeviceBusySeconds(baselines::Stack* stack);
+
 LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
                         const BenchParams& params, bool random_order,
                         uint32_t seed = 301);
@@ -96,10 +100,6 @@ ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
 void PrintHeader(const std::string& title);
 void PrintKV(const std::string& key, const std::string& value);
 void PrintKV(const std::string& key, double value, const char* unit = "");
-
-// One-line device summary (traffic, AWA, and — when nonzero — the fault
-// counters: read/write errors, torn writes, crashes).
-void PrintDeviceStats(const std::string& key, const smr::DeviceStats& stats);
 
 std::string FormatMB(uint64_t bytes);
 

@@ -119,8 +119,8 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   config.inline_compactions = false;
   config.max_background_compactions = workers;
   config.compaction_readahead = executor_features;
-  config.enable_block_cache = executor_features;
-  config.buffer_pool_bytes = buffer_pool_bytes;
+  if (buffer_pool_bytes > 0) config.buffer_pool_bytes = buffer_pool_bytes;
+  if (!executor_features) config.buffer_pool_bytes = 0;
   config.num_shards = num_shards;
 
   std::unique_ptr<Stack> stack;
@@ -143,7 +143,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     std::vector<uint64_t> ops(nthreads, 0);
     std::atomic<bool> failed{false};
     const double wall0 = NowSeconds();
-    const double dev0 = stack->device_stats().busy_seconds;
+    const double dev0 = DeviceBusySeconds(stack.get());
     auto fill_worker = [&](int t) {
       Random rnd(301 + t);
       WriteOptions wo;
@@ -179,7 +179,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     db->WaitForIdle();
     out.fill.drain_seconds = NowSeconds() - drain0;
     out.fill.wall_seconds = NowSeconds() - wall0;
-    out.fill.device_seconds = stack->device_stats().busy_seconds - dev0;
+    out.fill.device_seconds = DeviceBusySeconds(stack.get()) - dev0;
     std::vector<uint32_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.fill.ops += ops[t];
@@ -195,7 +195,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     std::vector<uint64_t> ops(nthreads, 0);
     const uint64_t hot_span = std::max<uint64_t>(1, entries / 100);
     const double wall0 = NowSeconds();
-    const double dev0 = stack->device_stats().busy_seconds;
+    const double dev0 = DeviceBusySeconds(stack.get());
     auto read_worker = [&](int t) {
       Random rnd(401 + t);
       // Zipfian-read configs draw keys from YCSB's scrambled zipfian over
@@ -235,7 +235,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
       for (auto& th : threads) th.join();
     }
     out.read.wall_seconds = NowSeconds() - wall0;
-    out.read.device_seconds = stack->device_stats().busy_seconds - dev0;
+    out.read.device_seconds = DeviceBusySeconds(stack.get()) - dev0;
     std::vector<uint32_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.read.ops += ops[t];
@@ -245,8 +245,8 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   }
 
   // Final figures come straight from the stack's metrics registry — the
-  // same counters the METRICS opcode and sealdb.stats render, so the
-  // bench JSON cannot drift from the live exposition. Family helpers
+  // same counters the METRICS opcode renders, so the bench JSON cannot
+  // drift from the live exposition. Family helpers
   // aggregate across label sets (per-level, and per-shard when sharded).
   const obs::MetricsRegistry& reg = *stack->metrics_registry();
   out.busy_seconds = reg.time_family_sum("sealdb_device_busy_seconds_total");
@@ -258,7 +258,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   out.max_parallel_compactions = static_cast<uint64_t>(
       reg.gauge_family_max("sealdb_engine_max_parallel_compactions"));
   // WA must be aggregated from byte totals, not averaged over per-shard
-  // gauges; DbStats sums the per-shard fields before taking the ratio.
+  // gauges; Stack::wa() takes the ratio of the family sums.
   out.wa = stack->wa();
   out.awa = reg.gauge_value("sealdb_device_aux_write_amplification");
   out.guard_violations =
@@ -315,7 +315,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   std::vector<std::vector<uint32_t>> lats(nthreads);
   std::vector<uint64_t> ops(nthreads, 0);
   const double wall0 = NowSeconds();
-  const double dev0 = stack->device_stats().busy_seconds;
+  const double dev0 = DeviceBusySeconds(stack);
   auto worker = [&](int t) {
     Random rnd(501 + t);
     ycsb::ScrambledZipfianGenerator zipf(entries,
@@ -346,7 +346,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   db->WaitForIdle();
   out.drain_seconds = NowSeconds() - drain0;
   out.wall_seconds = NowSeconds() - wall0;
-  out.device_seconds = stack->device_stats().busy_seconds - dev0;
+  out.device_seconds = DeviceBusySeconds(stack) - dev0;
   std::vector<uint32_t> lat;
   for (int t = 0; t < nthreads; t++) {
     out.ops += ops[t];
@@ -364,7 +364,6 @@ ScrubImpactResult RunScrubImpact(const BenchParams& params) {
     config.inline_compactions = false;
     config.max_background_compactions = 4;
     config.compaction_readahead = true;
-    config.enable_block_cache = true;
     config.num_shards = 4;
     config.scrub_enabled = scrub;
     std::unique_ptr<Stack> stack;

@@ -120,16 +120,19 @@ int main(int argc, char** argv) {
       total_wall > 0 ? total_ops / total_wall : 0.0, merged.Median(),
       merged.Percentile(95), merged.Percentile(99), merged.Average());
 
-  const server::ServerStats st = server.stats();
+  const obs::MetricsRegistry& reg = *server.metrics_registry();
+  const uint64_t writes =
+      reg.counter_value("sealdb_server_batched_writes_total");
+  const uint64_t groups =
+      reg.counter_value("sealdb_server_write_groups_total");
   std::printf(
       "  server: %llu requests, %llu writes coalesced into %llu group "
       "commits (%.1f writes/commit)\n",
-      static_cast<unsigned long long>(st.requests),
-      static_cast<unsigned long long>(st.batched_writes),
-      static_cast<unsigned long long>(st.write_groups),
-      st.write_groups > 0
-          ? static_cast<double>(st.batched_writes) / st.write_groups
-          : 0.0);
+      static_cast<unsigned long long>(
+          reg.counter_value("sealdb_server_requests_total")),
+      static_cast<unsigned long long>(writes),
+      static_cast<unsigned long long>(groups),
+      groups > 0 ? static_cast<double>(writes) / groups : 0.0);
 
   server.Stop();
   stack->db()->WaitForIdle();

@@ -29,8 +29,20 @@ smr::Geometry DemoGeometry() {
 
 std::string Block(char c) { return std::string(1 << 20, c); }
 
+double Awa(const smr::Drive& drive) {
+  const smr::DeviceMetrics& m = drive.metrics();
+  return smr::DeviceMetrics::Awa(m.logical_write->Value(),
+                                 m.physical_write->Value());
+}
+
 void Report(const char* title, const smr::Drive& drive) {
-  std::printf("  %-34s %s\n", title, drive.stats().ToString().c_str());
+  const smr::DeviceMetrics& m = drive.metrics();
+  std::printf("  %-34s logical %.1f MB written, physical %.1f MB written, "
+              "%llu RMW, busy %.3f s, AWA %.2f\n",
+              title, m.logical_write->Value() / 1048576.0,
+              m.physical_write->Value() / 1048576.0,
+              (unsigned long long)m.rmw_ops->Value(), m.busy->Seconds(),
+              Awa(drive));
 }
 
 }  // namespace
@@ -58,10 +70,10 @@ int main() {
     }
     Report("sequential fill (no RMW):", *drive);
     drive->Write(base + (4 << 20), Block('b'));
-    drive->Zone(0);  // force the staged write-back so stats show it
+    drive->Zone(0);  // force the staged write-back so the counters show it
     Report("after one 1 MB in-place write:", *drive);
     std::printf("  -> AWA %.1f: the drive rewrote the whole band prefix to "
-                "protect shingled data\n", drive->stats().awa());
+                "protect shingled data\n", Awa(*drive));
   }
 
   std::printf("\n=== 3. raw shingled disk: the host must leave guards ===\n");
@@ -117,7 +129,7 @@ int main() {
       }
     }
     std::printf("  wrote all allocated extents: no shingle violations, "
-                "AWA %.2f\n", disk->stats().awa());
+                "AWA %.2f\n", Awa(*disk));
   }
   return 0;
 }

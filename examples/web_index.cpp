@@ -101,7 +101,14 @@ int main(int argc, char** argv) {
   // SEALDB shines. Confirm the device never amplified a write.
   std::printf("\nWA %.2f, AWA %.2f (always 1.0 on dynamic bands), MWA %.2f\n",
               db->wa(), db->awa(), db->mwa());
-  const auto dev = db->device_stats();
-  std::printf("device: %s\n", dev.ToString().c_str());
+  const sealdb::obs::MetricsRegistry& metrics =
+      *db->stack()->metrics_registry();
+  std::printf(
+      "device: %.1f MB written, %llu seeks, %.3f s busy\n",
+      metrics.counter_value("sealdb_device_logical_bytes_total",
+                            {{"dir", "write"}}) /
+          1048576.0,
+      (unsigned long long)metrics.counter_value("sealdb_device_seeks_total"),
+      metrics.time_value("sealdb_device_busy_seconds_total"));
   return 0;
 }

@@ -7,7 +7,10 @@
 # shake out schedule-dependent races. The ASan pass covers the buffer
 # handling in the wire protocol, the chaos proxy's frame surgery, and
 # the slow-client eviction path, where a lifetime bug would otherwise
-# hide behind the allocator.
+# hide behind the allocator. After the default-config suite, a served
+# smoke drives the shipped binaries end to end: sealdb_server on an
+# ephemeral port, sealdb_cli put/get/metrics against it, then a SIGTERM
+# that must drain, print the shutdown summary and exit 0.
 #
 # Usage: scripts/check.sh [--fast] [--filter <regex>] [--bench]
 #                         [--crash-sweep]
@@ -90,6 +93,59 @@ echo "== default configuration =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
+
+echo
+echo "== served smoke: sealdb_server + sealdb_cli =="
+served_smoke() {
+  local dir log pid port out status family
+  dir="$(mktemp -d)"
+  log="$dir/server.log"
+  ./build/src/sealdb_server --port 0 --shards 4 >"$log" 2>&1 &
+  pid=$!
+  # Any failure below exits the script; never leave the server behind.
+  # shellcheck disable=SC2064  # expand now: the locals are gone at exit
+  trap "kill $pid 2>/dev/null || true; cat '$log' >&2" EXIT
+  # The server prints "serving <system> on <host>:<port> (...)" once bound.
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/^sealdb_server: serving .* on [^:]*:\([0-9]*\) .*/\1/p' \
+      "$log")"
+    if [ -n "$port" ] || ! kill -0 "$pid" 2>/dev/null; then break; fi
+    sleep 0.1
+  done
+  if [ -z "$port" ]; then
+    echo "check.sh: sealdb_server never reported its port" >&2
+    return 1
+  fi
+  local cli=(./build/src/sealdb_cli --port "$port")
+  "${cli[@]}" put smoke-key smoke-value
+  out="$("${cli[@]}" get smoke-key)"
+  if [ "$out" != "smoke-value" ]; then
+    echo "check.sh: get returned '$out', want 'smoke-value'" >&2
+    return 1
+  fi
+  out="$("${cli[@]}" metrics)"
+  for family in sealdb_device_busy_seconds_total sealdb_server_requests_total; do
+    if ! grep -q "^$family" <<<"$out"; then
+      echo "check.sh: metrics output lacks $family" >&2
+      return 1
+    fi
+  done
+  kill -TERM "$pid"
+  status=0
+  wait "$pid" || status=$?
+  if [ "$status" != 0 ]; then
+    echo "check.sh: sealdb_server exited $status after SIGTERM" >&2
+    return 1
+  fi
+  if ! grep '^sealdb_server: served [0-9]* requests' "$log"; then
+    echo "check.sh: no shutdown summary line from sealdb_server" >&2
+    return 1
+  fi
+  trap - EXIT
+  rm -rf "$dir"
+}
+served_smoke
 
 if [ "$CRASH_SWEEP" = 1 ]; then
   echo

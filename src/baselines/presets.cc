@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/shard_layout.h"
+#include "lsm/engine_metrics.h"
 #include "lsm/sharded_db.h"
 
 namespace sealdb::baselines {
@@ -30,8 +31,6 @@ StackConfig StackConfig::Scaled(uint64_t factor) const {
   c.band_bytes /= factor;
   c.sstable_bytes /= factor;
   c.write_buffer_bytes /= factor;
-  c.block_cache_bytes = std::max<uint64_t>(256 << 10,
-                                           block_cache_bytes / factor);
   if (buffer_pool_bytes > 0) {
     c.buffer_pool_bytes = std::max<uint64_t>(256 << 10,
                                              buffer_pool_bytes / factor);
@@ -72,14 +71,7 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
   opt.max_file_size = config.sstable_bytes;
   opt.filter_policy = filter;
   opt.inline_compactions = config.inline_compactions;
-  // Resolve the read-cache budget here (buffer_pool_bytes wins, the
-  // deprecated block_cache_bytes is the fallback) so OpenEngines can size
-  // the one stack-wide pool from opt.buffer_pool_bytes directly.
-  opt.buffer_pool_bytes =
-      config.enable_block_cache
-          ? (config.buffer_pool_bytes > 0 ? config.buffer_pool_bytes
-                                          : config.block_cache_bytes)
-          : 0;
+  opt.buffer_pool_bytes = config.buffer_pool_bytes;
   opt.compaction_readahead = config.compaction_readahead;
   // Per-system executor width: set/band designs have naturally disjoint
   // compaction units, so they profit most from extra workers.
@@ -209,6 +201,24 @@ Stack::~Stack() {
   stores_.clear();
 }
 
+double Stack::wa() const {
+  const obs::MetricsRegistry& r = *metrics_registry();
+  return EngineMetrics::Wa(
+      r.counter_family_sum("sealdb_engine_user_bytes_total"),
+      r.counter_family_sum("sealdb_engine_flush_bytes_total"),
+      r.counter_family_sum("sealdb_engine_compaction_bytes_total",
+                           {{"dir", "write"}}));
+}
+
+double Stack::awa() const {
+  const obs::MetricsRegistry& r = *metrics_registry();
+  return smr::DeviceMetrics::Awa(
+      r.counter_family_sum("sealdb_device_logical_bytes_total",
+                           {{"dir", "write"}}),
+      r.counter_family_sum("sealdb_device_physical_bytes_total",
+                           {{"dir", "write"}}));
+}
+
 Status Stack::OpenEngines(bool format) {
   const smr::Geometry geo = MakeGeometry(config_);
   const int shards = std::max(1, config_.num_shards);
@@ -227,10 +237,9 @@ Status Stack::OpenEngines(bool format) {
   // the same frames, so the read-cache budget is a process-wide resource
   // and an idle shard's share isn't stranded. Created once; Reopen()
   // reuses it (the per-owner purge in ~TableCache keeps it consistent).
-  const size_t pool_bytes = options_.effective_buffer_pool_bytes();
-  if (buffer_pool_ == nullptr && pool_bytes > 0) {
+  if (buffer_pool_ == nullptr && options_.buffer_pool_bytes > 0) {
     buf::BufferPool::Config pool_config;
-    pool_config.capacity_bytes = pool_bytes;
+    pool_config.capacity_bytes = options_.buffer_pool_bytes;
     pool_config.metrics_registry = options_.metrics_registry;
     buffer_pool_ = std::make_unique<buf::BufferPool>(pool_config);
   }
@@ -338,8 +347,8 @@ Status BuildStack(const StackConfig& config, const std::string& name,
     return Status::InvalidArgument("unknown system kind");
   }
   if (config.fault_injection) {
-    auto fault = std::make_unique<smr::FaultInjectionDrive>(
-        std::move(stack->drive_), registry);
+    auto fault =
+        std::make_unique<smr::FaultInjectionDrive>(std::move(stack->drive_));
     stack->fault_ = fault.get();
     stack->drive_ = std::move(fault);
   }

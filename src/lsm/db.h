@@ -55,46 +55,6 @@ struct LiveFileMeta {
   std::string largest_user_key;
 };
 
-struct DbStats {
-  uint64_t user_bytes_written = 0;   // key+value payload from the client
-  uint64_t wal_bytes_written = 0;
-  uint64_t flush_bytes_written = 0;  // memtable -> L0 table bytes
-  uint64_t compaction_bytes_read = 0;
-  uint64_t compaction_bytes_written = 0;
-  uint64_t num_compactions = 0;
-  uint64_t num_flushes = 0;
-  double compaction_device_seconds = 0.0;
-
-  // Per-stage compaction wall time (microseconds), accumulated across all
-  // compactions: victim selection, input iteration (reads + decode), merge
-  // bookkeeping, output building, and manifest install.
-  uint64_t compaction_pick_micros = 0;
-  uint64_t compaction_read_micros = 0;
-  uint64_t compaction_merge_micros = 0;
-  uint64_t compaction_write_micros = 0;
-  uint64_t compaction_install_micros = 0;
-
-  // High-water mark of compactions executing concurrently (1 with the
-  // single-threaded executor; >=2 once disjoint sets compact in parallel).
-  uint64_t max_parallel_compactions = 0;
-
-  // Write-stall accounting (MakeRoomForWrite): how many writes hit the L0
-  // slowdown trigger, how many parked waiting for a flush/compaction, and
-  // the total wall time spent parked. A serving layer uses the live
-  // counterpart (DB::WriteStallLevel) to shed load before a worker blocks.
-  uint64_t write_stall_slowdowns = 0;
-  uint64_t write_stall_stops = 0;
-  uint64_t write_stall_micros = 0;
-
-  // Paper Table I: WA = data written by the LSM-tree / user data.
-  double wa() const {
-    if (user_bytes_written == 0) return 1.0;
-    return static_cast<double>(flush_bytes_written +
-                               compaction_bytes_written) /
-           static_cast<double>(user_bytes_written);
-  }
-};
-
 class DB {
  public:
   // Open the database named "name" inside "store". Stores a pointer to a
@@ -123,8 +83,10 @@ class DB {
   virtual const Snapshot* GetSnapshot() = 0;
   virtual void ReleaseSnapshot(const Snapshot* snapshot) = 0;
 
-  // Supported properties: "sealdb.num-files-at-level<N>", "sealdb.stats",
-  // "sealdb.sstables", "sealdb.approximate-memory-usage".
+  // Supported properties: "sealdb.num-files-at-level<N>",
+  // "sealdb.sstables", "sealdb.background-error",
+  // "sealdb.approximate-memory-usage". Counters are not properties: they
+  // live in the metrics registry (Options::metrics_registry).
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
 
   // Compact the underlying storage for the key range [*begin,*end]
@@ -156,7 +118,6 @@ class DB {
   virtual void QuarantineFile(uint64_t file_number) { (void)file_number; }
 
   // ---- instrumentation used by the benchmark harnesses ----
-  virtual DbStats GetDbStats() = 0;
   virtual std::vector<LiveFileMeta> GetLiveFilesMetadata() = 0;
   // Enable per-compaction event recording (off by default) and drain the
   // recorded events.

@@ -104,10 +104,9 @@ static Options SanitizeOptions(const std::string& dbname,
   ClipToRange(&result.max_background_compactions, 1, 8);
   if (result.num_levels < 2) result.num_levels = 2;
   if (result.num_levels > 16) result.num_levels = 16;
-  const size_t pool_bytes = result.effective_buffer_pool_bytes();
-  if (result.buffer_pool == nullptr && pool_bytes > 0) {
+  if (result.buffer_pool == nullptr && result.buffer_pool_bytes > 0) {
     buf::BufferPool::Config pool_config;
-    pool_config.capacity_bytes = pool_bytes;
+    pool_config.capacity_bytes = result.buffer_pool_bytes;
     pool_config.metrics_registry = result.metrics_registry;
     *owned_pool = std::make_unique<buf::BufferPool>(pool_config);
     result.buffer_pool = owned_pool->get();
@@ -741,6 +740,7 @@ Status DBImpl::TEST_CompactMemTable() {
 void DBImpl::RecordBackgroundError(const Status& s) {
   if (bg_error_.ok()) {
     bg_error_ = s;
+    em_.background_error->Set(1);
     background_work_finished_signal_.notify_all();
   }
 }
@@ -1021,7 +1021,8 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
 }
 
 Status DBImpl::DoCompactionWork(CompactionState* compact) {
-  const smr::DeviceStats device_before = store_->device_stats();
+  const obs::TimeCounter* device_busy = store_->drive()->metrics().busy;
+  const double device_before = device_busy->Seconds();
 
   assert(versions_->NumLevelFiles(compact->compaction->level()) > 0);
   assert(compact->builder == nullptr);
@@ -1203,12 +1204,12 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
 
   mutex_.lock();
 
-  const smr::DeviceStats device_delta = store_->device_stats() - device_before;
+  const double device_seconds = device_busy->Seconds() - device_before;
   const int out_level = compact->compaction->output_level();
   em_.compactions_at(out_level)->Inc();
   em_.compaction_read_bytes->Add(input_bytes);
   em_.compaction_write_bytes->Add(compact->total_bytes);
-  em_.compaction_device->AddSeconds(device_delta.busy_seconds);
+  em_.compaction_device->AddSeconds(device_seconds);
   em_.read_micros->AddMicros(read_micros);
   em_.merge_micros->AddMicros(merge_micros);
   em_.write_micros->AddMicros(write_micros);
@@ -1234,7 +1235,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     ev.num_outputs = static_cast<int>(compact->outputs.size());
     ev.input_bytes = input_bytes;
     ev.output_bytes = compact->total_bytes;
-    ev.device_seconds = device_delta.busy_seconds;
+    ev.device_seconds = device_seconds;
     ev.set_id = compact->region_id;
     for (const auto& out : compact->outputs) {
       std::vector<fs::Extent> extents;
@@ -1666,39 +1667,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
       } else {
         ok = false;
       }
-    } else if (in == "stats") {
-      // Rendered from the metrics registry (the same counters METRICS
-      // exposes), not from a separate stats struct.
-      const DbStats st = em_.ToDbStats();
-      char buf[800];
-      std::snprintf(
-          buf, sizeof(buf),
-          "flushes: %llu, compactions: %llu\n"
-          "user MB: %.1f, flush MB: %.1f, compact write MB: %.1f\n"
-          "WA: %.2f, compaction device time: %.3f s\n"
-          "compaction stage micros: pick %llu, read %llu, merge %llu, "
-          "write %llu, install %llu\n"
-          "max parallel compactions: %llu\n"
-          "write stalls: %llu slowdowns, %llu stops, %llu micros parked "
-          "(level now %d)\n",
-          static_cast<unsigned long long>(st.num_flushes),
-          static_cast<unsigned long long>(st.num_compactions),
-          st.user_bytes_written / 1048576.0,
-          st.flush_bytes_written / 1048576.0,
-          st.compaction_bytes_written / 1048576.0, st.wa(),
-          st.compaction_device_seconds,
-          static_cast<unsigned long long>(st.compaction_pick_micros),
-          static_cast<unsigned long long>(st.compaction_read_micros),
-          static_cast<unsigned long long>(st.compaction_merge_micros),
-          static_cast<unsigned long long>(st.compaction_write_micros),
-          static_cast<unsigned long long>(st.compaction_install_micros),
-          static_cast<unsigned long long>(st.max_parallel_compactions),
-          static_cast<unsigned long long>(st.write_stall_slowdowns),
-          static_cast<unsigned long long>(st.write_stall_stops),
-          static_cast<unsigned long long>(st.write_stall_micros),
-          stall_level_.load(std::memory_order_relaxed));
-      *value = buf;
-      ok = true;
     } else if (in == "sstables") {
       *value = versions_->current()->DebugString();
       ok = true;
@@ -1756,11 +1724,6 @@ void DBImpl::WaitForIdle() {
     }
   }
   mutex_.unlock();
-}
-
-DbStats DBImpl::GetDbStats() {
-  // Counters are atomics owned by the registry; no mutex needed.
-  return em_.ToDbStats();
 }
 
 std::vector<LiveFileMeta> DBImpl::GetLiveFilesMetadata() {

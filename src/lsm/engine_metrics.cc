@@ -68,6 +68,10 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
   stall_level = r.RegisterGauge(
       "sealdb_engine_stall_level",
       "Live write-stall state: 0 none, 1 slowdown, 2 stop", L());
+  background_error = r.RegisterGauge(
+      "sealdb_engine_background_error",
+      "1 once a background error has latched the engine read-only", L());
+  background_error->Set(0);  // a reopened engine starts healthy
 
   for (int slot = 0; slot < kLevelSlots; slot++) {
     std::string level = std::to_string(slot);
@@ -91,44 +95,19 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
   obs::Counter* u = user_bytes;
   obs::Counter* f = flush_bytes;
   obs::Counter* c = compaction_write_bytes;
-  wa_hook_id_ = r.AddCollectHook([wa, u, f, c] {
-    const uint64_t user = u->Value();
-    wa->Set(user == 0 ? 1.0
-                      : static_cast<double>(f->Value() + c->Value()) /
-                            static_cast<double>(user));
-  });
+  wa_hook_id_ = r.AddCollectHook(
+      [wa, u, f, c] { wa->Set(Wa(u->Value(), f->Value(), c->Value())); });
 }
 
 EngineMetrics::~EngineMetrics() {
   registry_->RemoveCollectHook(wa_hook_id_);
 }
 
-uint64_t EngineMetrics::total_compactions() const {
-  uint64_t n = 0;
-  for (const auto* c : compactions_) n += c->Value();
-  return n;
-}
-
-DbStats EngineMetrics::ToDbStats() const {
-  DbStats s;
-  s.user_bytes_written = user_bytes->Value();
-  s.wal_bytes_written = wal_bytes->Value();
-  s.flush_bytes_written = flush_bytes->Value();
-  s.compaction_bytes_read = compaction_read_bytes->Value();
-  s.compaction_bytes_written = compaction_write_bytes->Value();
-  s.num_compactions = total_compactions();
-  s.num_flushes = flushes->Value();
-  s.compaction_device_seconds = compaction_device->Seconds();
-  s.compaction_pick_micros = pick_micros->Micros();
-  s.compaction_read_micros = read_micros->Micros();
-  s.compaction_merge_micros = merge_micros->Micros();
-  s.compaction_write_micros = write_micros->Micros();
-  s.compaction_install_micros = install_micros->Micros();
-  s.max_parallel_compactions = static_cast<uint64_t>(max_parallel->Value());
-  s.write_stall_slowdowns = stall_slowdowns->Value();
-  s.write_stall_stops = stall_stops->Value();
-  s.write_stall_micros = stall_micros->Micros();
-  return s;
+double EngineMetrics::Wa(uint64_t user, uint64_t flush,
+                         uint64_t compaction_write) {
+  return user == 0 ? 1.0
+                   : static_cast<double>(flush + compaction_write) /
+                         static_cast<double>(user);
 }
 
 }  // namespace sealdb

@@ -1,17 +1,15 @@
 // EngineMetrics: the LSM engine's accounting, as registry metrics.
 //
-// DBImpl used to keep a `DbStats stats_` struct under its mutex; the
-// counters now live in a MetricsRegistry (Options::metrics_registry, or a
-// DB-private one) as the sealdb_engine_* family. DbStats remains the
-// programmatic snapshot shape: GetDbStats() and the "sealdb.stats"
-// property are both renderings of these metrics.
+// The counters live in a MetricsRegistry (Options::metrics_registry, or a
+// DB-private one) as the sealdb_engine_* family. They are the engine's only
+// books: readers query the registry (family sums across shards), and the
+// METRICS opcode renders it.
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <string>
 
-#include "lsm/db.h"
 #include "obs/metrics.h"
 
 namespace sealdb {
@@ -48,6 +46,9 @@ class EngineMetrics {
 
   obs::Gauge* max_parallel;  // HWM, via SetMax
   obs::Gauge* stall_level;   // live 0/1/2 (mirror of DB::WriteStallLevel)
+  // 1 once a background error has latched the engine read-only (the
+  // "sealdb.background-error" property has the message); 0 after open.
+  obs::Gauge* background_error;
 
   // Per-output-level breakdown; levels >= kLevelSlots - 1 share the last
   // slot ("7+"). The unlabelled totals above are authoritative.
@@ -58,10 +59,8 @@ class EngineMetrics {
     return level_micros_[Slot(level)];
   }
 
-  // Sum across levels (the DbStats num_compactions figure).
-  uint64_t total_compactions() const;
-
-  DbStats ToDbStats() const;
+  // The paper's WA over byte totals; 1.0 before any user write.
+  static double Wa(uint64_t user, uint64_t flush, uint64_t compaction_write);
 
   const std::shared_ptr<obs::MetricsRegistry>& registry() const {
     return registry_;

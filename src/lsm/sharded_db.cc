@@ -234,39 +234,6 @@ bool ShardedDb::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
 
-  if (in == "stats") {
-    // Aggregate block first (the totals the CLI and benches read), then the
-    // per-shard engines' own renderings.
-    const DbStats st = GetDbStats();
-    char buf[800];
-    std::snprintf(
-        buf, sizeof(buf),
-        "shards: %d (%d degraded)\n"
-        "flushes: %llu, compactions: %llu\n"
-        "user MB: %.1f, flush MB: %.1f, compact write MB: %.1f\n"
-        "WA: %.2f, compaction device time: %.3f s\n"
-        "write stalls: %llu slowdowns, %llu stops, %llu micros parked "
-        "(level now %d)\n",
-        num_shards(), DegradedShardCount(),
-        static_cast<unsigned long long>(st.num_flushes),
-        static_cast<unsigned long long>(st.num_compactions),
-        st.user_bytes_written / 1048576.0, st.flush_bytes_written / 1048576.0,
-        st.compaction_bytes_written / 1048576.0, st.wa(),
-        st.compaction_device_seconds,
-        static_cast<unsigned long long>(st.write_stall_slowdowns),
-        static_cast<unsigned long long>(st.write_stall_stops),
-        static_cast<unsigned long long>(st.write_stall_micros),
-        WriteStallLevel());
-    *value = buf;
-    for (int i = 0; i < num_shards(); i++) {
-      std::string v;
-      if (!shards_[i]->GetProperty(property, &v)) return false;
-      value->append("--- shard " + std::to_string(i) + " ---\n");
-      value->append(v);
-    }
-    return true;
-  }
-
   // Everything else (sstables, background-error, future properties):
   // concatenate the per-shard values with shard headers.
   for (int i = 0; i < num_shards(); i++) {
@@ -300,34 +267,6 @@ int ShardedDb::WriteStallLevel() {
 
 int ShardedDb::WriteStallLevelOfShard(int shard) {
   return shards_[shard]->WriteStallLevel();
-}
-
-DbStats ShardedDb::GetDbStats() {
-  DbStats total;
-  for (auto& shard : shards_) {
-    const DbStats st = shard->GetDbStats();
-    total.user_bytes_written += st.user_bytes_written;
-    total.wal_bytes_written += st.wal_bytes_written;
-    total.flush_bytes_written += st.flush_bytes_written;
-    total.compaction_bytes_read += st.compaction_bytes_read;
-    total.compaction_bytes_written += st.compaction_bytes_written;
-    total.num_compactions += st.num_compactions;
-    total.num_flushes += st.num_flushes;
-    total.compaction_device_seconds += st.compaction_device_seconds;
-    total.compaction_pick_micros += st.compaction_pick_micros;
-    total.compaction_read_micros += st.compaction_read_micros;
-    total.compaction_merge_micros += st.compaction_merge_micros;
-    total.compaction_write_micros += st.compaction_write_micros;
-    total.compaction_install_micros += st.compaction_install_micros;
-    // The shards' high-water marks peak at different moments; the max is
-    // the only honest engine-level figure without a shared clock.
-    total.max_parallel_compactions =
-        std::max(total.max_parallel_compactions, st.max_parallel_compactions);
-    total.write_stall_slowdowns += st.write_stall_slowdowns;
-    total.write_stall_stops += st.write_stall_stops;
-    total.write_stall_micros += st.write_stall_micros;
-  }
-  return total;
 }
 
 std::vector<LiveFileMeta> ShardedDb::GetLiveFilesMetadata() {

@@ -19,8 +19,9 @@
 //    order; reads through it are per-shard-consistent.
 //  - NewIterator: a merging iterator over the per-shard iterators (shards
 //    partition by hash, not range, so every shard contributes everywhere).
-//  - GetProperty("sealdb.stats") and GetDbStats aggregate across shards so
-//    the CLI, the stats property, and the metrics exposition agree.
+//  - Counters are not aggregated here: every shard engine stamps
+//    {shard=N} on its sealdb_engine_* series in the one shared registry,
+//    and readers take family sums (MetricsRegistry::*_family_*).
 //
 // Failure domains (DESIGN.md §15): a shard — not the DB — is the unit of
 // failure. When one engine column latches a background error (its private
@@ -92,7 +93,6 @@ class ShardedDb final : public DB {
   // Stall level of one shard; the server's admission control checks the
   // target shard instead of rejecting for a stall elsewhere.
   int WriteStallLevelOfShard(int shard);
-  DbStats GetDbStats() override;
   std::vector<LiveFileMeta> GetLiveFilesMetadata() override;
   void SetRecordCompactionEvents(bool enable) override;
   std::vector<CompactionEvent> TakeCompactionEvents() override;

@@ -1127,19 +1127,6 @@ int64_t VersionSet::NumLevelBytes(int level) const {
   return TotalFileSize(current_->files_[level]);
 }
 
-const char* VersionSet::LevelSummary(LevelSummaryStorage* scratch) const {
-  std::string s = "files[ ";
-  for (int level = 0; level < NumLevels(); level++) {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%d ",
-                  static_cast<int>(current_->files_[level].size()));
-    s += buf;
-  }
-  s += "]";
-  std::snprintf(scratch->buffer, sizeof(scratch->buffer), "%s", s.c_str());
-  return scratch->buffer;
-}
-
 uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
   uint64_t result = 0;
   for (int level = 0; level < NumLevels(); level++) {

@@ -316,13 +316,6 @@ class VersionSet {
     set_info_ = provider;
   }
 
-  // Per-level scratch describing compaction debt; exposed for the stats
-  // surface in DB::GetProperty.
-  struct LevelSummaryStorage {
-    char buffer[200];
-  };
-  const char* LevelSummary(LevelSummaryStorage* scratch) const;
-
   const Options* options() const { return options_; }
   const InternalKeyComparator* icmp() const { return &icmp_; }
 

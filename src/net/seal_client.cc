@@ -395,19 +395,6 @@ Status SealClient::Scan(
   return remote;
 }
 
-Status SealClient::Stats(std::string* text) {
-  std::string storage;
-  Slice payload;
-  Status s = RoundTrip(static_cast<uint8_t>(Op::kStats), Slice(), &storage,
-                       &payload);
-  if (!s.ok()) return s;
-  Status remote;
-  if (!DecodeStatsResponse(payload, &remote, text)) {
-    return Status::Corruption("malformed STATS response");
-  }
-  return remote;
-}
-
 Status SealClient::Metrics(std::string* text) {
   std::string storage;
   Slice payload;
@@ -415,8 +402,7 @@ Status SealClient::Metrics(std::string* text) {
                        &payload);
   if (!s.ok()) return s;
   Status remote;
-  // METRICS responses reuse the STATS shape: status record + text blob.
-  if (!DecodeStatsResponse(payload, &remote, text)) {
+  if (!DecodeMetricsResponse(payload, &remote, text)) {
     return Status::Corruption("malformed METRICS response");
   }
   return remote;

@@ -1,7 +1,7 @@
 // SealClient: the client half of the SEALDB wire protocol (net/wire.h).
 //
 // Two APIs over one blocking socket:
-//   - sync: Put/Get/Delete/Write/Scan/Stats/Ping, one round trip each;
+//   - sync: Put/Get/Delete/Write/Scan/Metrics/Ping, one round trip each;
 //   - pipelined: Queue* stages frames locally, Flush() sends them in one
 //     burst and collects every response (the server may answer out of
 //     order across its worker pool; responses are matched by request id
@@ -109,7 +109,6 @@ class SealClient {
   Status Write(const WriteBatch& batch);
   Status Scan(const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out);
-  Status Stats(std::string* text);
   // Prometheus-style text exposition of the server's metrics registry.
   Status Metrics(std::string* text);
 

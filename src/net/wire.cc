@@ -20,8 +20,6 @@ const char* OpName(uint8_t opcode) {
       return "WRITE_BATCH";
     case Op::kScan:
       return "SCAN";
-    case Op::kStats:
-      return "STATS";
     case Op::kMetrics:
       return "METRICS";
   }
@@ -287,12 +285,13 @@ bool DecodeScanResponse(
   return input.empty();
 }
 
-void EncodeStatsResponse(std::string* dst, const Status& s, const Slice& text) {
+void EncodeMetricsResponse(std::string* dst, const Status& s,
+                           const Slice& text) {
   EncodeStatusRecord(dst, s);
   PutLengthPrefixedSlice(dst, text);
 }
 
-bool DecodeStatsResponse(Slice input, Status* s, std::string* text) {
+bool DecodeMetricsResponse(Slice input, Status* s, std::string* text) {
   Slice t;
   if (!DecodeStatusRecord(&input, s) || !GetLengthPrefixedSlice(&input, &t) ||
       !input.empty()) {

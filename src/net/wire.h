@@ -67,7 +67,8 @@ enum class Op : uint8_t {
   kDelete = 4,
   kWriteBatch = 5,
   kScan = 6,
-  kStats = 7,
+  // 7 was the retired STATS text opcode; it now gets the unknown-opcode
+  // error like any unassigned value.
   kMetrics = 8,
 };
 
@@ -143,10 +144,10 @@ bool DecodeScanResponse(
     Slice input, Status* s,
     std::vector<std::pair<std::string, std::string>>* entries);
 
-// STATS and METRICS responses share one shape: status record +
-// length-prefixed text (human-readable stats for STATS, Prometheus text
-// exposition for METRICS). Both requests carry an empty payload.
-void EncodeStatsResponse(std::string* dst, const Status& s, const Slice& text);
-bool DecodeStatsResponse(Slice input, Status* s, std::string* text);
+// METRICS response: status record + length-prefixed Prometheus text
+// exposition. The request carries an empty payload.
+void EncodeMetricsResponse(std::string* dst, const Status& s,
+                           const Slice& text);
+bool DecodeMetricsResponse(Slice input, Status* s, std::string* text);
 
 }  // namespace sealdb::net

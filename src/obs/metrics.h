@@ -1,11 +1,12 @@
 // MetricsRegistry: the unified observability substrate (DESIGN.md §12).
 //
-// Every ad-hoc counter in the stack — engine compaction/stall accounting,
+// Every counter in the stack — engine compaction/stall accounting,
 // simulated-device traffic, server admission control, client retries —
-// lives here as a named metric. One registry instance is shared by a whole
-// stack (drive, FileStore, engine, server) so a single snapshot renders
-// `sealdb.stats`, the METRICS wire response, and bench JSON from the same
-// numbers; they can never drift.
+// lives here as a named metric, and nowhere else: there are no snapshot
+// structs copying them. One registry instance is shared by a whole stack
+// (drive, FileStore, engine, server); Render() (the METRICS wire response)
+// is the one exposition, and programmatic readers (benches, tests, the
+// Table I figures) query it with the point and family lookups below.
 //
 // Design constraints:
 //   - mutation is lock-free and cheap enough for hot paths: counters are

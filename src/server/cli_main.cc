@@ -6,7 +6,6 @@
 //     put <key> <value>
 //     del <key>
 //     scan <start> <limit>
-//     stats
 //     metrics
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +25,6 @@ void Usage(const char* argv0) {
                "  put <key> <value>       store <key> -> <value>\n"
                "  del <key>               delete <key>\n"
                "  scan <start> <limit>    print up to <limit> entries\n"
-               "  stats                   engine/device/server stats\n"
                "  metrics                 Prometheus-style text exposition\n",
                argv0);
 }
@@ -90,10 +88,6 @@ int main(int argc, char** argv) {
       }
       std::printf("(%zu entries)\n", entries.size());
     }
-  } else if (command == "stats" && args.empty()) {
-    std::string text;
-    s = client.Stats(&text);
-    if (s.ok()) std::printf("%s", text.c_str());
   } else if (command == "metrics" && args.empty()) {
     std::string text;
     s = client.Metrics(&text);

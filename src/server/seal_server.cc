@@ -599,7 +599,7 @@ struct SealServer::Impl {
     net::EncodeFrame(&frame, net::kOpError | net::kResponseBit,
                      /*request_id=*/0, payload);
     // Counted before the client can see the rejection, so a client that
-    // got the Busy frame also finds it in the server's stats.
+    // got the Busy frame also finds it in the server's metrics.
     c_rej_conns_->Inc();
     (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     net::CloseFd(fd);
@@ -679,8 +679,7 @@ struct SealServer::Impl {
     const bool is_write = op == net::Op::kPut || op == net::Op::kDelete ||
                           op == net::Op::kWriteBatch;
     const bool is_read = op == net::Op::kGet || op == net::Op::kScan ||
-                         op == net::Op::kStats || op == net::Op::kMetrics ||
-                         op == net::Op::kPing;
+                         op == net::Op::kMetrics || op == net::Op::kPing;
     if (!is_write && !is_read) {
       c_protocol_errors_->Inc();
       std::string payload_out;
@@ -801,9 +800,8 @@ struct SealServer::Impl {
       case net::Op::kScan:
         net::EncodeScanResponse(&payload_out, busy, {});
         break;
-      case net::Op::kStats:
       case net::Op::kMetrics:
-        net::EncodeStatsResponse(&payload_out, busy, Slice());
+        net::EncodeMetricsResponse(&payload_out, busy, Slice());
         break;
       default:
         net::EncodeStatusRecord(&payload_out, busy);
@@ -955,11 +953,11 @@ struct SealServer::Impl {
            trace_id % opts_.trace_sample_every == 0;
   }
 
-  // Simulated device busy time, snapshotted only around sampled requests:
-  // device_stats() takes the FileStore mutex, which is too heavy for the
-  // per-request hot path.
+  // Simulated device busy time, read only around sampled requests: a
+  // sharded counter read is cheap, but not free on every request.
   double DeviceBusySeconds() const {
-    return stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+    return stack_ != nullptr ? stack_->drive()->metrics().busy->Seconds()
+                             : 0.0;
   }
 
   void RecordTrace(const TraceSpan& span) {
@@ -1235,14 +1233,11 @@ struct SealServer::Impl {
         net::EncodeScanResponse(&payload_out, it->status(), entries);
         break;
       }
-      case net::Op::kStats:
-        net::EncodeStatsResponse(&payload_out, Status::OK(), BuildStatsText());
-        break;
       case net::Op::kMetrics:
         // Prometheus text exposition of the shared registry: engine,
         // device, allocator, and this server in one pass.
-        net::EncodeStatsResponse(&payload_out, Status::OK(),
-                                 registry_->Render());
+        net::EncodeMetricsResponse(&payload_out, Status::OK(),
+                                   registry_->Render());
         break;
       default:
         net::EncodeStatusRecord(
@@ -1265,106 +1260,6 @@ struct SealServer::Impl {
     }
     Respond(req.conn, req.opcode | net::kResponseBit, req.request_id,
             payload_out, /*close_after=*/false, /*finish=*/true);
-  }
-
-  std::string BuildStatsText() {
-    std::string text;
-    std::string prop;
-    if (db_->GetProperty("sealdb.stats", &prop)) {
-      text.append("-- engine --\n");
-      text.append(prop);
-    }
-    if (db_->GetProperty("sealdb.approximate-memory-usage", &prop)) {
-      text.append("approximate memory usage: ");
-      text.append(prop);
-      text.append(" bytes\n");
-    }
-    if (db_->GetProperty("sealdb.background-error", &prop)) {
-      text.append("background error: ");
-      text.append(prop);
-      text.append("\n");
-    }
-    if (db_->GetProperty("sealdb.shard-health", &prop)) {
-      text.append("-- shard health --\n");
-      text.append(prop);
-    }
-    if (stack_ != nullptr) {
-      const smr::DeviceStats d = stack_->device_stats();
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "-- device --\n"
-          "busy: %.3f s (seek/position %.3f s, transfer %.3f s), seeks: "
-          "%llu\n"
-          "logical MB written/read: %.1f / %.1f, physical MB written/read: "
-          "%.1f / %.1f, AWA: %.3f\n",
-          d.busy_seconds, d.position_seconds,
-          d.busy_seconds - d.position_seconds,
-          static_cast<unsigned long long>(d.seeks),
-          d.logical_bytes_written / 1048576.0,
-          d.logical_bytes_read / 1048576.0,
-          d.physical_bytes_written / 1048576.0,
-          d.physical_bytes_read / 1048576.0, d.awa());
-      text.append(buf);
-    }
-    // The server section is a rendering of the same registry counters the
-    // METRICS opcode exposes — there is no second set of books.
-    const ServerStats st = SnapshotStats();
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "-- server --\n"
-        "connections: %llu active / %llu accepted / %llu rejected\n"
-        "requests: %llu (gets %llu, writes %llu, scans %llu)\n"
-        "group commit: %llu groups for %llu writes\n"
-        "bytes in/out: %llu / %llu, connection buffers: %llu bytes\n"
-        "protocol errors: %llu\n"
-        "busy rejections: %llu (queue %llu, inflight %llu, stall %llu)\n"
-        "slow-client evictions: %llu, dedup replays: %llu\n",
-        static_cast<unsigned long long>(st.connections_active),
-        static_cast<unsigned long long>(st.connections_accepted),
-        static_cast<unsigned long long>(st.connections_rejected),
-        static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.gets),
-        static_cast<unsigned long long>(st.writes),
-        static_cast<unsigned long long>(st.scans),
-        static_cast<unsigned long long>(st.write_groups),
-        static_cast<unsigned long long>(st.batched_writes),
-        static_cast<unsigned long long>(st.bytes_in),
-        static_cast<unsigned long long>(st.bytes_out),
-        static_cast<unsigned long long>(
-            buffer_bytes_.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(st.protocol_errors),
-        static_cast<unsigned long long>(st.busy_rejections()),
-        static_cast<unsigned long long>(st.rejected_queue_full),
-        static_cast<unsigned long long>(st.rejected_inflight_cap),
-        static_cast<unsigned long long>(st.rejected_stall),
-        static_cast<unsigned long long>(st.slow_client_evictions),
-        static_cast<unsigned long long>(st.dedup_replays));
-    text.append(buf);
-    return text;
-  }
-
-  ServerStats SnapshotStats() const {
-    ServerStats out;
-    out.connections_accepted = c_conns_accepted_->Value();
-    out.connections_active = static_cast<uint64_t>(g_conns_active_->Value());
-    out.requests = c_requests_->Value();
-    out.gets = c_gets_->Value();
-    out.writes = c_writes_->Value();
-    out.scans = c_scans_->Value();
-    out.write_groups = c_write_groups_->Value();
-    out.batched_writes = c_batched_writes_->Value();
-    out.protocol_errors = c_protocol_errors_->Value();
-    out.bytes_in = c_bytes_in_->Value();
-    out.bytes_out = c_bytes_out_->Value();
-    out.connections_rejected = c_rej_conns_->Value();
-    out.rejected_queue_full = c_rej_queue_full_->Value();
-    out.rejected_inflight_cap = c_rej_inflight_->Value();
-    out.rejected_stall = c_rej_stall_->Value();
-    out.slow_client_evictions = c_evictions_->Value();
-    out.dedup_replays = c_dedup_replays_->Value();
-    return out;
   }
 
   // ----------------------------------------------------------------- stop
@@ -1425,8 +1320,6 @@ Status SealServer::Start() {
 }
 
 void SealServer::Stop() { impl_->StopImpl(); }
-
-ServerStats SealServer::stats() const { return impl_->SnapshotStats(); }
 
 uint64_t SealServer::connection_buffer_bytes() const {
   return impl_->buffer_bytes_.load(std::memory_order_relaxed);

@@ -5,7 +5,7 @@
 //   - one event-loop thread owns every socket: it accepts, reads bytes,
 //     parses complete frames, and performs all socket writes;
 //   - `num_workers` worker threads execute DB operations. Read-path
-//     requests (GET/SCAN/STATS/PING) run concurrently; write-path
+//     requests (GET/SCAN/METRICS/PING) run concurrently; write-path
 //     requests (PUT/DELETE/WRITE_BATCH) are group-committed: one worker
 //     becomes the write leader, drains the queued writes into a single
 //     WriteBatch, applies it with one DB::Write, and acks every request
@@ -99,8 +99,9 @@ struct ServerOptions {
   // log_sampled_traces is set — printed to stderr. Sampling is
   // deterministic in the trace id, so a retried request is sampled
   // consistently across attempts. 0 disables tracing entirely; 1 traces
-  // every request (tests). The default keeps the device_stats() snapshot
-  // (a FileStore-lock acquisition) off nearly every request.
+  // every request (tests). The default keeps the span bookkeeping (clock
+  // reads, device-counter reads, histogram updates, the trace ring's lock)
+  // off nearly every request.
   uint64_t trace_sample_every = 1024;
   bool log_sampled_traces = false;
 };
@@ -119,39 +120,10 @@ struct TraceSpan {
   uint64_t total_micros = 0;     // dispatch -> response encoded
 };
 
-// Snapshot of the server's sealdb_server_* registry metrics. The
-// registry is authoritative; this struct exists for programmatic
-// consumers (tests, benches) and the STATS text rendering.
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t requests = 0;
-  uint64_t gets = 0;
-  uint64_t writes = 0;        // PUT + DELETE + WRITE_BATCH requests
-  uint64_t scans = 0;
-  uint64_t write_groups = 0;  // DB::Write calls issued by group commit
-  uint64_t batched_writes = 0;  // write requests folded into those groups
-  uint64_t protocol_errors = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-
-  // ---- overload protection ----
-  uint64_t connections_rejected = 0;   // over max_connections
-  uint64_t rejected_queue_full = 0;    // write-queue byte budget exhausted
-  uint64_t rejected_inflight_cap = 0;  // per-connection in-flight cap
-  uint64_t rejected_stall = 0;         // engine write-stall backpressure
-  uint64_t slow_client_evictions = 0;  // response buffer over cap
-  uint64_t dedup_replays = 0;          // retried writes acked without re-apply
-
-  uint64_t busy_rejections() const {
-    return rejected_queue_full + rejected_inflight_cap + rejected_stall;
-  }
-};
-
 class SealServer {
  public:
   // `db` (and `stack`, if given) must outlive Stop(). `stack` is optional;
-  // when present STATS responses include device stats and the connection
+  // when present, sampled spans carry device time and the connection
   // buffer bytes are folded into the stack's external-memory counter (and
   // therefore into "sealdb.approximate-memory-usage").
   SealServer(DB* db, baselines::Stack* stack, const ServerOptions& options);
@@ -165,7 +137,6 @@ class SealServer {
   void Stop();
 
   uint16_t port() const { return port_; }
-  ServerStats stats() const;
   // Bytes currently held in per-connection read/write buffers.
   uint64_t connection_buffer_bytes() const;
   // The registry this server publishes into (see

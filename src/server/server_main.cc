@@ -182,15 +182,20 @@ int main(int argc, char** argv) {
   std::printf("sealdb_server: draining and shutting down...\n");
   std::fflush(stdout);
   server.Stop();
-  const sealdb::server::ServerStats st = server.stats();
+  const sealdb::obs::MetricsRegistry& reg = *server.metrics_registry();
   std::printf(
       "sealdb_server: served %llu requests (%llu writes in %llu groups), "
-      "%llu connections, %llu busy rejections\n",
-      static_cast<unsigned long long>(st.requests),
-      static_cast<unsigned long long>(st.batched_writes),
-      static_cast<unsigned long long>(st.write_groups),
-      static_cast<unsigned long long>(st.connections_accepted),
-      static_cast<unsigned long long>(st.busy_rejections()));
+      "%llu connections, %llu admission rejections\n",
+      static_cast<unsigned long long>(
+          reg.counter_value("sealdb_server_requests_total")),
+      static_cast<unsigned long long>(
+          reg.counter_value("sealdb_server_batched_writes_total")),
+      static_cast<unsigned long long>(
+          reg.counter_value("sealdb_server_write_groups_total")),
+      static_cast<unsigned long long>(
+          reg.counter_value("sealdb_server_connections_accepted_total")),
+      static_cast<unsigned long long>(
+          reg.counter_family_sum("sealdb_server_admission_rejected_total")));
   stack->db()->WaitForIdle();
   stack.reset();  // closes the DB after the drain
   return 0;

@@ -58,31 +58,14 @@ DeviceMetrics::DeviceMetrics(std::shared_ptr<obs::MetricsRegistry> registry)
       "Physical / logical write bytes (the paper's AWA)");
   obs::Counter* lw = logical_write;
   obs::Counter* pw = physical_write;
-  r.AddCollectHook([awa, lw, pw] {
-    const uint64_t logical = lw->Value();
-    awa->Set(logical == 0 ? 1.0
-                          : static_cast<double>(pw->Value()) /
-                                static_cast<double>(logical));
-  });
+  r.AddCollectHook(
+      [awa, lw, pw] { awa->Set(Awa(lw->Value(), pw->Value())); });
 }
 
-DeviceStats DeviceMetrics::ToStats() const {
-  DeviceStats s;
-  s.logical_bytes_written = logical_write->Value();
-  s.logical_bytes_read = logical_read->Value();
-  s.physical_bytes_written = physical_write->Value();
-  s.physical_bytes_read = physical_read->Value();
-  s.write_ops = write_ops->Value();
-  s.read_ops = read_ops->Value();
-  s.rmw_ops = rmw_ops->Value();
-  s.seeks = seeks->Value();
-  s.busy_seconds = busy->Seconds();
-  s.position_seconds = position->Seconds();
-  s.read_errors = read_errors->Value();
-  s.write_errors = write_errors->Value();
-  s.torn_writes = torn_writes->Value();
-  s.crashes = crashes->Value();
-  return s;
+double DeviceMetrics::Awa(uint64_t logical_write, uint64_t physical_write) {
+  return logical_write == 0 ? 1.0
+                            : static_cast<double>(physical_write) /
+                                  static_cast<double>(logical_write);
 }
 
 }  // namespace sealdb::smr

@@ -1,22 +1,22 @@
-// DeviceMetrics: the drive models' traffic accounting, as registry metrics.
-//
-// Drives used to each maintain a private `DeviceStats stats_` struct; those
-// counters now live in a MetricsRegistry (shared with the engine and server
+// DeviceMetrics: the drive models' traffic accounting, the basis of the
+// paper's Table I:
+//   WA  = (flush + compaction) bytes / user bytes  (LSM-tree amplification)
+//   AWA = device physical writes / logical writes   (SMR auxiliary ampl.)
+//   MWA = WA * AWA                                   (multiplicative)
+// The counters live in a MetricsRegistry (shared with the engine and server
 // when the stack wires one in, private otherwise) under the sealdb_device_*
-// and sealdb_smr_* families. DeviceStats survives purely as a snapshot
-// struct: Drive::stats() renders one from these metrics, so `sealdb.stats`,
-// the METRICS exposition, and bench deltas all read the same counters.
+// and sealdb_smr_* families; Drive::metrics() hands them to readers, and
+// the METRICS exposition and bench deltas read the same counters.
 //
 // One registry carries at most one device's metrics (a stack owns exactly
-// one drive); idempotent registration means a FaultInjectionDrive wrapper
-// can share the registry with its inner drive — the wrapper registers only
-// the fault counters, the inner drive the traffic counters.
+// one drive). A FaultInjectionDrive wrapper has no counters of its own: it
+// increments the fault counters of its target's DeviceMetrics, and the
+// target the traffic ones.
 #pragma once
 
 #include <memory>
 
 #include "obs/metrics.h"
-#include "smr/device_stats.h"
 
 namespace sealdb::smr {
 
@@ -51,8 +51,8 @@ class DeviceMetrics {
   // placement bug.
   obs::Counter* guard_violations;
 
-  // Snapshot in the legacy struct shape.
-  DeviceStats ToStats() const;
+  // The paper's AWA over a byte count pair; 1.0 before any write.
+  static double Awa(uint64_t logical_write, uint64_t physical_write);
 
   const std::shared_ptr<obs::MetricsRegistry>& registry() const {
     return registry_;

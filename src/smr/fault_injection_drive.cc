@@ -6,10 +6,8 @@
 
 namespace sealdb::smr {
 
-FaultInjectionDrive::FaultInjectionDrive(
-    std::unique_ptr<Drive> target,
-    std::shared_ptr<obs::MetricsRegistry> registry)
-    : target_(std::move(target)), met_(std::move(registry)) {}
+FaultInjectionDrive::FaultInjectionDrive(std::unique_ptr<Drive> target)
+    : target_(std::move(target)) {}
 
 void FaultInjectionDrive::InjectReadError(uint64_t offset, uint64_t n,
                                           int remaining_failures) {
@@ -67,7 +65,7 @@ void FaultInjectionDrive::PowerOff() {
   std::lock_guard<std::mutex> l(mu_);
   if (!crashed_) {
     crashed_ = true;
-    met_.crashes->Inc();
+    metrics().crashes->Inc();
   }
   crash_after_blocks_ = -1;
 }
@@ -98,16 +96,16 @@ void FaultInjectionDrive::HealWrittenBlocks(uint64_t offset, uint64_t n) {
 Status FaultInjectionDrive::Read(uint64_t offset, uint64_t n, char* scratch) {
   std::lock_guard<std::mutex> l(mu_);
   if (crashed_) {
-    met_.read_errors->Inc();
+    metrics().read_errors->Inc();
     return Status::IOError("fault injection: drive powered off");
   }
   if (read_error_probability_ > 0.0 &&
       rng_.NextDouble() < read_error_probability_) {
-    met_.read_errors->Inc();
+    metrics().read_errors->Inc();
     return Status::IOError("fault injection: transient read error");
   }
   if (ConsumeReadFault(offset, n)) {
-    met_.read_errors->Inc();
+    metrics().read_errors->Inc();
     return Status::IOError("fault injection: unreadable block");
   }
   return target_->Read(offset, n, scratch);
@@ -120,12 +118,12 @@ Status FaultInjectionDrive::Write(uint64_t offset, const Slice& data) {
   }
   std::lock_guard<std::mutex> l(mu_);
   if (crashed_) {
-    met_.write_errors->Inc();
+    metrics().write_errors->Inc();
     return Status::IOError("fault injection: drive powered off");
   }
   if (write_error_enabled_ && offset < write_error_end_ &&
       offset + data.size() > write_error_begin_) {
-    met_.write_errors->Inc();
+    metrics().write_errors->Inc();
     return Status::IOError("fault injection: write error");
   }
 
@@ -165,11 +163,11 @@ Status FaultInjectionDrive::Write(uint64_t offset, const Slice& data) {
     HealWrittenBlocks(offset, keep * block);
   }
   if (!crash && crash_after_blocks_ >= 0) crash_after_blocks_ -= keep;
-  if (torn) met_.torn_writes->Inc();
+  if (torn) metrics().torn_writes->Inc();
   if (crash) {
     crash_after_blocks_ = -1;
     crashed_ = true;
-    met_.crashes->Inc();
+    metrics().crashes->Inc();
     return Status::IOError("fault injection: power failure during write");
   }
   return Status::IOError("fault injection: torn write");
@@ -181,15 +179,6 @@ Status FaultInjectionDrive::Trim(uint64_t offset, uint64_t n) {
     return Status::IOError("fault injection: drive powered off");
   }
   return target_->Trim(offset, n);
-}
-
-DeviceStats FaultInjectionDrive::stats() const {
-  DeviceStats s = target_->stats();
-  s.read_errors = met_.read_errors->Value();
-  s.write_errors = met_.write_errors->Value();
-  s.torn_writes = met_.torn_writes->Value();
-  s.crashes = met_.crashes->Value();
-  return s;
 }
 
 }  // namespace sealdb::smr

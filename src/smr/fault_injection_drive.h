@@ -16,8 +16,9 @@
 //
 // Successful writes heal injected per-block read errors on the rewritten
 // blocks, like a drive remapping a bad sector on write. Injected faults are
-// folded into DeviceStats (read_errors / write_errors / torn_writes /
-// crashes) so benches and tests can account for them.
+// counted in the target's DeviceMetrics (sealdb_device_faults_total by
+// kind: read_error / write_error / torn_write / crash), so the wrapper and
+// its drive share one registry and benches and tests can account for them.
 #pragma once
 
 #include <atomic>
@@ -25,7 +26,6 @@
 #include <memory>
 #include <mutex>
 
-#include "smr/device_metrics.h"
 #include "smr/drive.h"
 #include "util/random.h"
 
@@ -33,12 +33,7 @@ namespace sealdb::smr {
 
 class FaultInjectionDrive final : public Drive {
  public:
-  // Share the target drive's registry so the fault counters land in the
-  // same sealdb_device_faults_total family the exposition renders; a null
-  // registry keeps them in a decorator-private one.
-  explicit FaultInjectionDrive(
-      std::unique_ptr<Drive> target,
-      std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
+  explicit FaultInjectionDrive(std::unique_ptr<Drive> target);
   ~FaultInjectionDrive() override = default;
 
   // ---- fault programming ----
@@ -101,7 +96,7 @@ class FaultInjectionDrive final : public Drive {
   Status Write(uint64_t offset, const Slice& data) override;
   Status Trim(uint64_t offset, uint64_t n) override;
   const Geometry& geometry() const override { return target_->geometry(); }
-  DeviceStats stats() const override;
+  const DeviceMetrics& metrics() const override { return target_->metrics(); }
   bool IsValid(uint64_t offset, uint64_t n) const override {
     return target_->IsValid(offset, n);
   }
@@ -141,10 +136,6 @@ class FaultInjectionDrive final : public Drive {
   bool crashed_ = false;
 
   uint64_t blocks_written_ = 0;
-
-  // Fault counters; stats() overlays them on the target's snapshot (the
-  // inner drive never increments the fault metrics itself).
-  DeviceMetrics met_;
 };
 
 }  // namespace sealdb::smr

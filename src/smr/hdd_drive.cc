@@ -61,7 +61,7 @@ class HddDrive final : public Drive {
   }
 
   const Geometry& geometry() const override { return geo_; }
-  DeviceStats stats() const override { return met_.ToStats(); }
+  const DeviceMetrics& metrics() const override { return met_; }
 
   bool IsValid(uint64_t offset, uint64_t n) const override {
     std::lock_guard<std::mutex> l(mu_);

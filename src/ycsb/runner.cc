@@ -26,6 +26,11 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
+// Simulated drive busy time; 0 for a remote (stack-less) runner.
+double DeviceBusySeconds(baselines::Stack* stack) {
+  return stack != nullptr ? stack->drive()->metrics().busy->Seconds() : 0.0;
+}
+
 }  // namespace
 
 Status Runner::OpGet(const std::string& key, std::string* value) {
@@ -66,8 +71,7 @@ Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
   if (record_count > 0 && static_cast<uint64_t>(nthreads) > record_count) {
     nthreads = static_cast<int>(record_count);
   }
-  const double device_before =
-      stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+  const double device_before = DeviceBusySeconds(stack_);
   const auto wall_start = Clock::now();
   if (nthreads == 1) {
     CoreWorkload workload(WorkloadSpec::Load(), 0, key_bytes_, value_bytes_,
@@ -121,10 +125,7 @@ Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
   }
   Settle();
   result->wall_seconds = SecondsSince(wall_start);
-  if (stack_ != nullptr) {
-    result->device_seconds =
-        stack_->device_stats().busy_seconds - device_before;
-  }
+  result->device_seconds = DeviceBusySeconds(stack_) - device_before;
   return Status::OK();
 }
 
@@ -134,8 +135,7 @@ Status Runner::Run(const WorkloadSpec& spec, uint64_t record_count,
   result->workload = spec.name;
   CoreWorkload workload(spec, record_count, key_bytes_, value_bytes_,
                         seed_ + 100);
-  const double device_before =
-      stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+  const double device_before = DeviceBusySeconds(stack_);
   const auto wall_start = Clock::now();
   std::string value;
 
@@ -187,10 +187,7 @@ Status Runner::Run(const WorkloadSpec& spec, uint64_t record_count,
   }
   Settle();
   result->wall_seconds = SecondsSince(wall_start);
-  if (stack_ != nullptr) {
-    result->device_seconds =
-        stack_->device_stats().busy_seconds - device_before;
-  }
+  result->device_seconds = DeviceBusySeconds(stack_) - device_before;
   return Status::OK();
 }
 

@@ -78,7 +78,9 @@ TEST_P(BackgroundTest, LoadAndReadBack) {
     model[k] = v;
   }
   db_->WaitForIdle();
-  EXPECT_GT(db_->GetDbStats().num_compactions, 0u);
+  EXPECT_GT(stack_->metrics_registry()->counter_family_sum(
+                "sealdb_engine_compactions_total"),
+            0u);
   for (const auto& [k, v] : model) {
     ASSERT_EQ(v, Get(k));
   }
@@ -150,7 +152,7 @@ TEST_P(BackgroundTest, DeviceSafetyHolds) {
   }
   db_->WaitForIdle();
   if (GetParam() == SystemKind::kSEALDB) {
-    EXPECT_EQ(stack_->device_stats().rmw_ops, 0u);
+    EXPECT_EQ(stack_->drive()->metrics().rmw_ops->Value(), 0u);
     EXPECT_DOUBLE_EQ(stack_->awa(), 1.0);
   }
 }

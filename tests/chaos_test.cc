@@ -13,7 +13,7 @@
 // The fault schedule is a pure function of the seed, so each seed replays
 // the same per-connection chaos; the suite runs three fixed seeds. Also
 // here: admission-control tests (burst overload sees typed Busy
-// rejections and STATS counters; an underloaded run sees none) and the
+// rejections and admission metrics; an underloaded run sees none) and the
 // dedup window absorbing duplicated write frames. Runs under TSan via the
 // "stress" ctest label.
 #include <gtest/gtest.h>
@@ -419,6 +419,22 @@ class AdmissionTest : public ::testing::Test {
     if (stack_ != nullptr) stack_->db()->WaitForIdle();
   }
 
+  uint64_t ServerCount(const std::string& name,
+                       const obs::Labels& labels = {}) const {
+    return server_->metrics_registry()->counter_value(name, labels);
+  }
+
+  // Requests answered Busy by admission control (connection-cap
+  // rejections excluded: they refuse a connection, not a request).
+  uint64_t BusyRejections() const {
+    uint64_t n = 0;
+    for (const char* reason : {"queue_full", "inflight_cap", "stall"}) {
+      n += ServerCount("sealdb_server_admission_rejected_total",
+                       {{"reason", reason}});
+    }
+    return n;
+  }
+
   std::unique_ptr<Stack> stack_;
   std::unique_ptr<server::SealServer> server_;
 };
@@ -471,15 +487,21 @@ TEST_F(AdmissionTest, BurstOverloadSeesTypedBusyRejections) {
   EXPECT_LE(mem_after, mem_before + opts.max_queued_write_bytes +
                            static_cast<uint64_t>(kBurst) * 1024 + (256 << 10));
 
-  const server::ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.busy_rejections(), static_cast<uint64_t>(busy));
+  EXPECT_EQ(BusyRejections(), static_cast<uint64_t>(busy));
 
-  // The rejections are STATS-visible to remote operators too.
+  // The rejections are METRICS-visible to remote operators too.
   stack_->fault_drive()->SetWriteDelayMicros(0);
   std::string text;
-  ASSERT_TRUE(client.Stats(&text).ok());
-  EXPECT_NE(text.find("busy rejections:"), std::string::npos);
-  EXPECT_EQ(text.find("busy rejections: 0 "), std::string::npos);
+  ASSERT_TRUE(client.Metrics(&text).ok());
+  for (const char* reason : {"queue_full", "inflight_cap", "stall"}) {
+    const std::string line =
+        std::string("\nsealdb_server_admission_rejected_total{reason=\"") +
+        reason + "\"} " +
+        std::to_string(ServerCount("sealdb_server_admission_rejected_total",
+                                   {{"reason", reason}})) +
+        "\n";
+    EXPECT_NE(text.find(line), std::string::npos) << line << text;
+  }
 }
 
 TEST_F(AdmissionTest, ConnectionCapRejectsWithTypedError) {
@@ -498,7 +520,9 @@ TEST_F(AdmissionTest, ConnectionCapRejectsWithTypedError) {
   ASSERT_TRUE(c.Connect("127.0.0.1", server_->port()).ok());
   Status s = c.Ping();
   EXPECT_TRUE(s.IsBusy() || s.IsIOError()) << s.ToString();
-  EXPECT_GE(server_->stats().connections_rejected, 1u);
+  EXPECT_GE(ServerCount("sealdb_server_admission_rejected_total",
+                        {{"reason", "connections"}}),
+            1u);
 
   // Established connections are unaffected, and capacity freed by a
   // departing connection is reusable.
@@ -544,7 +568,7 @@ TEST_F(AdmissionTest, SlowClientIsEvictedNotBuffered) {
 
   uint64_t evictions = 0;
   for (int i = 0; i < 500 && evictions == 0; i++) {
-    evictions = server_->stats().slow_client_evictions;
+    evictions = ServerCount("sealdb_server_slow_client_evictions_total");
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   net::CloseFd(fd);
@@ -594,12 +618,12 @@ TEST_F(AdmissionTest, DuplicateWriteResubmissionIsNotReapplied) {
   // First submission applies.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
   ASSERT_TRUE(read_response_status().ok());
-  EXPECT_EQ(server_->stats().dedup_replays, 0u);
+  EXPECT_EQ(ServerCount("sealdb_server_dedup_replays_total"), 0u);
 
   // Exact resubmission is acked OK from the dedup window, not re-applied.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
   ASSERT_TRUE(read_response_status().ok());
-  EXPECT_EQ(server_->stats().dedup_replays, 1u);
+  EXPECT_EQ(ServerCount("sealdb_server_dedup_replays_total"), 1u);
   net::CloseFd(fd);
 
   std::string got;
@@ -672,7 +696,7 @@ TEST_F(YcsbAdmissionTest, OverloadedRunCompletesWithRejections) {
 
   EXPECT_TRUE(RunYcsbA(/*deadline_millis=*/20000)) << failures_;
   stack_->fault_drive()->SetWriteDelayMicros(0);
-  EXPECT_GT(server_->stats().busy_rejections(), 0u);
+  EXPECT_GT(BusyRejections(), 0u);
 }
 
 TEST_F(YcsbAdmissionTest, UnderloadedRunSeesNoRejections) {
@@ -689,8 +713,8 @@ TEST_F(YcsbAdmissionTest, UnderloadedRunSeesNoRejections) {
   Start(opts, config);
 
   EXPECT_TRUE(RunYcsbA(/*deadline_millis=*/20000)) << failures_;
-  EXPECT_EQ(server_->stats().busy_rejections(), 0u);
-  EXPECT_EQ(server_->stats().slow_client_evictions, 0u);
+  EXPECT_EQ(BusyRejections(), 0u);
+  EXPECT_EQ(ServerCount("sealdb_server_slow_client_evictions_total"), 0u);
 }
 
 }  // namespace sealdb

@@ -62,7 +62,7 @@ TEST(FaultInjectionDriveTest, TransientReadErrorHealsAfterFailures) {
   // Third attempt: the transient fault has burned out.
   ASSERT_TRUE(drive->Read(0, kBlock, buf.data()).ok());
   EXPECT_EQ(Blocks(1, 'x'), buf);
-  EXPECT_EQ(2u, drive->stats().read_errors);
+  EXPECT_EQ(2u, drive->metrics().read_errors->Value());
 }
 
 TEST(FaultInjectionDriveTest, PermanentReadErrorUntilClearedOrRewritten) {
@@ -96,7 +96,7 @@ TEST(FaultInjectionDriveTest, RangedWriteErrors) {
   EXPECT_TRUE(drive->Write(0, Blocks(1, 'a')).ok());
   EXPECT_TRUE(drive->Write(8 << 20, Blocks(1, 'b')).IsIOError());
   EXPECT_FALSE(drive->IsValid(8 << 20, kBlock));  // nothing persisted
-  EXPECT_EQ(1u, drive->stats().write_errors);
+  EXPECT_EQ(1u, drive->metrics().write_errors->Value());
   drive->SetWriteError(false);
   EXPECT_TRUE(drive->Write(8 << 20, Blocks(1, 'b')).ok());
 }
@@ -113,7 +113,7 @@ TEST(FaultInjectionDriveTest, TornWritePersistsOnlyPrefix) {
   std::string buf(2 * kBlock, 0);
   ASSERT_TRUE(drive->Read(0, 2 * kBlock, buf.data()).ok());
   EXPECT_EQ(Blocks(2, 'w'), buf);
-  EXPECT_EQ(1u, drive->stats().torn_writes);
+  EXPECT_EQ(1u, drive->metrics().torn_writes->Value());
 
   // One-shot: the next write goes through whole.
   ASSERT_TRUE(drive->Write(0, Blocks(4, 'v')).ok());
@@ -143,7 +143,7 @@ TEST(FaultInjectionDriveTest, CrashPointTearsAndKillsTheDrive) {
   ASSERT_TRUE(drive->Read(0, 3 * kBlock, buf.data()).ok());
   EXPECT_TRUE(drive->IsValid(2 * kBlock, kBlock));
   EXPECT_FALSE(drive->IsValid(3 * kBlock, kBlock));
-  EXPECT_EQ(1u, drive->stats().crashes);
+  EXPECT_EQ(1u, drive->metrics().crashes->Value());
 }
 
 TEST(FaultInjectionDriveTest, ProbabilisticReadErrorsAreTransient) {
@@ -158,7 +158,7 @@ TEST(FaultInjectionDriveTest, ProbabilisticReadErrorsAreTransient) {
   }
   EXPECT_GT(failures, 50);
   EXPECT_LT(failures, 150);
-  EXPECT_EQ(static_cast<uint64_t>(failures), drive->stats().read_errors);
+  EXPECT_EQ(static_cast<uint64_t>(failures), drive->metrics().read_errors->Value());
   drive->SetReadErrorProbability(0.0);
   EXPECT_TRUE(drive->Read(0, kBlock, buf.data()).ok());
 }
@@ -425,6 +425,8 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   std::string prop;
   ASSERT_TRUE(db->GetProperty("sealdb.background-error", &prop));
   EXPECT_NE("OK", prop);
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  EXPECT_EQ(reg.gauge_value("sealdb_engine_background_error"), 1.0);
 
   // Still readable: every acknowledged pre-fault key is intact.
   std::string value;
@@ -442,7 +444,12 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   ASSERT_TRUE(db->Put(sync, "recovered", "yes").ok());
   ASSERT_TRUE(db->Get(ReadOptions(), Key(10), &value).ok());
   EXPECT_EQ(Value(10), value);
-  EXPECT_GT(stack->device_stats().write_errors, 0u);
+  // The reopened engine starts healthy; the wrapper's fault counters sit in
+  // the stack's one registry next to the drive's traffic counters.
+  EXPECT_EQ(reg.gauge_value("sealdb_engine_background_error"), 0.0);
+  EXPECT_GT(reg.counter_value("sealdb_device_faults_total",
+                              {{"kind", "write_error"}}),
+            0u);
 }
 
 }  // namespace sealdb

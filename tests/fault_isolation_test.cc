@@ -191,13 +191,21 @@ TEST(FaultIsolationTest, ShardDegradedSurfacesThroughServerAndClient) {
     EXPECT_EQ(value, "after");
   }
 
-  // Shard health shows up in the operator stats text.
+  // Shard health reaches remote operators through METRICS, and the reason
+  // through the sealdb.shard-health property.
   std::string text;
-  ASSERT_TRUE(client.Stats(&text).ok());
-  EXPECT_NE(text.find("-- shard health --"), std::string::npos);
-  EXPECT_NE(text.find("shard 1: degraded (forced by test)"),
+  ASSERT_TRUE(client.Metrics(&text).ok());
+  EXPECT_NE(text.find("\nsealdb_shard_degraded{shard=\"1\"} 1\n"),
             std::string::npos)
       << text;
+  EXPECT_NE(text.find("\nsealdb_shard_degraded{shard=\"0\"} 0\n"),
+            std::string::npos)
+      << text;
+  std::string health;
+  ASSERT_TRUE(stack->db()->GetProperty("sealdb.shard-health", &health));
+  EXPECT_NE(health.find("shard 1: degraded (forced by test)"),
+            std::string::npos)
+      << health;
 
   server.Stop();
 }

@@ -303,16 +303,13 @@ TEST_F(ObsServerTest, MetricsOpcodeRoundTrip) {
   EXPECT_TRUE(Contains(text, "sealdb_server_ops_total{op=\"write\"}"))
       << text;
 
-  // sealdb.stats is a rendering of the same registry: its server counters
-  // must agree with the exposition (at least one write op was served).
+  // The exposition renders the server's registry: at least one write and
+  // one get were served.
   const auto& reg = *server_->metrics_registry();
   EXPECT_GE(reg.counter_value("sealdb_server_ops_total", {{"op", "write"}}),
             1u);
   EXPECT_GE(reg.counter_value("sealdb_server_ops_total", {{"op", "get"}}),
             1u);
-  std::string stats;
-  ASSERT_TRUE(client.Stats(&stats).ok());
-  EXPECT_TRUE(Contains(stats, "server")) << stats;
 }
 
 TEST_F(ObsServerTest, SampledRequestYieldsSpanBreakdown) {

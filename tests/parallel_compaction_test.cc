@@ -256,9 +256,10 @@ TEST_P(ParallelCompactionTest, ConcurrentWritersAndReaders) {
     }
   }
 
-  const DbStats stats = db_->GetDbStats();
-  EXPECT_GT(stats.num_compactions, 0u);
-  EXPECT_GE(stats.max_parallel_compactions, 2u)
+  const obs::MetricsRegistry& reg = *stack_->metrics_registry();
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_compactions_total"), 0u);
+  EXPECT_GE(reg.gauge_family_max("sealdb_engine_max_parallel_compactions"),
+            2.0)
       << "executor never overlapped two compactions";
 }
 
@@ -270,12 +271,11 @@ TEST_P(ParallelCompactionTest, StatsExposeParallelismAndStages) {
                     .ok());
   }
   db_->WaitForIdle();
-  std::string props;
-  ASSERT_TRUE(db_->GetProperty("sealdb.stats", &props));
-  EXPECT_NE(props.find("compaction stage micros"), std::string::npos) << props;
-  EXPECT_NE(props.find("max parallel compactions"), std::string::npos)
-      << props;
-  EXPECT_GE(db_->GetDbStats().max_parallel_compactions, 2u);
+  const obs::MetricsRegistry& reg = *stack_->metrics_registry();
+  EXPECT_GT(
+      reg.time_family_sum("sealdb_engine_compaction_stage_seconds_total"), 0.0);
+  EXPECT_GE(reg.gauge_family_max("sealdb_engine_max_parallel_compactions"),
+            2.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, ParallelCompactionTest,

@@ -160,8 +160,10 @@ TEST_F(SealDbBehaviorTest, ZeroAuxiliaryWriteAmplification) {
   }
   db_->WaitForIdle();
   EXPECT_DOUBLE_EQ(stack_->awa(), 1.0);
-  EXPECT_EQ(stack_->device_stats().rmw_ops, 0u);
-  EXPECT_GT(db_->GetDbStats().num_compactions, 0u);
+  EXPECT_EQ(stack_->drive()->metrics().rmw_ops->Value(), 0u);
+  EXPECT_GT(stack_->metrics_registry()->counter_family_sum(
+                "sealdb_engine_compactions_total"),
+            0u);
 }
 
 TEST_F(SealDbBehaviorTest, CompactionOutputsAreContiguousSets) {

@@ -191,6 +191,11 @@ class ServerTest : public ::testing::Test {
     if (stack_ != nullptr) stack_->db()->WaitForIdle();
   }
 
+  uint64_t ServerCount(const std::string& name,
+                       const obs::Labels& labels = {}) const {
+    return server_->metrics_registry()->counter_value(name, labels);
+  }
+
   std::unique_ptr<Stack> stack_;
   std::unique_ptr<server::SealServer> server_;
 };
@@ -226,12 +231,18 @@ TEST_F(ServerTest, ProtocolRoundTrips) {
   EXPECT_EQ(entries[1].first, "date");
   EXPECT_EQ(entries[2].first, "elderberry");
 
-  std::string stats;
-  ASSERT_TRUE(client.Stats(&stats).ok());
-  EXPECT_NE(stats.find("-- engine --"), std::string::npos);
-  EXPECT_NE(stats.find("-- device --"), std::string::npos);
-  EXPECT_NE(stats.find("-- server --"), std::string::npos);
-  EXPECT_NE(stats.find("approximate memory usage"), std::string::npos);
+  // METRICS carries every layer of the stack behind the server.
+  std::string metrics;
+  ASSERT_TRUE(client.Metrics(&metrics).ok());
+  for (const char* family :
+       {"sealdb_engine_user_bytes_total", "sealdb_engine_background_error",
+        "sealdb_device_busy_seconds_total", "sealdb_device_ops_total",
+        "sealdb_server_requests_total", "sealdb_server_ops_total",
+        "sealdb_server_connection_buffer_bytes", "sealdb_buf_usage_bytes"}) {
+    EXPECT_NE(metrics.find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
+  }
 }
 
 TEST_F(ServerTest, PipelinedBatchApi) {
@@ -262,8 +273,9 @@ TEST_F(ServerTest, PipelinedBatchApi) {
   }
 
   // Pipelined writes must have hit the group-commit path.
-  EXPECT_GE(server_->stats().write_groups, 1u);
-  EXPECT_EQ(server_->stats().batched_writes, static_cast<uint64_t>(kOps));
+  EXPECT_GE(ServerCount("sealdb_server_write_groups_total"), 1u);
+  EXPECT_EQ(ServerCount("sealdb_server_batched_writes_total"),
+            static_cast<uint64_t>(kOps));
 }
 
 TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
@@ -311,6 +323,40 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
     net::CloseFd(fd);
   }
 
+  // Well-formed frames with an opcode the server does not serve (7, the
+  // retired STATS text opcode, and an unassigned value): typed
+  // InvalidArgument error response, then close, counted as protocol errors.
+  for (const uint8_t opcode : {uint8_t{7}, uint8_t{0x42}}) {
+    const uint64_t errors_before =
+        ServerCount("sealdb_server_protocol_errors_total");
+    int fd = -1;
+    ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd).ok());
+    ASSERT_TRUE(net::SetRecvTimeout(fd, 5000).ok());
+    std::string frame;
+    net::EncodeFrame(&frame, opcode, 13, Slice());
+    ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
+
+    char header[net::kFrameHeaderBytes];
+    ASSERT_TRUE(net::ReadFully(fd, header, sizeof(header)).ok());
+    EXPECT_EQ(static_cast<uint8_t>(header[net::kOpcodeOffset]),
+              net::kOpError | net::kResponseBit)
+        << "opcode " << int{opcode};
+    const uint32_t payload_len =
+        DecodeFixed32(header + net::kPayloadLenOffset);
+    std::string payload(payload_len, 0);
+    ASSERT_TRUE(net::ReadFully(fd, payload.data(), payload_len).ok());
+    Slice in(payload);
+    Status err;
+    ASSERT_TRUE(net::DecodeStatusRecord(&in, &err));
+    EXPECT_TRUE(err.IsInvalidArgument()) << err.ToString();
+    char byte;
+    EXPECT_TRUE(net::ReadFully(fd, &byte, 1).IsIOError());  // EOF
+    net::CloseFd(fd);
+    EXPECT_EQ(ServerCount("sealdb_server_protocol_errors_total"),
+              errors_before + 1)
+        << "opcode " << int{opcode};
+  }
+
   // A truncated frame followed by a client hangup must not wedge the
   // server.
   {
@@ -327,7 +373,7 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
   net::SealClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GE(server_->stats().protocol_errors, 2u);
+  EXPECT_GE(ServerCount("sealdb_server_protocol_errors_total"), 4u);
 }
 
 TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
@@ -381,9 +427,9 @@ TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
     }
   }
 
-  const server::ServerStats st = server_->stats();
-  EXPECT_GE(st.connections_accepted, static_cast<uint64_t>(kClients));
-  EXPECT_GE(st.requests,
+  EXPECT_GE(ServerCount("sealdb_server_connections_accepted_total"),
+            static_cast<uint64_t>(kClients));
+  EXPECT_GE(ServerCount("sealdb_server_requests_total"),
             static_cast<uint64_t>(2 * kClients * kOpsPerClient));
 }
 
@@ -539,9 +585,9 @@ TEST_F(ServerTest, FaultInjectionSurfacesTypedErrorsNotHangs) {
     ASSERT_TRUE(client.Put(Key(0, i), Value(0, i)).ok());
   }
 
-  // Kill the whole drive for writes. The next WAL/flush write fails, the
-  // DB latches read-only degradation, and clients must see a typed error
-  // response (the 30 s client recv timeout turns a hang into a failure).
+  // Kill the whole drive for writes. The next write that reaches the drive
+  // fails, and clients must see a typed error response (the 30 s client
+  // recv timeout turns a hang into a failure).
   stack_->fault_drive()->SetWriteError(true);
   Status degraded;
   for (int i = 0; i < 20000; i++) {
@@ -560,10 +606,19 @@ TEST_F(ServerTest, FaultInjectionSurfacesTypedErrorsNotHangs) {
   Status rs = client.Get(Key(0, 0), &value);
   EXPECT_TRUE(rs.ok() || rs.IsIOError()) << rs.ToString();
 
-  // STATS still answers and reports the latched background error.
-  std::string stats;
-  ASSERT_TRUE(client.Stats(&stats).ok());
-  EXPECT_NE(stats.find("background error"), std::string::npos);
+  // METRICS still answers and carries the engine's latch state: the
+  // background-error gauge is 1 exactly when the property reports a latched
+  // error. (Here the first failing write is usually the next WAL file's
+  // creation, which fails the write without latching; DbFaultTest covers a
+  // latch and its reset on reopen.)
+  std::string metrics;
+  ASSERT_TRUE(client.Metrics(&metrics).ok());
+  std::string bg;
+  ASSERT_TRUE(stack_->db()->GetProperty("sealdb.background-error", &bg));
+  const std::string gauge_line = std::string(
+      "\nsealdb_engine_background_error ") + (bg == "OK" ? "0\n" : "1\n");
+  EXPECT_NE(metrics.find(gauge_line), std::string::npos)
+      << bg << "\n" << metrics;
 
   stack_->fault_drive()->SetWriteError(false);
 }

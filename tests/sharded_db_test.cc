@@ -281,19 +281,8 @@ TEST(ShardedDbTest, StatsAndMetricsCarryShardBreakdown) {
   }
   stack->db()->WaitForIdle();
 
-  // sealdb.stats renders an aggregate block plus per-shard sections.
-  std::string stats;
-  ASSERT_TRUE(stack->db()->GetProperty("sealdb.stats", &stats));
-  EXPECT_NE(stats.find("shards: 4"), std::string::npos) << stats;
-  for (int i = 0; i < 4; i++) {
-    EXPECT_NE(stats.find("--- shard " + std::to_string(i) + " ---"),
-              std::string::npos)
-        << "missing shard section " << i;
-  }
-
   // Engine and allocator series are stamped with {shard=...}, and the
-  // family helpers aggregate them back to the same totals the DbStats
-  // aggregate reports.
+  // family helpers aggregate them back to the stack-wide totals.
   const auto& reg = *stack->metrics_registry();
   const std::string rendered = reg.Render();
   for (int i = 0; i < 4; i++) {
@@ -308,7 +297,7 @@ TEST(ShardedDbTest, StatsAndMetricsCarryShardBreakdown) {
   }
   EXPECT_EQ(flushes_via_labels,
             reg.counter_family_sum("sealdb_engine_flushes_total"));
-  EXPECT_EQ(flushes_via_labels, stack->db_stats().num_flushes);
+  EXPECT_GT(flushes_via_labels, 0u);
 }
 
 // ---------------------------------------------------------------------------

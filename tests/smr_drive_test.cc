@@ -32,6 +32,32 @@ std::string Pattern(size_t n, char seed) {
   return s;
 }
 
+double Awa(const Drive& drive) {
+  return DeviceMetrics::Awa(drive.metrics().logical_write->Value(),
+                            drive.metrics().physical_write->Value());
+}
+
+// The counters a band-RMW test takes deltas of.
+struct Traffic {
+  uint64_t logical_write = 0;
+  uint64_t physical_write = 0;
+  uint64_t rmw_ops = 0;
+
+  Traffic operator-(const Traffic& o) const {
+    return {logical_write - o.logical_write, physical_write - o.physical_write,
+            rmw_ops - o.rmw_ops};
+  }
+  double awa() const {
+    return DeviceMetrics::Awa(logical_write, physical_write);
+  }
+};
+
+Traffic TrafficOf(const Drive& drive) {
+  const DeviceMetrics& m = drive.metrics();
+  return {m.logical_write->Value(), m.physical_write->Value(),
+          m.rmw_ops->Value()};
+}
+
 }  // namespace
 
 TEST(Geometry, Math) {
@@ -216,8 +242,8 @@ TEST(HddDrive, OverwriteInPlaceAllowed) {
   std::string out(4096, 0);
   ASSERT_TRUE(drive->Read(0, 4096, out.data()).ok());
   EXPECT_EQ(Pattern(4096, 'b'), out);
-  EXPECT_EQ(drive->stats().physical_bytes_written, 8192u);
-  EXPECT_EQ(drive->stats().awa(), 1.0);
+  EXPECT_EQ(drive->metrics().physical_write->Value(), 8192u);
+  EXPECT_EQ(Awa(*drive), 1.0);
 }
 
 TEST(HddDrive, TrimInvalidates) {
@@ -249,8 +275,8 @@ TEST_F(FixedBandTest, SequentialAppendNoRmw) {
     ASSERT_TRUE(drive_->Write(base + i * 1048576, Pattern(1048576, 'a' + i))
                     .ok());
   }
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
-  EXPECT_DOUBLE_EQ(drive_->stats().awa(), 1.0);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
+  EXPECT_DOUBLE_EQ(Awa(*drive_), 1.0);
 }
 
 TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
@@ -258,7 +284,7 @@ TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
   // Fill the whole band sequentially, then rewrite the first megabyte.
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
   ASSERT_TRUE(drive_->Write(base, Pattern(1048576, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 1u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 1u);
 
   // Data integrity preserved (the read also forces the band write-back).
   std::string out(2 * 1048576, 0);
@@ -269,8 +295,8 @@ TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
 
   // One band RMW for 1 MB of updates: the whole band prefix was re-read
   // and rewritten, so AWA >> 1.
-  EXPECT_GT(drive_->stats().awa(), 1.5);
-  EXPECT_GE(drive_->stats().physical_bytes_read, kBand);
+  EXPECT_GT(Awa(*drive_), 1.5);
+  EXPECT_GE(drive_->metrics().physical_read->Value(), kBand);
 }
 
 TEST_F(FixedBandTest, RewriteTailWithoutFollowingDataIsCheap) {
@@ -280,7 +306,7 @@ TEST_F(FixedBandTest, RewriteTailWithoutFollowingDataIsCheap) {
   // follows within the damage window, so no RMW is needed.
   ASSERT_TRUE(drive_->Trim(base + 1048576, 1048576).ok());
   ASSERT_TRUE(drive_->Write(base + 1048576, Pattern(1048576, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, TrimWholeBandResetsWritePointer) {
@@ -291,7 +317,7 @@ TEST_F(FixedBandTest, TrimWholeBandResetsWritePointer) {
   EXPECT_EQ(drive_->Zone(0).write_pointer, 0u);
   // Sequential reuse after reset is RMW-free.
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, ZoneReport) {
@@ -307,7 +333,7 @@ TEST_F(FixedBandTest, WriteSpanningBands) {
   const uint64_t base = geo_.conventional_bytes;
   // One 12 MB write spans two 8 MB bands; both pieces append cleanly.
   ASSERT_TRUE(drive_->Write(base, Pattern(12 << 20, 'a')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
   EXPECT_EQ(drive_->Zone(0).write_pointer, kBand);
   EXPECT_EQ(drive_->Zone(1).write_pointer, (12ull << 20) - kBand);
 }
@@ -315,7 +341,7 @@ TEST_F(FixedBandTest, WriteSpanningBands) {
 TEST_F(FixedBandTest, ConventionalRegionFreelyRewritable) {
   ASSERT_TRUE(drive_->Write(0, Pattern(4096, 'a')).ok());
   ASSERT_TRUE(drive_->Write(0, Pattern(4096, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, SameBandUpdatesBatchIntoOneRmw) {
@@ -323,12 +349,12 @@ TEST_F(FixedBandTest, SameBandUpdatesBatchIntoOneRmw) {
   // translation layer buffers the band and writes it back once).
   const uint64_t base = geo_.conventional_bytes;
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
-  const auto before = drive_->stats();
+  const Traffic before = TrafficOf(*drive_);
   for (int i = 0; i < 4; i++) {
     ASSERT_TRUE(drive_->Write(base + i * 1048576, Pattern(1048576, 'b')).ok());
   }
   drive_->Zone(0);  // forces the write-back
-  const auto delta = drive_->stats() - before;
+  const Traffic delta = TrafficOf(*drive_) - before;
   EXPECT_EQ(delta.rmw_ops, 1u);
   // 4 MB logical, one full-band read + write-back: AWA = 8/4 = 2.
   EXPECT_NEAR(delta.awa(), 2.0, 0.1);
@@ -340,14 +366,14 @@ TEST_F(FixedBandTest, AwaScalesWithBandToWriteRatio) {
   const uint64_t base = geo_.conventional_bytes;
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
   ASSERT_TRUE(drive_->Write(base + kBand, Pattern(kBand, 'b')).ok());
-  const auto before = drive_->stats();
+  const Traffic before = TrafficOf(*drive_);
   for (int i = 0; i < 4; i++) {
     const uint64_t band_base = base + (i % 2) * kBand;
     ASSERT_TRUE(
         drive_->Write(band_base + 1048576, Pattern(1048576, 'c')).ok());
   }
   drive_->Zone(0);  // flush the last staged band
-  const auto delta = drive_->stats() - before;
+  const Traffic delta = TrafficOf(*drive_) - before;
   EXPECT_EQ(delta.rmw_ops, 4u);
   // 4 MB logical, ~4 band write-backs (8 MB each): AWA ~ 8.
   EXPECT_GT(delta.awa(), 4.0);
@@ -425,8 +451,8 @@ TEST_F(ShingledDiskTest, NoAuxiliaryAmplificationEver) {
   ASSERT_TRUE(disk_->Write(base_, Pattern(4 << 20, 'a')).ok());
   ASSERT_TRUE(disk_->Trim(base_, 1 << 20).ok());
   ASSERT_TRUE(disk_->Write(base_ + (8 << 20), Pattern(2 << 20, 'b')).ok());
-  EXPECT_DOUBLE_EQ(disk_->stats().awa(), 1.0);
-  EXPECT_EQ(disk_->stats().rmw_ops, 0u);
+  EXPECT_DOUBLE_EQ(Awa(*disk_), 1.0);
+  EXPECT_EQ(disk_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(ShingledDiskTest, InsertAtEndOfValidDataNoGuardNeeded) {
@@ -474,21 +500,20 @@ TEST(LatencyModel, ScaleOfOneIsIdentity) {
   EXPECT_DOUBLE_EQ(p.rotation_s, q.rotation_s);
 }
 
-// Device stats subtraction helper.
-TEST(DeviceStats, Subtraction) {
-  DeviceStats a, b;
-  a.logical_bytes_written = 100;
-  a.physical_bytes_written = 300;
-  a.busy_seconds = 2.0;
-  b.logical_bytes_written = 40;
-  b.physical_bytes_written = 100;
-  b.busy_seconds = 0.5;
-  DeviceStats d = a - b;
-  EXPECT_EQ(d.logical_bytes_written, 60u);
-  EXPECT_EQ(d.physical_bytes_written, 200u);
-  EXPECT_DOUBLE_EQ(d.busy_seconds, 1.5);
-  EXPECT_NEAR(d.awa(), 200.0 / 60.0, 1e-9);
-  EXPECT_FALSE(a.ToString().empty());
+// AWA is physical / logical write bytes, and 1.0 before any write.
+TEST(DeviceMetrics, AwaFormulaAndRegistryGauge) {
+  EXPECT_DOUBLE_EQ(DeviceMetrics::Awa(0, 0), 1.0);
+  EXPECT_NEAR(DeviceMetrics::Awa(60, 200), 200.0 / 60.0, 1e-9);
+
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  auto drive = NewHddDrive(SmallGeometry(), LatencyParams::Hdd(), registry);
+  EXPECT_EQ(drive->metrics().registry().get(), registry.get());
+  ASSERT_TRUE(drive->Write(0, Pattern(8192, 'a')).ok());
+  EXPECT_EQ(registry->counter_value("sealdb_device_logical_bytes_total",
+                                    {{"dir", "write"}}),
+            8192u);
+  EXPECT_DOUBLE_EQ(
+      registry->gauge_value("sealdb_device_aux_write_amplification"), 1.0);
 }
 
 }  // namespace sealdb::smr
