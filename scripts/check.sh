@@ -10,7 +10,8 @@
 # hide behind the allocator. After the default-config suite, a served
 # smoke drives the shipped binaries end to end: sealdb_server on an
 # ephemeral port, sealdb_cli put/get/metrics against it, then a SIGTERM
-# that must drain, print the shutdown summary and exit 0.
+# that must drain, print the shutdown summary and exit 0. It runs twice:
+# with 4 shards, and with the server's default shard count (1).
 #
 # Usage: scripts/check.sh [--fast] [--filter <regex>] [--bench]
 #                         [--crash-sweep]
@@ -96,11 +97,12 @@ ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
 
 echo
 echo "== served smoke: sealdb_server + sealdb_cli =="
+# Arguments are extra sealdb_server flags.
 served_smoke() {
   local dir log pid port out status family
   dir="$(mktemp -d)"
   log="$dir/server.log"
-  ./build/src/sealdb_server --port 0 --shards 4 >"$log" 2>&1 &
+  ./build/src/sealdb_server --port 0 "$@" >"$log" 2>&1 &
   pid=$!
   # Any failure below exits the script; never leave the server behind.
   # shellcheck disable=SC2064  # expand now: the locals are gone at exit
@@ -131,6 +133,11 @@ served_smoke() {
       return 1
     fi
   done
+  # Every shard count, one included, reports shard 0's health.
+  if ! grep -qx 'sealdb_shard_degraded{shard="0"} 0' <<<"$out"; then
+    echo "check.sh: metrics output lacks a healthy shard 0" >&2
+    return 1
+  fi
   kill -TERM "$pid"
   status=0
   wait "$pid" || status=$?
@@ -145,6 +152,7 @@ served_smoke() {
   trap - EXIT
   rm -rf "$dir"
 }
+served_smoke --shards 4
 served_smoke
 
 if [ "$CRASH_SWEEP" = 1 ]; then

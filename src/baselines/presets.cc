@@ -149,8 +149,8 @@ std::unique_ptr<smr::Drive> MakeDrive(
   return nullptr;
 }
 
-// `base`/`limit` bound the managed shingled space (a shard's slice, or the
-// whole post-conventional span for the classic single-engine layout);
+// `base`/`limit` bound the managed shingled space (a shard's slice; for one
+// shard, the whole post-conventional span of the seed layout);
 // `shard_label` stamps the allocator's metric series when non-empty.
 std::unique_ptr<fs::ExtentAllocator> MakeAllocator(
     const StackConfig& config, const smr::Geometry& geo,
@@ -227,11 +227,9 @@ Status Stack::OpenEngines(bool format) {
         "num_shards > 1 is only supported by the SEALDB stack");
   }
   const core::ShardLayout layout(geo, shards, geo.track_bytes);
-  if (shards > 1) {
-    Status s = format ? layout.WriteSuperblock(drive_.get())
-                      : layout.VerifySuperblock(drive_.get());
-    if (!s.ok()) return s;
-  }
+  Status s = format ? layout.WriteSuperblock(drive_.get())
+                    : layout.VerifySuperblock(drive_.get());
+  if (!s.ok()) return s;
 
   // ONE buffer pool for the whole stack: every shard column caches into
   // the same frames, so the read-cache budget is a process-wide resource
@@ -249,7 +247,7 @@ Status Stack::OpenEngines(bool format) {
   std::vector<std::unique_ptr<DB>> dbs;
   for (int i = 0; i < shards; i++) {
     const core::ShardRegion& rg = layout.region(i);
-    const std::string label = shards > 1 ? std::to_string(i) : "";
+    const std::string label = layout.label(i);
     core::DynamicBandAllocator* dyn = nullptr;
     auto alloc =
         MakeAllocator(config_, geo, &dyn, options_.metrics_registry,
@@ -258,23 +256,21 @@ Status Stack::OpenEngines(bool format) {
     auto store = std::make_unique<fs::FileStore>(drive_.get(), alloc.get(),
                                                  rg.conv_base, rg.conv_len);
     store->SetMetrics(options_.metrics_registry, label);
-    Status s = format ? store->Format() : store->Recover();
+    s = format ? store->Format() : store->Recover();
     if (!s.ok()) return s;
 
     Options shard_opt = options_;
-    if (shards > 1) {
-      shard_opt.metrics_shard_label = label;
-      // The read cache is NOT split: every shard uses the one shared pool
-      // above. The executor stays a per-engine resource, so N full-size
-      // copies would change the stack's footprint, not just its
-      // partitioning.
-      shard_opt.max_background_compactions =
-          std::max(1, options_.max_background_compactions / shards);
-      // Only shard 0 folds the shared external counter into its memory
-      // property; ShardedDb sums the shards, and N copies would count the
-      // server's buffers N times.
-      if (i != 0) shard_opt.external_memory_bytes = nullptr;
-    }
+    shard_opt.metrics_shard_label = label;
+    // The read cache is NOT split: every shard uses the one shared pool
+    // above. The executor stays a per-engine resource, so N full-size
+    // copies would change the stack's footprint, not just its
+    // partitioning.
+    shard_opt.max_background_compactions =
+        std::max(1, options_.max_background_compactions / shards);
+    // Only shard 0 folds the shared external counter into its memory
+    // property; ShardedDb sums the shards, and N copies would count the
+    // server's buffers N times.
+    if (i != 0) shard_opt.external_memory_bytes = nullptr;
     DB* db = nullptr;
     s = DB::Open(shard_opt, dbname_, store.get(), &db);
     if (!s.ok()) return s;
@@ -282,12 +278,8 @@ Status Stack::OpenEngines(bool format) {
     allocators_.push_back(std::move(alloc));
     stores_.push_back(std::move(store));
   }
-  if (shards == 1) {
-    db_ = std::move(dbs[0]);
-  } else {
-    db_ = std::make_unique<ShardedDb>(std::move(dbs), options_.comparator,
-                                      options_.metrics_registry);
-  }
+  db_ = std::make_unique<ShardedDb>(std::move(dbs), options_.comparator,
+                                    options_.metrics_registry);
 
   if (config_.scrub_enabled) {
     std::vector<fs::ScrubScheduler::Target> targets;
@@ -296,9 +288,9 @@ Status Stack::OpenEngines(bool format) {
       t.store = stores_[i].get();
       // Quarantine dispatch goes to the column whose table numbers the
       // damaged file names decode to.
-      t.db = shards > 1 ? sharded_db()->shard(i) : db_.get();
+      t.db = db_->shard(i);
       t.shard = i;
-      t.label = shards > 1 ? std::to_string(i) : "";
+      t.label = layout.label(i);
       targets.push_back(std::move(t));
     }
     fs::ScrubOptions sopt;
@@ -307,9 +299,7 @@ Status Stack::OpenEngines(bool format) {
     scrub_ = std::make_unique<fs::ScrubScheduler>(
         std::move(targets), sopt, options_.metrics_registry,
         [this](int shard, const std::string& reason) {
-          // Single-engine stacks have no narrower failure domain than the
-          // whole DB; the quarantine plumbing alone protects them.
-          if (ShardedDb* sdb = sharded_db()) sdb->DegradeShard(shard, reason);
+          db_->DegradeShard(shard, reason);
         });
     scrub_->Start();
   }

@@ -99,7 +99,8 @@ struct StackConfig {
 
   // Hash-partition the keyspace over this many independent LSM shards,
   // each with its own FileStore/allocator over a disjoint drive region
-  // (core/shard_layout.h). 1 = the classic single engine (seed parity).
+  // (core/shard_layout.h). Every stack is a ShardedDb over these columns;
+  // 1 keeps the seed's superblock-free layout and unlabeled metric series.
   // Values > 1 are only supported by the kSEALDB stack.
   int num_shards = 1;
 
@@ -117,15 +118,15 @@ class Stack {
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
-  DB* db() { return db_.get(); }
-  // The typed composite view — non-null only when the stack was built with
-  // num_shards > 1. Scrub escalation and fault tests use it to reach the
-  // per-shard health latch (DegradeShard / IsShardDegraded).
-  ShardedDb* sharded_db() {
-    return num_shards() > 1 ? static_cast<ShardedDb*>(db_.get()) : nullptr;
-  }
-  // Shard 0's store with a sharded stack (test plumbing still works: the
-  // drive is shared).
+  // Every stack's DB is a ShardedDb over num_shards() engine columns; a
+  // one-shard stack is its N=1 case (seed layout, unlabeled series), with
+  // the same per-shard health latch (DegradeShard / IsShardDegraded).
+  ShardedDb* db() { return db_.get(); }
+  // Same pointer as db(), never null. Kept only for the benchmark harness
+  // (perfbench/workloads.cc), which still calls it.
+  ShardedDb* sharded_db() { return db_.get(); }
+  // Shard 0's store (the only one in a one-shard stack; test plumbing
+  // still works with more: the drive is shared).
   fs::FileStore* store() { return stores_.empty() ? nullptr
                                                   : stores_[0].get(); }
   int num_shards() const { return static_cast<int>(stores_.size()); }
@@ -198,7 +199,7 @@ class Stack {
   std::vector<std::unique_ptr<fs::ExtentAllocator>> allocators_;
   core::DynamicBandAllocator* dyn_alloc_ = nullptr;  // shard 0's
   std::vector<std::unique_ptr<fs::FileStore>> stores_;
-  std::unique_ptr<DB> db_;
+  std::unique_ptr<ShardedDb> db_;
   // Declared last: the scrub thread reads through db_ and stores_, so it
   // must stop (destructor joins) before either dies.
   std::unique_ptr<fs::ScrubScheduler> scrub_;

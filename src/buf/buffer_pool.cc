@@ -428,6 +428,12 @@ void BufferPool::EnsureRoom(size_t charge) {
 
 bool BufferPool::TryReclaim(uint32_t idx) {
   Frame* f = FrameAt(idx);
+  // Pin before sampling the identity: a pinned frame cannot be freed and
+  // recycled, so its identity, and the bucket it is linked in, hold still.
+  // An unpinned sample could go stale between the check and the claim
+  // below — the frame recycled into another partition's bucket, then
+  // claimed under the wrong lock and freed while still linked there.
+  if (!TryPin(f, kMaxPinAttempts)) return false;
   const uint64_t owner = f->owner.load(std::memory_order_relaxed);
   const uint64_t file = f->file_number.load(std::memory_order_relaxed);
   const uint64_t off = f->offset.load(std::memory_order_relaxed);
@@ -438,17 +444,12 @@ bool BufferPool::TryReclaim(uint32_t idx) {
   size_t charge;
   BlockKind kind;
   {
-    std::lock_guard<std::mutex> l(p.mu);
-    // The frame may have been reclaimed and recycled for another page
-    // since we sampled its identity; re-verify before claiming.
-    if (f->owner.load(std::memory_order_relaxed) != owner ||
-        f->file_number.load(std::memory_order_relaxed) != file ||
-        f->offset.load(std::memory_order_relaxed) != off) {
-      return false;
-    }
-    uint32_t expected = kMappedBit;  // mapped, unpinned, not doomed
+    std::unique_lock<std::mutex> l(p.mu);
+    uint32_t expected = kMappedBit | 1;  // mapped, only our pin, not doomed
     if (!f->state.compare_exchange_strong(expected, 0,
                                           std::memory_order_acq_rel)) {
+      l.unlock();
+      Unpin(idx);  // frees the frame if a file drop doomed it meanwhile
       return false;
     }
     p.version.fetch_add(1, std::memory_order_release);  // odd: unstable

@@ -73,6 +73,7 @@ int ShardLayout::ShardOfKey(const Slice& user_key, int num_shards) {
 }
 
 Status ShardLayout::WriteSuperblock(smr::Drive* drive) const {
+  if (num_shards_ == 1) return Status::OK();
   std::string rec;
   PutFixed32(&rec, kSuperblockMagic);
   PutFixed32(&rec, kSuperblockVersion);
@@ -84,6 +85,7 @@ Status ShardLayout::WriteSuperblock(smr::Drive* drive) const {
 }
 
 Status ShardLayout::VerifySuperblock(smr::Drive* drive) const {
+  if (num_shards_ == 1) return Status::OK();
   std::string scratch(geo_.block_bytes, '\0');
   Status s = drive->Read(0, geo_.block_bytes, scratch.data());
   if (!s.ok()) {
@@ -95,7 +97,7 @@ Status ShardLayout::VerifySuperblock(smr::Drive* drive) const {
   if (crc != crc32c::Value(in.data(), payload)) {
     return Status::Corruption(
         "shard superblock checksum mismatch (drive not formatted for "
-        "sharding, or formatted by an unsharded stack)");
+        "sharding, or formatted by a one-shard stack)");
   }
   const uint32_t magic = DecodeFixed32(in.data());
   const uint32_t version = DecodeFixed32(in.data() + 4);

@@ -53,22 +53,26 @@ class ShardLayout {
   // Computes the carve-out for `num_shards` shards on a drive with `geo`.
   // `alignment` aligns the shingled slice boundaries (track size for
   // SEALDB/LevelDB stacks, band size for SMRDB). num_shards == 1
-  // degenerates to the whole-drive layout the unsharded stack uses (no
-  // superblock, full conventional region).
+  // degenerates to the seed's whole-drive layout (no superblock, full
+  // conventional region).
   ShardLayout(const smr::Geometry& geo, int num_shards, uint64_t alignment);
 
   int num_shards() const { return num_shards_; }
   const ShardRegion& region(int shard) const { return regions_[shard]; }
+  // Value of the `shard` label on the shard's metric series: "" for a
+  // one-shard layout, so its series stay unlabeled as in the seed.
+  std::string label(int shard) const {
+    return num_shards_ == 1 ? std::string() : std::to_string(shard);
+  }
 
   // Stable key -> shard routing (fixed-seed hash of the user key).
   // A free function so callers without a layout (tests, tools) can route.
   static int ShardOfKey(const Slice& user_key, int num_shards);
 
   // ---- shard superblock ----
-  // Written once at Format() time; verified before every recovery. Only
-  // meaningful for num_shards > 1 layouts (the unsharded layout keeps the
-  // seed's conventional-region usage, where offset 0 belongs to the
-  // FileStore journal).
+  // Written once at Format() time; verified before every recovery. A
+  // one-shard layout has none: both calls return OK without I/O, because
+  // the seed layout's offset 0 belongs to the FileStore journal.
   Status WriteSuperblock(smr::Drive* drive) const;
   // Reads the superblock and checks it was formatted with num_shards()
   // shards; a mismatch (or a missing/corrupt superblock) is a typed

@@ -338,12 +338,9 @@ Status RunDoctor(smr::Drive* drive, const DoctorOptions& options,
       options.alignment != 0 ? options.alignment : geo.track_bytes;
   const core::ShardLayout layout(geo, options.num_shards, alignment);
 
-  if (layout.num_shards() > 1) {
-    Status s = layout.VerifySuperblock(drive);
-    if (!s.ok()) {
-      report->errors.push_back(s.ToString());
-      return Status::OK();  // nothing below the superblock can be trusted
-    }
+  if (Status s = layout.VerifySuperblock(drive); !s.ok()) {
+    report->errors.push_back(s.ToString());
+    return Status::OK();  // nothing below the superblock can be trusted
   }
 
   for (int shard = 0; shard < layout.num_shards(); shard++) {

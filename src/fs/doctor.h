@@ -43,8 +43,8 @@
 namespace sealdb::fs {
 
 struct DoctorOptions {
-  // Shard columns the drive was formatted with (the superblock is
-  // verified against this for num_shards > 1).
+  // Shard columns the drive was formatted with (the shard layout's
+  // superblock is verified against this).
   int num_shards = 1;
   // Shingled-slice alignment of the shard layout (track size for the
   // SEALDB stack); must match the value the stack formatted with.

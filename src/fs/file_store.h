@@ -109,7 +109,7 @@ class FileStore {
   // region; `allocator` places file data in the shingled space.
   // `conv_base`/`conv_len` restrict the metadata area to a sub-range of the
   // conventional region (a shard's slice); conv_len == 0 means the whole
-  // region, which is the unsharded seed layout.
+  // region, which is the one-shard seed layout.
   FileStore(smr::Drive* drive, ExtentAllocator* allocator,
             uint64_t conv_base = 0, uint64_t conv_len = 0);
   ~FileStore();

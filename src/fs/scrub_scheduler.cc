@@ -129,12 +129,10 @@ uint64_t ScrubScheduler::RunStep(size_t idx, uint64_t budget) {
 void ScrubScheduler::Escalate(TargetState& ts, const ScrubStepResult& step) {
   // Rung 2: invalidate cached readers/pages of damaged tables so the
   // quarantine is honored end-to-end (drive -> FileStore -> buffer pool).
-  if (ts.target.db != nullptr) {
-    for (const std::string& name : step.damaged_files) {
-      uint64_t number;
-      if (TableNumberFromStoreName(name, &number)) {
-        ts.target.db->QuarantineFile(number);
-      }
+  for (const std::string& name : step.damaged_files) {
+    uint64_t number;
+    if (TableNumberFromStoreName(name, &number)) {
+      ts.target.db->QuarantineFile(number);
     }
   }
   // Rung 3: too much of this column's media is bad — degrade the shard.
@@ -145,23 +143,23 @@ void ScrubScheduler::Escalate(TargetState& ts, const ScrubStepResult& step) {
   if (!ts.degraded && quarantined >= options_.degrade_bad_blocks &&
       options_.degrade_bad_blocks > 0) {
     ts.degraded = true;
-    if (degrade_) {
-      degrade_(ts.target.shard,
-               "scrub: " + std::to_string(quarantined) +
-                   " blocks quarantined");
-    }
+    degrade_(ts.target.shard,
+             "scrub: " + std::to_string(quarantined) + " blocks quarantined");
   }
 }
 
 void ScrubScheduler::RunFullPass() {
   std::lock_guard<std::mutex> l(scrub_mu_);
   for (size_t i = 0; i < targets_.size(); i++) {
-    // A full pass from wherever the cursor sits: step until the namespace
+    // A full pass from the start of the namespace (the background thread
+    // may have left the cursor mid-walk, and stepping from there to the
+    // wrap would skip every file before it): step until the namespace
     // wraps. Each step re-acquires the store mutex, so foreground I/O
     // still interleaves.
+    TargetState& ts = targets_[i];
+    ts.cursor = ScrubCursor();
     ScrubStepResult step;
     do {
-      TargetState& ts = targets_[i];
       Status s = ts.target.store->ScrubStep(&ts.cursor, options_.step_bytes,
                                             &step);
       if (!s.ok()) break;

@@ -14,7 +14,7 @@
 //      (DB::QuarantineFile);
 //   3. when a store's quarantined-block count crosses
 //      ScrubOptions::degrade_bad_blocks the scheduler fires the degrade
-//      callback, which the sharded stack wires to
+//      callback, which every preset stack (one shard included) wires to
 //      ShardedDb::DegradeShard — only that column stops serving.
 #pragma once
 
@@ -52,9 +52,9 @@ struct ScrubOptions {
 class ScrubScheduler {
  public:
   // One scrub target: a shard column's store plus the DB that caches its
-  // tables. `db` may be null (no reader cache to invalidate). `label`
+  // tables (required: damaged tables are quarantined in it). `label`
   // stamps {shard=<label>} on the sealdb_scrub_* series; empty = no label
-  // (unsharded stack).
+  // (a one-shard stack).
   struct Target {
     FileStore* store = nullptr;
     sealdb::DB* db = nullptr;
@@ -63,8 +63,9 @@ class ScrubScheduler {
   };
 
   // `degrade` is invoked at most once per target, off the scrub thread,
-  // with (shard, reason) when that target crosses degrade_bad_blocks.
-  // May be null. `registry` may be null (no metrics).
+  // with (shard, reason) when that target crosses degrade_bad_blocks;
+  // required (the preset stacks pass ShardedDb::DegradeShard at every
+  // shard count). `registry` may be null (no metrics).
   ScrubScheduler(std::vector<Target> targets, ScrubOptions options,
                  std::shared_ptr<obs::MetricsRegistry> registry,
                  std::function<void(int, const std::string&)> degrade);

@@ -20,7 +20,7 @@ class EngineMetrics {
   // sealdb_engine_* series this instance registers, so N shard engines
   // sharing one registry publish disjoint per-shard series (sum or max over
   // the family with MetricsRegistry::*_family_* for totals). Empty keeps
-  // the unsharded, label-free exposition.
+  // the one-shard, label-free exposition.
   explicit EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
                          const std::string& shard_label = "");
   ~EngineMetrics();

@@ -46,14 +46,12 @@ ShardedDb::ShardedDb(std::vector<std::unique_ptr<DB>> shards,
   health_.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); i++) {
     auto h = std::make_unique<ShardHealth>();
-    if (registry_ != nullptr) {
-      h->gauge = registry_->RegisterGauge(
-          "sealdb_shard_degraded",
-          "1 when the shard has latched a persistent fault and returns "
-          "kShardDegraded; other shards keep serving",
-          {{"shard", std::to_string(i)}});
-      h->gauge->Set(0);
-    }
+    h->gauge = registry_->RegisterGauge(
+        "sealdb_shard_degraded",
+        "1 when the shard has latched a persistent fault and returns "
+        "kShardDegraded; other shards keep serving",
+        {{"shard", std::to_string(i)}});
+    h->gauge->Set(0);
     health_.push_back(std::move(h));
   }
 }
@@ -73,7 +71,7 @@ void ShardedDb::DegradeShard(int shard, const std::string& reason) {
   bool was = false;
   if (h->degraded.compare_exchange_strong(was, true,
                                           std::memory_order_acq_rel)) {
-    if (h->gauge != nullptr) h->gauge->Set(1);
+    h->gauge->Set(1);
   }
 }
 

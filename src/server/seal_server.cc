@@ -115,31 +115,26 @@ struct Request {
 }  // namespace
 
 struct SealServer::Impl {
-  Impl(DB* db, baselines::Stack* stack, const ServerOptions& options)
-      : db_(db), stack_(stack), opts_(options) {
-    // A sharded engine gets one commit queue per shard: the hash routing
-    // happens at dispatch (no engine locks taken), and each shard runs its
-    // own group-commit leader so independent shards commit concurrently.
-    sharded_ = dynamic_cast<ShardedDb*>(db_);
-    const int nq = sharded_ != nullptr ? sharded_->num_shards() : 1;
+  Impl(ShardedDb* db, baselines::Stack* stack, const ServerOptions& options)
+      : db_(db),
+        stack_(stack),
+        opts_(options),
+        external_memory_(stack->external_memory_bytes()),
+        registry_(stack->metrics_registry()) {
+    // One commit queue per shard: the hash routing happens at dispatch (no
+    // engine locks taken), and each shard runs its own group-commit leader
+    // so independent shards commit concurrently.
+    const int nq = db_->num_shards();
     write_queues_.reserve(static_cast<size_t>(nq));
     for (int i = 0; i < nq; i++) {
       write_queues_.push_back(std::make_unique<WriteQueue>());
-    }
-    if (stack_ != nullptr) external_memory_ = stack_->external_memory_bytes();
-    registry_ = opts_.metrics_registry;
-    if (registry_ == nullptr && stack_ != nullptr) {
-      registry_ = stack_->metrics_registry();
-    }
-    if (registry_ == nullptr) {
-      registry_ = std::make_shared<obs::MetricsRegistry>();
     }
     RegisterMetrics();
   }
 
   ~Impl() {
     StopImpl();
-    // The registry (usually stack-owned) outlives this Impl; the hook
+    // The registry (stack-owned) outlives this Impl; the hook
     // reads our queues, so it must not.
     registry_->RemoveCollectHook(depth_hook_id_);
   }
@@ -256,7 +251,7 @@ struct SealServer::Impl {
   }
 
   // ---- configuration / collaborators ----
-  DB* const db_;
+  ShardedDb* const db_;
   baselines::Stack* const stack_;
   const ServerOptions opts_;
   std::shared_ptr<std::atomic<uint64_t>> external_memory_;
@@ -275,7 +270,7 @@ struct SealServer::Impl {
   std::vector<ConnPtr> pending_flush_;
 
   // ---- request queues ----
-  // One write queue per engine shard (exactly one for an unsharded DB).
+  // One write queue per engine shard (exactly one for a one-shard store).
   // Each queue elects its own group-commit leader and carries its OWN
   // mutex, so two shards never contend on enqueue or leader election; a
   // separate read_mu_ covers the shared read queue. Work tokens travel
@@ -307,7 +302,6 @@ struct SealServer::Impl {
   // and worker paths never touch it.
   std::mutex sched_mu_;
   std::condition_variable drain_cv_;
-  ShardedDb* sharded_ = nullptr;  // non-null iff db_ is sharded
   // Spreads cross-shard kWriteBatch requests over the queues.
   std::atomic<uint64_t> batch_rr_{0};
 
@@ -387,10 +381,8 @@ struct SealServer::Impl {
   void AdjustBuffered(int64_t delta) {
     buffer_bytes_.fetch_add(static_cast<uint64_t>(delta),
                             std::memory_order_relaxed);
-    if (external_memory_ != nullptr) {
-      external_memory_->fetch_add(static_cast<uint64_t>(delta),
-                                  std::memory_order_relaxed);
-    }
+    external_memory_->fetch_add(static_cast<uint64_t>(delta),
+                                std::memory_order_relaxed);
   }
 
   // ---------------------------------------------------------------- start
@@ -718,15 +710,15 @@ struct SealServer::Impl {
     // them. Malformed payloads route to queue 0 where the group leader
     // produces the typed decode error exactly as before.
     int shard = 0;
-    if (is_write && sharded_ != nullptr) {
+    if (is_write) {
       Slice key, value;
       if (op == net::Op::kPut) {
         if (net::DecodePutRequest(payload, &key, &value)) {
-          shard = sharded_->ShardOf(key);
+          shard = db_->ShardOf(key);
         }
       } else if (op == net::Op::kDelete) {
         if (net::DecodeKeyRequest(payload, &key)) {
-          shard = sharded_->ShardOf(key);
+          shard = db_->ShardOf(key);
         }
       } else {  // kWriteBatch
         shard = static_cast<int>(batch_rr_.fetch_add(
@@ -737,10 +729,9 @@ struct SealServer::Impl {
     if (is_write && opts_.reject_writes_on_stall) {
       // Per-shard admission: only a stall of the *target* engine sheds
       // this write (cross-shard batches check the worst shard).
-      const int stall_level =
-          (sharded_ != nullptr && op != net::Op::kWriteBatch)
-              ? sharded_->WriteStallLevelOfShard(shard)
-              : db_->WriteStallLevel();
+      const int stall_level = op != net::Op::kWriteBatch
+                                  ? db_->WriteStallLevelOfShard(shard)
+                                  : db_->WriteStallLevel();
       if (stall_level >= 2) {
         c_rej_stall_->Inc();
         RejectBusy(conn, header, Status::Busy("engine write stall"));
@@ -956,8 +947,7 @@ struct SealServer::Impl {
   // Simulated device busy time, read only around sampled requests: a
   // sharded counter read is cheap, but not free on every request.
   double DeviceBusySeconds() const {
-    return stack_ != nullptr ? stack_->drive()->metrics().busy->Seconds()
-                             : 0.0;
+    return stack_->drive()->metrics().busy->Seconds();
   }
 
   void RecordTrace(const TraceSpan& span) {
@@ -1305,7 +1295,7 @@ struct SealServer::Impl {
   }
 };
 
-SealServer::SealServer(DB* db, baselines::Stack* stack,
+SealServer::SealServer(ShardedDb* db, baselines::Stack* stack,
                        const ServerOptions& options)
     : impl_(std::make_unique<Impl>(db, stack, options)) {}
 

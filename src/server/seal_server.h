@@ -1,5 +1,6 @@
-// SealServer: a network front-end over any DB from this repo — an
-// epoll-driven, non-blocking event loop feeding a fixed worker pool.
+// SealServer: a network front-end over a preset stack's ShardedDb (any
+// shard count, one included) — an epoll-driven, non-blocking event loop
+// feeding a fixed worker pool.
 //
 // Threading model (DESIGN.md §10):
 //   - one event-loop thread owns every socket: it accepts, reads bytes,
@@ -30,7 +31,7 @@
 #include "util/status.h"
 
 namespace sealdb {
-class DB;
+class ShardedDb;
 }
 
 namespace sealdb::baselines {
@@ -88,10 +89,6 @@ struct ServerOptions {
   size_t write_dedup_window = 4096;
 
   // ---- observability (DESIGN.md §12) ----
-  // Registry the server publishes its sealdb_server_* metrics into. When
-  // null, the stack's registry is used (if a stack was given), else a
-  // server-private one. The METRICS opcode renders whichever is in use.
-  std::shared_ptr<obs::MetricsRegistry> metrics_registry;
   // Op tracing: a request whose (client-minted, nonzero) trace id
   // satisfies trace_id % trace_sample_every == 0 gets a span breakdown
   // (queue-wait / commit / engine / device) recorded in the trace ring,
@@ -122,11 +119,14 @@ struct TraceSpan {
 
 class SealServer {
  public:
-  // `db` (and `stack`, if given) must outlive Stop(). `stack` is optional;
-  // when present, sampled spans carry device time and the connection
-  // buffer bytes are folded into the stack's external-memory counter (and
-  // therefore into "sealdb.approximate-memory-usage").
-  SealServer(DB* db, baselines::Stack* stack, const ServerOptions& options);
+  // Serves `db`, which is `stack->db()`; both are required and must
+  // outlive Stop(). The server publishes its sealdb_server_* metrics into
+  // the stack's registry (so METRICS renders the whole system), sampled
+  // spans carry the stack's drive time, and the connection buffer bytes
+  // are folded into the stack's external-memory counter (and therefore
+  // into "sealdb.approximate-memory-usage").
+  SealServer(ShardedDb* db, baselines::Stack* stack,
+             const ServerOptions& options);
   ~SealServer();
 
   SealServer(const SealServer&) = delete;
@@ -139,8 +139,7 @@ class SealServer {
   uint16_t port() const { return port_; }
   // Bytes currently held in per-connection read/write buffers.
   uint64_t connection_buffer_bytes() const;
-  // The registry this server publishes into (see
-  // ServerOptions::metrics_registry for the resolution order).
+  // The registry this server publishes into: the stack's.
   const std::shared_ptr<obs::MetricsRegistry>& metrics_registry() const;
   // The most recent sampled trace spans (bounded ring), newest last.
   std::vector<TraceSpan> sampled_traces() const;

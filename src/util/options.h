@@ -120,18 +120,10 @@ struct Options {
   // private registry.
   std::shared_ptr<obs::MetricsRegistry> metrics_registry;
 
-  // -------- sharding --------
-  // Number of independent LSM shards the keyspace is hash-partitioned
-  // into. 1 (the default and every preset's seed-parity setting) runs the
-  // classic single engine; N > 1 builds N engines, each with its own
-  // memtable, WAL, version set, compaction scheduling, and drive region
-  // (see core/shard_layout.h and lsm/sharded_db.h). Must match the count
-  // the drive was formatted with on reopen.
-  int num_shards = 1;
-
   // Value of the `shard` label this engine instance stamps on its
   // sealdb_engine_* metric series. Empty (default) emits unlabeled series,
-  // preserving the unsharded exposition; ShardedDb sets "0".."N-1".
+  // as a one-shard stack does; the preset stacks (baselines/presets.h)
+  // set "0".."N-1" on the columns of an N-shard store.
   std::string metrics_shard_label;
 
   // Stream compaction inputs through a double-buffered readahead reader

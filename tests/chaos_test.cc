@@ -289,7 +289,7 @@ TEST_P(ChaosTest, AckedWritesSurviveWithOneShardDegraded) {
   StackConfig config = SmallConfig();
   config.num_shards = kShards;
   Start(sopts, copts, config);
-  ASSERT_NE(stack_->sharded_db(), nullptr);
+  ASSERT_EQ(stack_->num_shards(), kShards);
 
   constexpr int kClients = 4;
   constexpr int kOpsPerClient = 50;
@@ -345,7 +345,7 @@ TEST_P(ChaosTest, AckedWritesSurviveWithOneShardDegraded) {
          kClients * kOpsPerClient / 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  stack_->sharded_db()->DegradeShard(kVictim, "chaos: forced");
+  stack_->db()->DegradeShard(kVictim, "chaos: forced");
   degraded.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
 

@@ -396,18 +396,24 @@ TEST(DbFaultTest, SSTableReadErrorSurfacesAsStatus) {
 // A persistent write error in the shingled (data) region must leave the DB
 // in read-only degraded mode: writes fail fast, reads keep working, nothing
 // hangs — and a reopen after the fault clears restores write availability.
+// A one-shard stack is the N=1 ShardedDb, so the engine's latch degrades
+// shard 0 with the same typed status, property and gauge as any shard of an
+// N-shard store.
 TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   std::unique_ptr<baselines::Stack> stack;
   ASSERT_TRUE(
       baselines::BuildStack(FaultConfig(baselines::SystemKind::kLevelDBOnHdd),
                             "/db", &stack)
           .ok());
+  ASSERT_EQ(stack->num_shards(), 1);
   DB* db = stack->db();
   const int kLoaded = 1500;
   for (int i = 0; i < kLoaded; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), Key(i), Value(i)).ok());
   }
   db->WaitForIdle();
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  EXPECT_EQ(reg.gauge_value("sealdb_shard_degraded", {{"shard", "0"}}), 0.0);
 
   // All flush/compaction output goes to the shingled space; the WAL and
   // journal live in the conventional region and stay healthy.
@@ -420,13 +426,21 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   }
   ASSERT_FALSE(first_error.ok()) << "write error never surfaced";
 
-  // Latched: subsequent writes fail fast with the background error.
-  EXPECT_FALSE(db->Put(WriteOptions(), "more", "data").ok());
-  std::string prop;
-  ASSERT_TRUE(db->GetProperty("sealdb.background-error", &prop));
-  EXPECT_NE("OK", prop);
-  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  // The engine column latched its flush error...
+  std::string bg;
+  ASSERT_TRUE(stack->db()->shard(0)->GetProperty("sealdb.background-error",
+                                                 &bg));
+  EXPECT_EQ(bg, "IO error: fault injection: write error");
   EXPECT_EQ(reg.gauge_value("sealdb_engine_background_error"), 1.0);
+  // ...so shard 0 is degraded: subsequent writes fail fast with the typed
+  // status, which names the engine's error.
+  const Status again = db->Put(WriteOptions(), "more", "data");
+  EXPECT_TRUE(again.IsShardDegraded()) << again.ToString();
+  EXPECT_EQ(again.ToString(), "Shard degraded: shard 0: " + bg);
+  std::string health;
+  ASSERT_TRUE(db->GetProperty("sealdb.shard-health", &health));
+  EXPECT_EQ(health, "shard 0: degraded (" + bg + ")\n");
+  EXPECT_EQ(reg.gauge_value("sealdb_shard_degraded", {{"shard", "0"}}), 1.0);
 
   // Still readable: every acknowledged pre-fault key is intact.
   std::string value;
@@ -444,8 +458,12 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   ASSERT_TRUE(db->Put(sync, "recovered", "yes").ok());
   ASSERT_TRUE(db->Get(ReadOptions(), Key(10), &value).ok());
   EXPECT_EQ(Value(10), value);
-  // The reopened engine starts healthy; the wrapper's fault counters sit in
-  // the stack's one registry next to the drive's traffic counters.
+  // The reopened engine and its shard start healthy; the wrapper's fault
+  // counters sit in the stack's one registry next to the drive's traffic
+  // counters.
+  ASSERT_TRUE(db->GetProperty("sealdb.shard-health", &health));
+  EXPECT_EQ(health, "shard 0: ok\n");
+  EXPECT_EQ(reg.gauge_value("sealdb_shard_degraded", {{"shard", "0"}}), 0.0);
   EXPECT_EQ(reg.gauge_value("sealdb_engine_background_error"), 0.0);
   EXPECT_GT(reg.counter_value("sealdb_device_faults_total",
                               {{"kind", "write_error"}}),

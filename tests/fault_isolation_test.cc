@@ -73,8 +73,7 @@ std::vector<std::vector<std::string>> KeysPerShard(int per_shard) {
 TEST(FaultIsolationTest, MediaFaultOnOneShardDegradesOnlyThatShard) {
   std::unique_ptr<Stack> stack;
   ASSERT_TRUE(BuildStack(ShardedConfig(), "/fi", &stack).ok());
-  ShardedDb* sdb = stack->sharded_db();
-  ASSERT_NE(sdb, nullptr);
+  ShardedDb* sdb = stack->db();
 
   const auto keys = KeysPerShard(/*per_shard=*/8);
   WriteOptions sync;
@@ -148,7 +147,7 @@ TEST(FaultIsolationTest, MediaFaultOnOneShardDegradesOnlyThatShard) {
 TEST(FaultIsolationTest, ShardDegradedSurfacesThroughServerAndClient) {
   std::unique_ptr<Stack> stack;
   ASSERT_TRUE(BuildStack(ShardedConfig(), "/fi-srv", &stack).ok());
-  ASSERT_NE(stack->sharded_db(), nullptr);
+  ASSERT_EQ(stack->num_shards(), kShards);
 
   server::ServerOptions sopts;
   sopts.sync_writes = true;
@@ -170,7 +169,7 @@ TEST(FaultIsolationTest, ShardDegradedSurfacesThroughServerAndClient) {
     ASSERT_TRUE(client.Put(keys[s][0], "before").ok());
   }
 
-  stack->sharded_db()->DegradeShard(victim, "forced by test");
+  stack->db()->DegradeShard(victim, "forced by test");
 
   // The victim's keys answer ShardDegraded through the wire — immediately,
   // not after burning the retry budget (ShardDegraded is not retryable).

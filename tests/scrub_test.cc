@@ -170,18 +170,25 @@ TEST(ScrubTest, HealedBlocksCountAsRepaired) {
   EXPECT_TRUE(stack->shard_store(0)->QuarantinedBlocks().empty());
 }
 
-TEST(ScrubTest, SchedulerEscalatesQuarantineToShardDegrade) {
-  StackConfig config = SmallConfig(4);
+// Escalation is the same at every shard count: a one-shard stack is the
+// N=1 ShardedDb, so its scrub escalation degrades shard 0 exactly as an
+// N-shard store's does. One-shard series are unlabeled, so the counters are
+// read as family sums over shard 0's series.
+class ScrubEscalationTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScrubEscalationTest, SchedulerEscalatesQuarantineToShardDegrade) {
+  const int shards = GetParam();
+  StackConfig config = SmallConfig(shards);
   config.scrub_enabled = true;
   config.scrub_rate_bytes_per_sec = 64ull << 20;  // don't throttle the test
   config.scrub_degrade_bad_blocks = 1;
   std::unique_ptr<Stack> stack;
   ASSERT_TRUE(BuildStack(config, "/scrub-esc", &stack).ok());
-  ShardedDb* sdb = stack->sharded_db();
-  ASSERT_NE(sdb, nullptr);
+  ShardedDb* sdb = stack->db();
+  ASSERT_EQ(sdb->num_shards(), shards);
   fs::ScrubScheduler* scrub = stack->scrub();
   ASSERT_NE(scrub, nullptr);
-  Load(stack->db(), 1200);
+  Load(sdb, 1200);
 
   fs::Extent extent;
   const std::string victim = FindTableFile(stack->shard_store(0), &extent);
@@ -190,20 +197,24 @@ TEST(ScrubTest, SchedulerEscalatesQuarantineToShardDegrade) {
   stack->fault_drive()->InjectReadError(extent.offset, block);
 
   // One forced full pass: the damage is found, the table is quarantined in
-  // the engine, and — past the threshold — shard 0 is degraded while the
-  // other three shards stay healthy.
+  // the engine, and — past the threshold — shard 0 is degraded while any
+  // other shards stay healthy.
   scrub->RunFullPass();
   EXPECT_GE(scrub->errors_found(), 1u);
   EXPECT_GE(scrub->passes_completed(), 1u);
   EXPECT_TRUE(sdb->IsShardDegraded(0));
-  for (int s = 1; s < 4; s++) EXPECT_FALSE(sdb->IsShardDegraded(s));
-  EXPECT_GE(stack->metrics_registry()->counter_value("sealdb_scrub_errors_total",
-                                                     {{"shard", "0"}}),
-            1u);
-  EXPECT_GE(stack->metrics_registry()->gauge_value(
-                "sealdb_scrub_quarantined_blocks", {{"shard", "0"}}),
+  for (int s = 1; s < shards; s++) EXPECT_FALSE(sdb->IsShardDegraded(s));
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  EXPECT_EQ(reg.gauge_family_sum("sealdb_shard_degraded"), 1.0);
+  const obs::Labels shard0 =
+      shards == 1 ? obs::Labels{} : obs::Labels{{"shard", "0"}};
+  EXPECT_GE(reg.counter_family_sum("sealdb_scrub_errors_total", shard0), 1u);
+  EXPECT_GE(reg.gauge_family_sum("sealdb_scrub_quarantined_blocks", shard0),
             1.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(OneAndFourShards, ScrubEscalationTest,
+                         ::testing::Values(1, 4));
 
 TEST(ScrubTest, BackgroundThreadMakesProgressUnderRateLimit) {
   StackConfig config = SmallConfig(1);

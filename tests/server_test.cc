@@ -614,7 +614,8 @@ TEST_F(ServerTest, FaultInjectionSurfacesTypedErrorsNotHangs) {
   std::string metrics;
   ASSERT_TRUE(client.Metrics(&metrics).ok());
   std::string bg;
-  ASSERT_TRUE(stack_->db()->GetProperty("sealdb.background-error", &bg));
+  ASSERT_TRUE(stack_->db()->shard(0)->GetProperty(
+      "sealdb.background-error", &bg));
   const std::string gauge_line = std::string(
       "\nsealdb_engine_background_error ") + (bg == "OK" ? "0\n" : "1\n");
   EXPECT_NE(metrics.find(gauge_line), std::string::npos)

@@ -16,11 +16,13 @@
 
 #include "baselines/presets.h"
 #include "core/shard_layout.h"
+#include "fs/doctor.h"
 #include "lsm/db.h"
 #include "lsm/iterator.h"
 #include "lsm/sharded_db.h"
 #include "lsm/write_batch.h"
 #include "smr/geometry.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace sealdb {
@@ -149,6 +151,35 @@ TEST(ShardLayoutTest, SingleShardUsesWholeDrive) {
   EXPECT_EQ(r.conv_len, geo.conventional_bytes);
   EXPECT_EQ(r.data_base, geo.conventional_bytes);
   EXPECT_EQ(r.data_limit, geo.capacity_bytes);
+  EXPECT_EQ(layout.label(0), "");
+
+  // A one-shard stack is the N=1 ShardedDb over exactly that seed layout:
+  // no superblock (block 0 stays the FileStore's checkpoint slot), a store
+  // the doctor finds clean, and a drive a 4-shard reopen rejects with a
+  // typed error instead of misreading it.
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(ShardedConfig(1), "/db", &stack).ok());
+  ASSERT_EQ(stack->num_shards(), 1);
+  WriteOptions sync;
+  sync.sync = true;
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(stack->db()->Put(sync, Key(i), Value(i, 0)).ok());
+  }
+  stack->db()->WaitForIdle();
+  std::string block0(geo.block_bytes, '\0');
+  ASSERT_TRUE(stack->drive()->Read(0, geo.block_bytes, block0.data()).ok());
+  EXPECT_NE(DecodeFixed32(block0.data()), 0x53485244u)  // "SHRD"
+      << "one-shard stack wrote a shard superblock";
+
+  fs::DoctorOptions dopt;
+  dopt.num_shards = 1;
+  fs::DoctorReport report;
+  ASSERT_TRUE(fs::RunDoctor(stack->drive(), dopt, &report).ok());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  const Status s = stack->Reopen(/*num_shards=*/4);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsCorruption() || s.IsInvalidArgument()) << s.ToString();
 }
 
 // ---------------------------------------------------------------------------
