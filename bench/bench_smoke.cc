@@ -1,9 +1,8 @@
 // Smoke benchmark for the set-parallel compaction executor and the sharded
 // engine. Runs the SEALDB preset through a fill + random-read cycle in three
-// configurations — the seed's single-threaded setup (1 worker, per-block
-// compaction reads, no block cache), the executor bundle (4 workers,
-// double-buffered extent readahead, shared LRU block cache), and a sharded
-// stack (4 independent LSM shards, 4 client threads driving them
+// configurations — the seed's single-threaded setup (1 worker, no block
+// cache), the executor bundle (4 workers, shared LRU block cache), and a
+// sharded stack (4 independent LSM shards, 4 client threads driving them
 // concurrently) — and emits BENCH_smoke.json with wall-clock and
 // device-time ops/s, p50/p99 operation latency, the device's seek/transfer
 // time split, the compaction-parallelism high-water mark, and (for the
@@ -105,7 +104,7 @@ struct ConfigResult {
 };
 
 ConfigResult RunConfig(const BenchParams& params, const std::string& label,
-                       int workers, bool executor_features,
+                       int workers, bool block_cache,
                        bool uniform_reads, int num_shards,
                        int client_threads, uint64_t buffer_pool_bytes = 0,
                        bool zipfian_reads = false) {
@@ -118,9 +117,8 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   StackConfig config = params.MakeConfig(SystemKind::kSEALDB);
   config.inline_compactions = false;
   config.max_background_compactions = workers;
-  config.compaction_readahead = executor_features;
   if (buffer_pool_bytes > 0) config.buffer_pool_bytes = buffer_pool_bytes;
-  if (!executor_features) config.buffer_pool_bytes = 0;
+  if (!block_cache) config.buffer_pool_bytes = 0;
   config.num_shards = num_shards;
 
   std::unique_ptr<Stack> stack;
@@ -363,7 +361,6 @@ ScrubImpactResult RunScrubImpact(const BenchParams& params) {
     StackConfig config = params.MakeConfig(SystemKind::kSEALDB);
     config.inline_compactions = false;
     config.max_background_compactions = 4;
-    config.compaction_readahead = true;
     config.num_shards = 4;
     config.scrub_enabled = scrub;
     std::unique_ptr<Stack> stack;

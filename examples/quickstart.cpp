@@ -6,37 +6,37 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/sealdb.h"
+#include "baselines/presets.h"
+#include "core/band_inspector.h"
 #include "lsm/write_batch.h"
 
 int main() {
-  using sealdb::core::SealDB;
-  using sealdb::core::SealDBOptions;
-
-  // 1. Open a store on a 2 GB emulated shingled drive.
-  SealDBOptions options;
-  options.capacity_bytes = 2ull << 30;
-  options.sstable_bytes = 1 << 20;       // 1 MB SSTables for the demo
-  options.write_buffer_bytes = 1 << 20;
-  options.track_bytes = 256 << 10;       // 256 KB tracks, 1 MB guard
-  std::unique_ptr<SealDB> db;
-  sealdb::Status s = SealDB::Open(options, &db);
+  // 1. Open a SEALDB stack on a 2 GB emulated shingled drive.
+  sealdb::baselines::StackConfig config;  // kind defaults to kSEALDB
+  config.capacity_bytes = 2ull << 30;
+  config.sstable_bytes = 1 << 20;         // 1 MB SSTables for the demo
+  config.write_buffer_bytes = 1 << 20;
+  config.track_bytes = 256 << 10;         // 256 KB tracks, 1 MB guard
+  std::unique_ptr<sealdb::baselines::Stack> stack;
+  sealdb::Status s = sealdb::baselines::BuildStack(config, "/sealdb", &stack);
   if (!s.ok()) {
     std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return 1;
   }
   std::printf("opened SEALDB on a %.1f GB emulated HM-SMR drive\n",
-              options.capacity_bytes / (1024.0 * 1024.0 * 1024.0));
+              config.capacity_bytes / (1024.0 * 1024.0 * 1024.0));
+  sealdb::DB* db = stack->db();
+  const sealdb::WriteOptions wo;
+  const sealdb::ReadOptions ro;
 
   // 2. Basic put/get/delete.
-  db->Put("greeting", "hello, shingled world");
+  db->Put(wo, "greeting", "hello, shingled world");
   std::string value;
-  s = db->Get("greeting", &value);
+  s = db->Get(ro, "greeting", &value);
   std::printf("get(greeting) -> %s\n", value.c_str());
-  db->Delete("greeting");
-  s = db->Get("greeting", &value);
+  db->Delete(wo, "greeting");
+  s = db->Get(ro, "greeting", &value);
   std::printf("after delete: %s\n", s.IsNotFound() ? "NotFound" : "??");
 
   // 3. Write enough data to trigger flushes and set-forming compactions.
@@ -46,7 +46,7 @@ int main() {
     const int k = (i * 2654435761u) % 100000;
     std::snprintf(key, sizeof(key), "user%08d", k);
     std::snprintf(val, sizeof(val), "value-%d-%0240d", i, 0);
-    s = db->Put(key, val);
+    s = db->Put(wo, key, val);
     if (!s.ok()) {
       std::fprintf(stderr, "put failed: %s\n", s.ToString().c_str());
       return 1;
@@ -54,18 +54,20 @@ int main() {
   }
 
   // 4. Ordered scan.
-  std::vector<std::pair<std::string, std::string>> rows;
-  db->Scan("user00005", 3, &rows);
   std::printf("scan from user00005:\n");
-  for (const auto& [k, v] : rows) {
-    std::printf("  %s -> %.20s...\n", k.c_str(), v.c_str());
+  std::unique_ptr<sealdb::Iterator> it(db->NewIterator(ro));
+  int rows = 0;
+  for (it->Seek("user00005"); it->Valid() && rows < 3; it->Next(), rows++) {
+    std::printf("  %s -> %.20s...\n", it->key().ToString().c_str(),
+                it->value().ToString().c_str());
   }
+  it.reset();
 
   // 5. Inspect the LSM and the drive. On dynamic bands the auxiliary write
   // amplification is exactly 1.0: every byte the store wrote was written
   // to the media exactly once.
   const sealdb::obs::MetricsRegistry& metrics =
-      *db->stack()->metrics_registry();
+      *stack->metrics_registry();
   std::printf("\n--- stats ---\n");
   std::printf(
       "flushes: %llu, compactions: %llu\n",
@@ -73,14 +75,14 @@ int main() {
           "sealdb_engine_flushes_total"),
       (unsigned long long)metrics.counter_family_sum(
           "sealdb_engine_compactions_total"));
-  std::printf("LSM write amplification (WA):  %.2f\n", db->wa());
+  std::printf("LSM write amplification (WA):  %.2f\n", stack->wa());
   std::printf("device amplification (AWA):    %.2f  <- dynamic bands\n",
-              db->awa());
-  std::printf("multiplicative (MWA):          %.2f\n", db->mwa());
+              stack->awa());
+  std::printf("multiplicative (MWA):          %.2f\n", stack->mwa());
 
   // 6. Dynamic band layout.
-  std::printf("\n--- dynamic bands ---\n%s",
-              db->band_inspector().Describe(2 << 20).c_str());
+  sealdb::core::BandInspector bands(stack->dynamic_allocator());
+  std::printf("\n--- dynamic bands ---\n%s", bands.Describe(2 << 20).c_str());
 
   // 7. Crash and recover from drive contents alone.
   sealdb::WriteOptions sync;
@@ -88,12 +90,12 @@ int main() {
   sealdb::WriteBatch batch;
   batch.Put("durable", "yes");
   db->Write(sync, &batch);
-  s = db->CrashAndReopen();
+  s = stack->Reopen();
   if (!s.ok()) {
     std::fprintf(stderr, "reopen failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  db->Get("durable", &value);
+  stack->db()->Get(ro, "durable", &value);
   std::printf("\nafter crash+reopen: durable=%s\n", value.c_str());
   return 0;
 }

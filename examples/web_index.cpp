@@ -9,9 +9,8 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/sealdb.h"
+#include "baselines/presets.h"
 #include "util/random.h"
 
 namespace {
@@ -43,17 +42,19 @@ std::string PostingPayload(uint32_t doc, sealdb::Random* rnd) {
 int main(int argc, char** argv) {
   const uint32_t num_docs = argc > 1 ? atoi(argv[1]) : 30000;
 
-  sealdb::core::SealDBOptions options;
-  options.capacity_bytes = 2ull << 30;
-  options.sstable_bytes = 512 << 10;
-  options.write_buffer_bytes = 512 << 10;
-  options.track_bytes = 128 << 10;
-  std::unique_ptr<sealdb::core::SealDB> db;
-  sealdb::Status s = sealdb::core::SealDB::Open(options, &db);
+  sealdb::baselines::StackConfig config;  // kind defaults to kSEALDB
+  config.capacity_bytes = 2ull << 30;
+  config.sstable_bytes = 512 << 10;
+  config.write_buffer_bytes = 512 << 10;
+  config.track_bytes = 128 << 10;
+  std::unique_ptr<sealdb::baselines::Stack> stack;
+  sealdb::Status s = sealdb::baselines::BuildStack(config, "/sealdb", &stack);
   if (!s.ok()) {
     std::fprintf(stderr, "open: %s\n", s.ToString().c_str());
     return 1;
   }
+  sealdb::DB* db = stack->db();
+  const sealdb::WriteOptions wo;
 
   // Crawl phase: each document contributes postings for a few terms, with
   // a zipf-ish skew toward popular terms (hot keys churn, which exercises
@@ -66,7 +67,8 @@ int main(int argc, char** argv) {
     for (int t = 0; t < terms_in_doc; t++) {
       // Skew: low-numbered terms are much more frequent.
       const int term = rnd.Skewed(4) % kNumTerms;
-      s = db->Put(PostingKey(kTerms[term], doc), PostingPayload(doc, &rnd));
+      s = db->Put(wo, PostingKey(kTerms[term], doc),
+                  PostingPayload(doc, &rnd));
       if (!s.ok()) {
         std::fprintf(stderr, "put: %s\n", s.ToString().c_str());
         return 1;
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
     if (doc > 1000 && rnd.OneIn(20)) {
       const uint32_t old_doc = rnd.Uniform(doc);
       const int term = rnd.Skewed(4) % kNumTerms;
-      db->Put(PostingKey(kTerms[term], old_doc),
+      db->Put(wo, PostingKey(kTerms[term], old_doc),
               PostingPayload(old_doc, &rnd));
       postings++;
     }
@@ -86,12 +88,12 @@ int main(int argc, char** argv) {
 
   // Query phase: ordered scans over a term's posting list.
   for (const char* term : {"storage", "lsm", "zipfian"}) {
-    std::vector<std::pair<std::string, std::string>> rows;
-    s = db->Scan(std::string(term) + "#", 1000000, &rows);
-    // Count only rows still belonging to this term.
+    const std::string prefix = std::string(term) + "#";
+    std::unique_ptr<sealdb::Iterator> it(
+        db->NewIterator(sealdb::ReadOptions()));
     size_t count = 0;
-    for (const auto& [k, v] : rows) {
-      if (k.compare(0, strlen(term) + 1, std::string(term) + "#") != 0) break;
+    for (it->Seek(prefix); it->Valid() && it->key().starts_with(prefix);
+         it->Next()) {
       count++;
     }
     std::printf("term %-10s -> %zu postings\n", term, count);
@@ -100,9 +102,8 @@ int main(int argc, char** argv) {
   // The workload is update-heavy and skewed: exactly where the paper says
   // SEALDB shines. Confirm the device never amplified a write.
   std::printf("\nWA %.2f, AWA %.2f (always 1.0 on dynamic bands), MWA %.2f\n",
-              db->wa(), db->awa(), db->mwa());
-  const sealdb::obs::MetricsRegistry& metrics =
-      *db->stack()->metrics_registry();
+              stack->wa(), stack->awa(), stack->mwa());
+  const sealdb::obs::MetricsRegistry& metrics = *stack->metrics_registry();
   std::printf(
       "device: %.1f MB written, %llu seeks, %.3f s busy\n",
       metrics.counter_value("sealdb_device_logical_bytes_total",

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
               baselines::SystemName(kind), (unsigned long long)records,
               (unsigned long long)ops);
 
-  ycsb::Runner runner(stack.get(), 16, config.value_bytes);
+  constexpr size_t kValueBytes = 4096 / 16;
+  ycsb::Runner runner(stack.get(), 16, kValueBytes);
   ycsb::RunResult load;
   s = runner.Load(records, &load);
   if (!s.ok()) {

@@ -7,11 +7,13 @@
 # shake out schedule-dependent races. The ASan pass covers the buffer
 # handling in the wire protocol, the chaos proxy's frame surgery, and
 # the slow-client eviction path, where a lifetime bug would otherwise
-# hide behind the allocator. After the default-config suite, a served
-# smoke drives the shipped binaries end to end: sealdb_server on an
-# ephemeral port, sealdb_cli put/get/metrics against it, then a SIGTERM
-# that must drain, print the shutdown summary and exit 0. It runs twice:
-# with 4 shards, and with the server's default shard count (1).
+# hide behind the allocator. Right after the default-config build, the
+# benchmark harness (perfbench/) is built against the same sources (build
+# only). After the default-config suite, a served smoke drives the shipped
+# binaries end to end: sealdb_server on an ephemeral port, sealdb_cli
+# put/get/metrics against it, then a SIGTERM that must drain, print the
+# shutdown summary and exit 0. It runs twice: with 4 shards, and with the
+# server's default shard count (1).
 #
 # Usage: scripts/check.sh [--fast] [--filter <regex>] [--bench]
 #                         [--crash-sweep]
@@ -93,6 +95,12 @@ fi
 echo "== default configuration =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
+# The benchmark harness (perfbench/) compiles the library sources as its
+# own project; building it here makes a library change that breaks the
+# benchmark fail this gate. Build only: perfbench/run.py runs it.
+echo "== perfbench build =="
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "$JOBS" --target sealbench
 ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
 
 echo

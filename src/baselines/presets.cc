@@ -39,12 +39,14 @@ StackConfig StackConfig::Scaled(uint64_t factor) const {
       std::max<uint64_t>(4096, track_bytes / factor));
   c.conventional_bytes = std::max<uint64_t>(4ull << 20,
                                             conventional_bytes / factor);
-  c.value_bytes = std::max<uint64_t>(64, value_bytes / factor);
   c.time_scale = time_scale * factor;
   return c;
 }
 
 namespace {
+
+// Bloom filter bits per key, for every system (the paper's LevelDB default).
+constexpr int kBloomBitsPerKey = 10;
 
 smr::Geometry MakeGeometry(const StackConfig& config) {
   smr::Geometry geo;
@@ -72,7 +74,6 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
   opt.filter_policy = filter;
   opt.inline_compactions = config.inline_compactions;
   opt.buffer_pool_bytes = config.buffer_pool_bytes;
-  opt.compaction_readahead = config.compaction_readahead;
   // Per-system executor width: set/band designs have naturally disjoint
   // compaction units, so they profit most from extra workers.
   if (config.max_background_compactions > 0) {
@@ -99,23 +100,17 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
     case SystemKind::kLevelDBOnHdd:
       break;  // stock configuration
     case SystemKind::kLevelDBWithSets:
+    case SystemKind::kSEALDB:
       opt.compaction_unit = CompactionUnit::kSet;
       break;
     case SystemKind::kSMRDB:
       opt.num_levels = 2;
       opt.allow_overlap_last_level = true;
-      // Merge eagerly: SMRDB pays for its two-level design with large,
-      // frequent whole-range merges (paper Fig. 10: ~900 MB on average).
-      opt.max_overlap_runs = 2;
       // SMRDB enlarges SSTables to the band size (40 MB at full scale),
       // with headroom so a finished table (builders overshoot by a block
       // or two) still fits one band exactly.
       opt.max_file_size = config.band_bytes - config.band_bytes / 16;
       opt.max_bytes_for_level_base = 10 * config.band_bytes;
-      break;
-    case SystemKind::kSEALDB:
-      opt.compaction_unit = CompactionUnit::kSet;
-      opt.prioritize_invalid_sets = true;
       break;
   }
   return opt;
@@ -326,9 +321,7 @@ Status BuildStack(const StackConfig& config, const std::string& name,
   auto stack = std::make_unique<Stack>();
   stack->config_ = config;
   stack->dbname_ = name;
-  if (config.bloom_bits_per_key > 0) {
-    stack->filter_.reset(NewBloomFilterPolicy(config.bloom_bits_per_key));
-  }
+  stack->filter_.reset(NewBloomFilterPolicy(kBloomBitsPerKey));
   auto registry = std::make_shared<obs::MetricsRegistry>();
   stack->options_ = MakeOptions(config, stack->filter_.get(), registry);
 

@@ -56,8 +56,6 @@ struct StackConfig {
   // front half, WAL/manifest pool in the back half, like the conventional
   // zones of real HM-SMR drives.
   uint64_t conventional_bytes = 64ull << 20;
-  uint64_t value_bytes = 4096;             // workload hint only
-  int bloom_bits_per_key = 10;
   bool inline_compactions = true;
 
   // Worker threads for the background compaction executor (only used when
@@ -70,10 +68,6 @@ struct StackConfig {
   // ONE pool serves every shard column. 0 disables it (cache-sensitivity
   // benches).
   uint64_t buffer_pool_bytes = 8ull << 20;
-
-  // Double-buffered chunked readahead for compaction input scans; off
-  // reproduces the seed's per-block compaction read pattern.
-  bool compaction_readahead = true;
 
   // Positioning-time divisor applied to the latency model, normally equal
   // to the geometric scale so seek:transfer economics match full scale.

@@ -20,7 +20,9 @@
 
 namespace sealdb {
 
-const int kNumNonTableCacheFiles = 10;
+// Tables the TableCache keeps open: LevelDB's 1000 open files, less ten
+// reserved for the WAL, manifest and other non-table files.
+const int kTableCacheSize = 1000 - 10;
 
 // Wall-clock micros for the per-stage compaction accounting (device time is
 // tracked separately by the simulated drive's latency model).
@@ -97,7 +99,6 @@ static Options SanitizeOptions(const std::string& dbname,
   Options result = src;
   result.comparator = icmp;
   result.filter_policy = (src.filter_policy != nullptr) ? ipolicy : nullptr;
-  ClipToRange(&result.max_open_files, 64 + kNumNonTableCacheFiles, 50000);
   ClipToRange(&result.write_buffer_size, 16 << 10, 1 << 30);
   ClipToRange(&result.max_file_size, 16 << 10, 1 << 30);
   ClipToRange(&result.block_size, 1 << 10, 4 << 20);
@@ -114,11 +115,6 @@ static Options SanitizeOptions(const std::string& dbname,
   return result;
 }
 
-static int TableCacheSize(const Options& sanitized_options) {
-  // Reserve a few files for other uses and give the rest to TableCache.
-  return sanitized_options.max_open_files - kNumNonTableCacheFiles;
-}
-
 DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
                fs::FileStore* store)
     : internal_comparator_(raw_options.comparator),
@@ -129,7 +125,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
       dbname_(dbname),
       store_(store),
       table_cache_(std::make_unique<TableCache>(dbname_, options_, store_,
-                                                TableCacheSize(options_))),
+                                                kTableCacheSize)),
       shutting_down_(false),
       mem_(nullptr),
       imm_(nullptr),
@@ -311,20 +307,11 @@ void DBImpl::QuarantineFile(uint64_t file_number) {
 
 Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   // The FileStore itself has already been recovered by the caller.
+  // A store without a CURRENT file is a new DB.
   if (!store_->FileExists(CurrentFileName(dbname_))) {
-    if (options_.create_if_missing) {
-      Status s = NewDB();
-      if (!s.ok()) {
-        return s;
-      }
-    } else {
-      return Status::InvalidArgument(
-          dbname_, "does not exist (create_if_missing is false)");
-    }
-  } else {
-    if (options_.error_if_exists) {
-      return Status::InvalidArgument(dbname_,
-                                     "exists (error_if_exists is true)");
+    Status s = NewDB();
+    if (!s.ok()) {
+      return s;
     }
   }
 
@@ -1767,7 +1754,6 @@ Status DB::Open(const Options& options, const std::string& dbname,
   DBImpl* impl = new DBImpl(options, dbname, store);
   impl->mutex_.lock();
   VersionEdit edit;
-  // Recover handles create_if_missing, error_if_exists
   bool save_manifest = false;
   Status s = impl->Recover(&edit, &save_manifest);
   if (s.ok() && impl->mem_ == nullptr) {

@@ -235,7 +235,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
         s = ReadBlock(table->rep_->file, options, handle, &contents);
         if (s.ok()) {
           block = new Block(contents);
-          if (contents.cachable && options.fill_cache) {
+          if (contents.cachable) {
             buffer.pool->Insert(buffer, table->rep_->file_number,
                                 handle.offset(), buf::BlockKind::kData,
                                 block, block->size(), &DeleteBlockValue,

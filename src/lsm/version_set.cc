@@ -19,6 +19,23 @@ namespace sealdb {
 // Push a fresh memtable output past empty low levels, up to this level.
 static const int kMaxMemCompactLevel = 2;
 
+// Amplification factor |L_{i+1}| / |L_i| (paper: 10).
+static const double kLevelSizeMultiplier = 10.0;
+
+// Level-0 files that make level 0 the most urgent compaction.
+static const int kL0CompactionTrigger = 4;
+
+// Overlapping last level (SMRDB mode): merge once this many runs mutually
+// overlap. SMRDB merges eagerly and pays with large, frequent whole-range
+// merges (paper Fig. 10: ~900 MB on average).
+static const int kMaxOverlapRuns = 2;
+
+// Set-aware picking (kSet): a set qualifies for priority compaction once
+// this many of its members are invalidated. Lower values override the
+// fair rotation too often and inflate write amplification by
+// re-compacting the same range.
+static const int kInvalidSetPriorityThreshold = 5;
+
 static size_t TargetFileSize(const Options* options) {
   return options->max_file_size;
 }
@@ -43,7 +60,7 @@ static double MaxBytesForLevelImpl(const Options* options, int level) {
   }
   double result = static_cast<double>(options->max_bytes_for_level_base);
   for (int l = 1; l < level; l++) {
-    result *= options->level_size_multiplier;
+    result *= kLevelSizeMultiplier;
   }
   return result;
 }
@@ -1057,7 +1074,7 @@ void VersionSet::Finalize(Version* v) {
       // setting, or very high compression ratios, or lots of
       // overwrites/deletions).
       score = v->files_[0].size() /
-              static_cast<double>(options_->level0_compaction_trigger);
+              static_cast<double>(kL0CompactionTrigger);
     } else {
       // Compute the ratio of current size to size limit.
       const uint64_t level_bytes = TotalFileSize(v->files_[level]);
@@ -1075,7 +1092,7 @@ void VersionSet::Finalize(Version* v) {
   if (options_->allow_overlap_last_level && NumLevels() >= 2) {
     const int last = NumLevels() - 1;
     const double score = static_cast<double>(v->MaxOverlapDepth(last)) /
-                         options_->max_overlap_runs;
+                         kMaxOverlapRuns;
     if (score > best_score) {
       best_level = last;
       best_score = score;
@@ -1221,17 +1238,12 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
 Iterator* VersionSet::MakeInputIterator(Compaction* c) {
   ReadOptions options;
   options.verify_checksums = options_->paranoid_checks;
-  options.fill_cache = false;
   // Compaction inputs are consumed front-to-back exactly once; stream each
   // file in large chunks and prefetch the next chunk while the merge decodes
   // the previous one. A window of half the target file size (bounded to
   // [256 KB, 4 MB]) keeps the double buffer at most one file-sized span.
-  if (options_->compaction_readahead) {
-    uint64_t window = options_->max_file_size / 2;
-    if (window < 256 * 1024) window = 256 * 1024;
-    if (window > 4 * 1024 * 1024) window = 4 * 1024 * 1024;
-    options.readahead_bytes = window;
-  }
+  options.readahead_bytes = std::clamp<uint64_t>(options_->max_file_size / 2,
+                                                 256 * 1024, 4 * 1024 * 1024);
 
   // Level-0 files (and files of an overlapping level) have to be merged
   // together; for other levels we can use a concatenating iterator that
@@ -1391,7 +1403,7 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
       // Overlapping last level (SMRDB): merge the deepest overlap cluster.
       PickOverlapCluster(level, c);
     } else if (level > 0 && options_->compaction_unit == CompactionUnit::kSet &&
-               options_->prioritize_invalid_sets && set_info_ != nullptr) {
+               set_info_ != nullptr) {
       // SEALDB policy (Sec. III-C "Delete"): prefer a victim whose set has
       // accumulated many invalidated SSTables, so the remaining members
       // drain and the whole region is reclaimed — implicit fragment
@@ -1399,7 +1411,7 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
       // normal rotation on barely-fragmented sets, which would inflate WA
       // by hammering the same key range.
       FileMetaData* best = nullptr;
-      int best_invalid = options_->invalid_set_priority_threshold - 1;
+      int best_invalid = kInvalidSetPriorityThreshold - 1;
       for (FileMetaData* f : current_->files_[level]) {
         if (VictimReserved(reserved, level, f)) continue;
         const int invalid =

@@ -107,6 +107,10 @@ class SealClient {
   Status Get(const Slice& key, std::string* value);
   Status Delete(const Slice& key);
   Status Write(const WriteBatch& batch);
+  // Up to `limit` entries from `start`. Fewer entries do not mean end of
+  // range: the server clamps the limit and keeps each answer within one
+  // frame, so page on from just past the last key returned until an
+  // answer comes back empty.
   Status Scan(const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out);
   // Prometheus-style text exposition of the server's metrics registry.

@@ -44,8 +44,7 @@ void EncodeFrame(std::string* dst, uint8_t opcode, uint64_t request_id,
   dst->append(payload.data(), payload.size());
 }
 
-DecodeResult DecodeFrame(Slice* input, FrameHeader* header, Slice* payload,
-                         uint32_t max_payload) {
+DecodeResult DecodeFrame(Slice* input, FrameHeader* header, Slice* payload) {
   // Reject garbage streams as early as the bytes allow rather than
   // waiting for a full header that will never arrive.
   const char* p = input->data();
@@ -66,7 +65,7 @@ DecodeResult DecodeFrame(Slice* input, FrameHeader* header, Slice* payload,
   header->trace_id = DecodeFixed64(p + kTraceIdOffset);
   header->payload_len = DecodeFixed32(p + kPayloadLenOffset);
   const uint32_t masked_crc = DecodeFixed32(p + kCrcOffset);
-  if (header->payload_len > max_payload) return DecodeResult::kTooLarge;
+  if (header->payload_len > kMaxPayloadBytes) return DecodeResult::kTooLarge;
   if (input->size() < kFrameHeaderBytes + header->payload_len) {
     return DecodeResult::kNeedMore;
   }

@@ -56,9 +56,10 @@ inline constexpr size_t kTraceIdOffset = 12;
 inline constexpr size_t kPayloadLenOffset = 20;
 inline constexpr size_t kCrcOffset = 24;
 
-// Absolute sanity cap on a frame payload; servers may enforce a lower
-// per-connection limit (ServerOptions::max_frame_bytes).
-inline constexpr uint32_t kMaxPayloadBytes = 32u << 20;
+// Cap on a frame payload, request or response. The server answers a
+// request header that claims more with a typed error and closes the
+// connection; the client and the chaos proxy reject such a response.
+inline constexpr uint32_t kMaxPayloadBytes = 8u << 20;
 
 enum class Op : uint8_t {
   kPing = 1,
@@ -101,14 +102,13 @@ enum class DecodeResult {
   kBadMagic,   // stream is not speaking this protocol — close it
   kBadVersion, // version mismatch — close after an error response
   kBadCrc,     // payload corrupted in flight
-  kTooLarge,   // payload length exceeds `max_payload`
+  kTooLarge,   // payload length exceeds kMaxPayloadBytes
 };
 
 // Try to decode one frame from the front of *input. On kOk the frame's
 // bytes are consumed and *payload aliases *input's buffer. On kNeedMore
 // nothing is consumed. The other results are fatal for the stream.
-DecodeResult DecodeFrame(Slice* input, FrameHeader* header, Slice* payload,
-                         uint32_t max_payload = kMaxPayloadBytes);
+DecodeResult DecodeFrame(Slice* input, FrameHeader* header, Slice* payload);
 
 // ---- status record (leads every response payload) ----
 
@@ -128,6 +128,10 @@ bool DecodePutRequest(Slice input, Slice* key, Slice* value);
 void EncodeWriteBatchRequest(std::string* dst, const WriteBatch& batch);
 bool DecodeWriteBatchRequest(Slice input, WriteBatch* batch);
 
+// SCAN: up to `limit` entries from `start`, in key order. The server may
+// answer with fewer (it clamps `limit` and keeps the answer within one
+// frame), so a short answer does not mean the range is exhausted: resume
+// just past the last key returned. Only an empty answer ends the range.
 void EncodeScanRequest(std::string* dst, const Slice& start, uint32_t limit);
 bool DecodeScanRequest(Slice input, Slice* start, uint32_t* limit);
 

@@ -27,6 +27,7 @@
 #include "lsm/write_batch.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "util/coding.h"
 
 namespace sealdb::server {
 
@@ -117,7 +118,6 @@ struct Request {
 struct SealServer::Impl {
   Impl(ShardedDb* db, baselines::Stack* stack, const ServerOptions& options)
       : db_(db),
-        stack_(stack),
         opts_(options),
         external_memory_(stack->external_memory_bytes()),
         registry_(stack->metrics_registry()) {
@@ -252,7 +252,6 @@ struct SealServer::Impl {
 
   // ---- configuration / collaborators ----
   ShardedDb* const db_;
-  baselines::Stack* const stack_;
   const ServerOptions opts_;
   std::shared_ptr<std::atomic<uint64_t>> external_memory_;
 
@@ -329,8 +328,11 @@ struct SealServer::Impl {
     drain_cv_.notify_all();
   }
 
-  // Recently applied write request ids, newest at the back. A retried
-  // write whose ack was lost replays its OK instead of re-applying.
+  // The most recently applied write request ids (at most
+  // kWriteDedupWindow), newest at the back. A retried write whose ack was
+  // lost replays its OK instead of re-applying, so a retry never
+  // double-applies a batch.
+  static constexpr size_t kWriteDedupWindow = 4096;
   std::mutex dedup_mu_;
   std::unordered_set<uint64_t> applied_write_ids_;
   std::deque<uint64_t> applied_write_order_;
@@ -441,6 +443,10 @@ struct SealServer::Impl {
 
   // ----------------------------------------------------------- event loop
 
+  // How long Stop() keeps flushing response buffers to peers that have
+  // stopped reading before force-closing them.
+  static constexpr std::chrono::milliseconds kDrainDeadline{5000};
+
   void LoopMain() {
     bool reads_disabled = false;
     bool deadline_armed = false;
@@ -495,9 +501,7 @@ struct SealServer::Impl {
       if (flush_and_exit_.load(std::memory_order_acquire)) {
         if (!deadline_armed) {
           deadline_armed = true;
-          force_close_at =
-              std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(opts_.drain_deadline_millis);
+          force_close_at = std::chrono::steady_clock::now() + kDrainDeadline;
         }
         // Flush what is left; exit once every buffer is empty or the drain
         // deadline passes (a peer that stopped reading its responses).
@@ -627,7 +631,7 @@ struct SealServer::Impl {
       net::FrameHeader header;
       Slice payload;
       const net::DecodeResult res =
-          net::DecodeFrame(&input, &header, &payload, opts_.max_frame_bytes);
+          net::DecodeFrame(&input, &header, &payload);
       if (res == net::DecodeResult::kNeedMore) break;
       if (res == net::DecodeResult::kOk) {
         Dispatch(conn, header, payload);
@@ -944,12 +948,6 @@ struct SealServer::Impl {
            trace_id % opts_.trace_sample_every == 0;
   }
 
-  // Simulated device busy time, read only around sampled requests: a
-  // sharded counter read is cheap, but not free on every request.
-  double DeviceBusySeconds() const {
-    return stack_->drive()->metrics().busy->Seconds();
-  }
-
   void RecordTrace(const TraceSpan& span) {
     h_queue_->Observe(static_cast<double>(span.queue_micros));
     h_commit_->Observe(static_cast<double>(span.commit_micros));
@@ -964,19 +962,23 @@ struct SealServer::Impl {
       std::fprintf(
           stderr,
           "[sealdb trace %016llx] op=%s id=%llu total=%lluus "
-          "queue=%lluus commit=%lluus engine=%lluus device=%.3fms\n",
+          "queue=%lluus commit=%lluus engine=%lluus\n",
           static_cast<unsigned long long>(span.trace_id),
           net::OpName(span.opcode),
           static_cast<unsigned long long>(span.request_id),
           static_cast<unsigned long long>(span.total_micros),
           static_cast<unsigned long long>(span.queue_micros),
           static_cast<unsigned long long>(span.commit_micros),
-          static_cast<unsigned long long>(span.engine_micros),
-          span.device_seconds * 1e3);
+          static_cast<unsigned long long>(span.engine_micros));
     }
   }
 
   // -------------------------------------------------------------- workers
+
+  // A write leader drains at most this many queued requests, or until the
+  // drained payloads reach kMaxBatchBytes, into one group commit.
+  static constexpr size_t kMaxBatchRequests = 256;
+  static constexpr size_t kMaxBatchBytes = 1u << 20;
 
   void WorkerMain() {
     const uint64_t n = write_queues_.size();
@@ -1001,8 +1003,8 @@ struct SealServer::Impl {
           // stay runnable — their leaders commit concurrently.
           q.leader_active = true;
           while (!q.tasks.empty() &&
-                 group.size() < opts_.max_batch_requests &&
-                 group_bytes < opts_.max_batch_bytes) {
+                 group.size() < kMaxBatchRequests &&
+                 group_bytes < kMaxBatchBytes) {
             const size_t sz = q.tasks.front().payload.size();
             group_bytes += sz;
             q.queued_bytes -= std::min(q.queued_bytes, sz);
@@ -1055,14 +1057,12 @@ struct SealServer::Impl {
   // True if this write request id was applied recently enough to still be
   // in the dedup window — the retry of a write whose ack got lost.
   bool IsDuplicateWrite(uint64_t request_id) {
-    if (opts_.write_dedup_window == 0) return false;
     std::lock_guard<std::mutex> l(dedup_mu_);
     return applied_write_ids_.find(request_id) != applied_write_ids_.end();
   }
 
   void RecordAppliedWrites(const std::vector<Request>& group,
                            const std::vector<bool>& included) {
-    if (opts_.write_dedup_window == 0) return;
     std::lock_guard<std::mutex> l(dedup_mu_);
     for (size_t i = 0; i < group.size(); i++) {
       if (!included[i]) continue;
@@ -1070,7 +1070,7 @@ struct SealServer::Impl {
         applied_write_order_.push_back(group[i].request_id);
       }
     }
-    while (applied_write_order_.size() > opts_.write_dedup_window) {
+    while (applied_write_order_.size() > kWriteDedupWindow) {
       applied_write_ids_.erase(applied_write_order_.front());
       applied_write_order_.pop_front();
     }
@@ -1085,7 +1085,6 @@ struct SealServer::Impl {
       }
     }
     const uint64_t pickup = any_sampled ? NowMicros() : 0;
-    const double busy0 = any_sampled ? DeviceBusySeconds() : 0.0;
 
     WriteBatch combined;
     std::vector<bool> included(group.size(), false);
@@ -1147,10 +1146,9 @@ struct SealServer::Impl {
       if (s.ok()) RecordAppliedWrites(group, included);
     }
     if (any_sampled) {
-      // Every sampled member shares the group's commit/engine/device
-      // spans — its latency really was the whole group commit.
+      // Every sampled member shares the group's commit/engine spans — its
+      // latency really was the whole group commit.
       const uint64_t done = NowMicros();
-      const double device_delta = DeviceBusySeconds() - busy0;
       for (const Request& req : group) {
         if (!Sampled(req.trace_id)) continue;
         TraceSpan span;
@@ -1160,7 +1158,6 @@ struct SealServer::Impl {
         span.queue_micros = pickup - req.enqueue_micros;
         span.commit_micros = done - pickup;
         span.engine_micros = engine_micros;
-        span.device_seconds = device_delta;
         span.total_micros = done - req.enqueue_micros;
         RecordTrace(span);
       }
@@ -1176,10 +1173,26 @@ struct SealServer::Impl {
     }
   }
 
+  // SCAN limits above this are clamped.
+  static constexpr uint32_t kMaxScanLimit = 10000;
+  // Room kept in a SCAN answer for the frame header, the status record and
+  // the entry count.
+  static constexpr size_t kScanReserveBytes = 4096;
+
+  // Encoded entry bytes a SCAN answer may carry: it must fit one frame
+  // (net::kMaxPayloadBytes) and, when the slow-client cap is set, the
+  // response buffer, or the client would be evicted for asking.
+  size_t ScanByteBudget() const {
+    size_t cap = net::kMaxPayloadBytes;
+    if (opts_.max_response_buffer_bytes > 0) {
+      cap = std::min(cap, opts_.max_response_buffer_bytes);
+    }
+    return cap > kScanReserveBytes ? cap - kScanReserveBytes : 0;
+  }
+
   void RunRead(const Request& req) {
     const bool sampled = Sampled(req.trace_id);
     const uint64_t pickup = sampled ? NowMicros() : 0;
-    const double busy0 = sampled ? DeviceBusySeconds() : 0.0;
     uint64_t engine_micros = 0;
 
     std::string payload_out;
@@ -1212,12 +1225,23 @@ struct SealServer::Impl {
               entries);
           break;
         }
-        limit = std::min(limit, opts_.max_scan_limit);
+        limit = std::min(limit, kMaxScanLimit);
+        // The answer ends at `limit` entries or at the byte budget,
+        // whichever comes first; the first entry is always sent so a
+        // paging client makes progress.
+        const size_t budget = ScanByteBudget();
+        size_t bytes = 0;
         const uint64_t engine_start = sampled ? NowMicros() : 0;
         std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
         for (it->Seek(start); it->Valid() && entries.size() < limit;
              it->Next()) {
-          entries.emplace_back(it->key().ToString(), it->value().ToString());
+          const Slice key = it->key();
+          const Slice value = it->value();
+          const size_t entry_bytes = VarintLength(key.size()) + key.size() +
+                                     VarintLength(value.size()) + value.size();
+          if (!entries.empty() && bytes + entry_bytes > budget) break;
+          bytes += entry_bytes;
+          entries.emplace_back(key.ToString(), value.ToString());
         }
         if (sampled) engine_micros = NowMicros() - engine_start;
         net::EncodeScanResponse(&payload_out, it->status(), entries);
@@ -1244,7 +1268,6 @@ struct SealServer::Impl {
       span.queue_micros = pickup - req.enqueue_micros;
       span.commit_micros = done - pickup;
       span.engine_micros = engine_micros;
-      span.device_seconds = DeviceBusySeconds() - busy0;
       span.total_micros = done - req.enqueue_micros;
       RecordTrace(span);
     }

@@ -45,20 +45,8 @@ struct ServerOptions {
   // 0 binds an ephemeral port; SealServer::port() reports the actual one.
   uint16_t port = 0;
   int num_workers = 4;
-  // Per-request payload cap; larger frames get a typed error and the
-  // connection is closed.
-  uint32_t max_frame_bytes = 8u << 20;
-  // Group commit coalesces queued writes until the combined batch reaches
-  // this size (or the queue empties).
-  size_t max_batch_bytes = 1u << 20;
-  size_t max_batch_requests = 256;
-  // SCAN limits above this are clamped.
-  uint32_t max_scan_limit = 10000;
   // WriteOptions::sync for every group commit.
   bool sync_writes = false;
-  // How long Stop() keeps flushing response buffers to peers that have
-  // stopped reading before force-closing them.
-  int drain_deadline_millis = 5000;
 
   // ---- admission control (DESIGN.md §11) ----
   // Connection cap; 0 = unlimited. A connection beyond the cap is
@@ -76,35 +64,30 @@ struct ServerOptions {
   // Slow-client response-buffer cap: a connection whose un-flushed
   // response bytes exceed this has its buffer discarded and is closed
   // (eviction), bounding memory against peers that stop reading. 0 =
-  // unlimited.
+  // unlimited. A SCAN answer is cut short to fit under this cap as well
+  // as under net::kMaxPayloadBytes.
   size_t max_response_buffer_bytes = 16u << 20;
   // While the engine reports write-stall level 2 ("stop": the next write
   // would park inside MakeRoomForWrite), reject writes with kBusy at the
   // door instead of letting a worker block while holding a pool slot.
   bool reject_writes_on_stall = true;
-  // Request ids of the most recently applied writes are remembered; a
-  // duplicate resubmission (a client retrying a write whose ack was lost)
-  // is acked OK without re-applying, so a retry never double-applies a
-  // batch. 0 disables the window.
-  size_t write_dedup_window = 4096;
 
   // ---- observability (DESIGN.md §12) ----
   // Op tracing: a request whose (client-minted, nonzero) trace id
   // satisfies trace_id % trace_sample_every == 0 gets a span breakdown
-  // (queue-wait / commit / engine / device) recorded in the trace ring,
+  // (queue-wait / commit / engine) recorded in the trace ring,
   // observed into the sealdb_server_span_micros histograms, and — when
   // log_sampled_traces is set — printed to stderr. Sampling is
   // deterministic in the trace id, so a retried request is sampled
   // consistently across attempts. 0 disables tracing entirely; 1 traces
   // every request (tests). The default keeps the span bookkeeping (clock
-  // reads, device-counter reads, histogram updates, the trace ring's lock)
-  // off nearly every request.
+  // reads, histogram updates, the trace ring's lock) off nearly every
+  // request.
   uint64_t trace_sample_every = 1024;
   bool log_sampled_traces = false;
 };
 
-// Span breakdown of one sampled request, all in wall-clock microseconds
-// except the simulated device time.
+// Span breakdown of one sampled request, in wall-clock microseconds.
 struct TraceSpan {
   uint64_t trace_id = 0;
   uint64_t request_id = 0;
@@ -113,7 +96,6 @@ struct TraceSpan {
   uint64_t commit_micros = 0;    // worker pickup -> response encoded; for
                                  // writes, the whole group commit
   uint64_t engine_micros = 0;    // inside the DB call
-  double device_seconds = 0.0;   // simulated drive busy time in the call
   uint64_t total_micros = 0;     // dispatch -> response encoded
 };
 
@@ -121,10 +103,9 @@ class SealServer {
  public:
   // Serves `db`, which is `stack->db()`; both are required and must
   // outlive Stop(). The server publishes its sealdb_server_* metrics into
-  // the stack's registry (so METRICS renders the whole system), sampled
-  // spans carry the stack's drive time, and the connection buffer bytes
-  // are folded into the stack's external-memory counter (and therefore
-  // into "sealdb.approximate-memory-usage").
+  // the stack's registry (so METRICS renders the whole system), and the
+  // connection buffer bytes are folded into the stack's external-memory
+  // counter (and therefore into "sealdb.approximate-memory-usage").
   SealServer(ShardedDb* db, baselines::Stack* stack,
              const ServerOptions& options);
   ~SealServer();

@@ -37,8 +37,6 @@ struct Options {
   // -------- ordering and correctness --------
   const Comparator* comparator;  // default: BytewiseComparator()
 
-  bool create_if_missing = true;
-  bool error_if_exists = false;
   bool paranoid_checks = false;
 
   // -------- memory / file sizing (paper Sec. IV defaults, scalable) -------
@@ -46,7 +44,6 @@ struct Options {
   size_t max_file_size = 4 * 1024 * 1024;      // SSTable target size (4 MB)
   size_t block_size = 4 * 1024;
   int block_restart_interval = 16;
-  int max_open_files = 1000;
 
   // Rotate to a fresh (snapshot-seeded) MANIFEST once the current one
   // exceeds this size, bounding metadata growth.
@@ -65,37 +62,23 @@ struct Options {
 
   // -------- LSM shape --------
   int num_levels = 7;
-  // Amplification factor: |L_{i+1}| / |L_i| (paper: 10).
-  double level_size_multiplier = 10.0;
-  // Size budget of L1 in bytes; L_i = base * multiplier^(i-1).
+  // Size budget of L1 in bytes; L_i = base * 10^(i-1) (the paper's
+  // amplification factor, lsm/version_set.cc kLevelSizeMultiplier).
   uint64_t max_bytes_for_level_base = 10ull * 4 * 1024 * 1024;
-  int level0_compaction_trigger = 4;
   int level0_slowdown_writes_trigger = 8;
   int level0_stop_writes_trigger = 12;
 
   // SMRDB mode: key ranges inside level 1 may overlap (two-level LSM where
   // L1 behaves like L0 for lookups; compactions L0->L1 merge with every
-  // overlapping run). Enabled by the smrdb preset together with
-  // num_levels = 2 and 40 MB SSTables.
+  // overlapping run, and an intra-level merge runs once
+  // lsm/version_set.cc kMaxOverlapRuns runs overlap). Enabled by the smrdb
+  // preset together with num_levels = 2 and 40 MB SSTables.
   bool allow_overlap_last_level = false;
 
-  // Overlapping-last-level mode only: schedule an intra-level merge when
-  // this many runs mutually overlap. Lower values merge more eagerly
-  // (bigger, more frequent compactions).
-  int max_overlap_runs = 4;
-
-  // SEALDB set-aware compaction (paper Sec. III-A).
+  // SEALDB set-aware compaction (paper Sec. III-A). With kSet the picker
+  // also prefers a victim whose set holds many invalidated SSTables (paper
+  // Sec. III-C "Delete", lsm/version_set.cc kInvalidSetPriorityThreshold).
   CompactionUnit compaction_unit = CompactionUnit::kSSTable;
-
-  // When picking a compaction at a level, prefer the victim whose set has
-  // the most invalidated victim SSTables recorded in it (paper Sec. III-C
-  // "Delete": implicit fragment reclamation). Only meaningful with kSet.
-  bool prioritize_invalid_sets = true;
-
-  // Minimum invalidated members before a set qualifies for priority
-  // compaction. Low values override the fair rotation too often and
-  // inflate write amplification by re-compacting the same range.
-  int invalid_set_priority_threshold = 5;
 
   // Run compactions inline on the writing thread (deterministic; used by
   // tests and benches) instead of a background thread.
@@ -126,21 +109,15 @@ struct Options {
   // set "0".."N-1" on the columns of an N-shard store.
   std::string metrics_shard_label;
 
-  // Stream compaction inputs through a double-buffered readahead reader
-  // (large chunked extent reads with the next chunk prefetched during the
-  // merge) instead of per-block table reads. Off reproduces the seed's
-  // read pattern for A/B benches.
-  bool compaction_readahead = true;
-
   Options();
 };
 
 struct ReadOptions {
   bool verify_checksums = false;
-  bool fill_cache = true;
   // Nonzero requests a dedicated streaming reader that fetches the file in
   // chunks of this size and prefetches the next chunk while the previous
-  // one is consumed (set-granularity compaction input scans).
+  // one is consumed (set-granularity compaction input scans). Such a
+  // reader has no buffer-pool client, so the scan never fills the pool.
   uint64_t readahead_bytes = 0;
   // If non-null, read as of the supplied snapshot.
   const Snapshot* snapshot = nullptr;

@@ -224,7 +224,7 @@ TEST_P(ChaosTest, AckedWritesSurviveChaosAndRecovery) {
   // Invariant 3: server memory stayed bounded.
   EXPECT_LE(server_->connection_buffer_bytes(),
             2 * sopts.max_response_buffer_bytes +
-                static_cast<uint64_t>(kClients) * sopts.max_frame_bytes);
+                static_cast<uint64_t>(kClients) * net::kMaxPayloadBytes);
 
   // Heal the drive before the audits: the invariants below are about what
   // chaos left behind, not about the audit reads themselves being faulted.

@@ -345,7 +345,6 @@ TEST_F(ObsServerTest, SampledRequestYieldsSpanBreakdown) {
             put_span->total_micros);
   EXPECT_GE(put_span->commit_micros, put_span->engine_micros);
   EXPECT_GT(get_span->total_micros, 0u);
-  EXPECT_GE(get_span->device_seconds, 0.0);
 
   // Span durations feed the per-stage histograms in the registry.
   const auto& reg = *server_->metrics_registry();

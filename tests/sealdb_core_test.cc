@@ -1,7 +1,7 @@
-// SEALDB-specific tests: the SealDB facade, set manager semantics, set
-// contiguity on disk, dynamic-band safety (the shingled disk never sees an
-// unsafe write), zero auxiliary write amplification, and the band
-// inspector's fragment accounting.
+// SEALDB-specific tests: a SEALDB stack's KV round trip and crash
+// recovery, set manager semantics, set contiguity on disk, dynamic-band
+// safety (the shingled disk never sees an unsafe write), zero auxiliary
+// write amplification, and the band inspector's fragment accounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +11,6 @@
 #include "baselines/presets.h"
 #include "core/band_inspector.h"
 #include "core/fragment_gc.h"
-#include "core/sealdb.h"
 #include "core/set_manager.h"
 #include "lsm/db.h"
 #include "util/random.h"
@@ -92,47 +91,40 @@ TEST(SetManager, RecoverSets) {
   EXPECT_EQ(mgr.live_sets(), 0u);
 }
 
-// ------------------------------------------------------------ facade
+// ------------------------------------------------------------ KV stack
 
-TEST(SealDBFacade, OpenPutGetScan) {
-  core::SealDBOptions opt;
-  opt.capacity_bytes = 256ull << 20;
-  opt.sstable_bytes = 64 << 10;
-  opt.write_buffer_bytes = 64 << 10;
-  opt.track_bytes = 16 << 10;
-  std::unique_ptr<core::SealDB> db;
-  ASSERT_TRUE(core::SealDB::Open(opt, &db).ok());
+TEST(SealStack, OpenPutGetScan) {
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
+  DB* db = stack->db();
 
-  ASSERT_TRUE(db->Put("apple", "red").ok());
-  ASSERT_TRUE(db->Put("banana", "yellow").ok());
-  ASSERT_TRUE(db->Put("cherry", "dark").ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "apple", "red").ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "banana", "yellow").ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "cherry", "dark").ok());
   std::string v;
-  ASSERT_TRUE(db->Get("banana", &v).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), "banana", &v).ok());
   EXPECT_EQ("yellow", v);
-  ASSERT_TRUE(db->Delete("banana").ok());
-  EXPECT_TRUE(db->Get("banana", &v).IsNotFound());
+  ASSERT_TRUE(db->Delete(WriteOptions(), "banana").ok());
+  EXPECT_TRUE(db->Get(ReadOptions(), "banana", &v).IsNotFound());
 
-  std::vector<std::pair<std::string, std::string>> rows;
-  ASSERT_TRUE(db->Scan("a", 10, &rows).ok());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].first, "apple");
-  EXPECT_EQ(rows[1].first, "cherry");
+  std::vector<std::string> keys;
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  for (it->Seek("a"); it->Valid(); it->Next()) {
+    keys.push_back(it->key().ToString());
+  }
+  ASSERT_TRUE(it->status().ok());
+  EXPECT_EQ(keys, (std::vector<std::string>{"apple", "cherry"}));
 }
 
-TEST(SealDBFacade, CrashAndReopen) {
-  core::SealDBOptions opt;
-  opt.capacity_bytes = 256ull << 20;
-  opt.sstable_bytes = 64 << 10;
-  opt.write_buffer_bytes = 64 << 10;
-  opt.track_bytes = 16 << 10;
-  std::unique_ptr<core::SealDB> db;
-  ASSERT_TRUE(core::SealDB::Open(opt, &db).ok());
+TEST(SealStack, CrashAndReopen) {
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
   WriteOptions sync;
   sync.sync = true;
-  ASSERT_TRUE(db->raw()->Put(sync, "durable", "yes").ok());
-  ASSERT_TRUE(db->CrashAndReopen().ok());
+  ASSERT_TRUE(stack->db()->Put(sync, "durable", "yes").ok());
+  ASSERT_TRUE(stack->Reopen().ok());
   std::string v;
-  ASSERT_TRUE(db->Get("durable", &v).ok());
+  ASSERT_TRUE(stack->db()->Get(ReadOptions(), "durable", &v).ok());
   EXPECT_EQ("yes", v);
 }
 
@@ -258,7 +250,7 @@ TEST_F(SealDbBehaviorTest, BandInspectorReportsSaneLayout) {
 }
 
 TEST_F(SealDbBehaviorTest, InvalidSetPriorityDrainsSets) {
-  // With prioritize_invalid_sets on, heavily churned ranges drain their
+  // With set-aware picking, heavily churned ranges drain their
   // sets and the FileStore reclaims whole regions (live sets stay bounded).
   Random rnd(6);
   for (int i = 0; i < 25000; i++) {
@@ -277,58 +269,59 @@ TEST_F(SealDbBehaviorTest, InvalidSetPriorityDrainsSets) {
 
 // ----------------------------------------------- fragment GC (future work)
 
+namespace {
+
+core::FragmentGcResult RunFragmentGc(baselines::Stack* stack,
+                                     const core::FragmentGcOptions& options) {
+  core::FragmentGc gc(stack->db(), stack->store(), stack->dynamic_allocator(),
+                      options);
+  return gc.Run();
+}
+
+}  // namespace
+
 TEST(FragmentGc, NoTriggerWhenClean) {
-  core::SealDBOptions opt;
-  opt.capacity_bytes = 256ull << 20;
-  opt.sstable_bytes = 64 << 10;
-  opt.write_buffer_bytes = 64 << 10;
-  opt.track_bytes = 16 << 10;
-  std::unique_ptr<core::SealDB> db;
-  ASSERT_TRUE(core::SealDB::Open(opt, &db).ok());
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
   for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(db->Put(Key(i), Value(i)).ok());
+    ASSERT_TRUE(stack->db()->Put(WriteOptions(), Key(i), Value(i)).ok());
   }
   core::FragmentGcOptions gc_opt;
   gc_opt.fragment_share_trigger = 0.99;  // never trigger
-  auto result = db->RunFragmentGc(gc_opt);
+  auto result = RunFragmentGc(stack.get(), gc_opt);
   EXPECT_FALSE(result.triggered);
   EXPECT_EQ(result.sets_compacted, 0);
 }
 
 TEST(FragmentGc, ReclaimsFragmentedSpace) {
-  core::SealDBOptions opt;
-  opt.capacity_bytes = 256ull << 20;
-  opt.sstable_bytes = 64 << 10;
-  opt.write_buffer_bytes = 64 << 10;
-  opt.track_bytes = 16 << 10;
-  std::unique_ptr<core::SealDB> db;
-  ASSERT_TRUE(core::SealDB::Open(opt, &db).ok());
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
+  DB* db = stack->db();
 
   // Heavy churn leaves faded-set fragments behind.
   Random rnd(42);
   for (int i = 0; i < 20000; i++) {
-    ASSERT_TRUE(db->Put(Key(rnd.Uniform(1200)), Value(i)).ok());
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(rnd.Uniform(1200)), Value(i)).ok());
   }
-  db->raw()->WaitForIdle();
+  db->WaitForIdle();
 
   core::FragmentGcOptions gc_opt;
   gc_opt.fragment_share_trigger = 0.0;  // always run
   gc_opt.fragment_threshold_bytes = 1 << 20;
   gc_opt.max_sets_per_run = 8;
-  auto result = db->RunFragmentGc(gc_opt);
+  auto result = RunFragmentGc(stack.get(), gc_opt);
   EXPECT_TRUE(result.triggered);
 
   // GC must never corrupt data or the device invariants.
-  EXPECT_DOUBLE_EQ(db->awa(), 1.0);
+  EXPECT_DOUBLE_EQ(stack->awa(), 1.0);
   std::string value;
   for (int i = 0; i < 1200; i += 13) {
-    Status s = db->Get(Key(i), &value);
+    Status s = db->Get(ReadOptions(), Key(i), &value);
     EXPECT_TRUE(s.ok() || s.IsNotFound());
   }
   std::string why;
-  EXPECT_TRUE(
-      db->stack()->dynamic_allocator()->CheckInvariants(&why))
-      << why;
+  EXPECT_TRUE(stack->dynamic_allocator()->CheckInvariants(&why)) << why;
   // The GC targets specific pinned fragments; most of them must be
   // reclaimed (merged into large free space or un-banded).
   if (result.sets_compacted > 0) {

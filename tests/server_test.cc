@@ -63,6 +63,19 @@ std::string Value(int client, int i) {
   return buf;
 }
 
+// Reads one response frame from a raw socket and decodes the status
+// record that leads its payload.
+void ReadStatusFrame(int fd, uint8_t* opcode, Status* status) {
+  char header[net::kFrameHeaderBytes];
+  ASSERT_TRUE(net::ReadFully(fd, header, sizeof(header)).ok());
+  *opcode = static_cast<uint8_t>(header[net::kOpcodeOffset]);
+  const uint32_t payload_len = DecodeFixed32(header + net::kPayloadLenOffset);
+  std::string payload(payload_len, 0);
+  ASSERT_TRUE(net::ReadFully(fd, payload.data(), payload_len).ok());
+  Slice in(payload);
+  ASSERT_TRUE(net::DecodeStatusRecord(&in, status));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -128,12 +141,11 @@ TEST(WireFormat, CorruptionDetected) {
   {
     std::string bad = good;
     EncodeFixed32(bad.data() + net::kPayloadLenOffset,
-                  64 << 20);  // absurd payload length
+                  net::kMaxPayloadBytes + 1);
     Slice input(bad);
     net::FrameHeader h;
     Slice p;
-    EXPECT_EQ(net::DecodeFrame(&input, &h, &p, /*max_payload=*/1 << 20),
-              net::DecodeResult::kTooLarge);
+    EXPECT_EQ(net::DecodeFrame(&input, &h, &p), net::DecodeResult::kTooLarge);
   }
 }
 
@@ -305,17 +317,10 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
     frame[frame.size() - 1] ^= 0x20;  // corrupt the payload
     ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
 
-    char header[net::kFrameHeaderBytes];
-    ASSERT_TRUE(net::ReadFully(fd, header, sizeof(header)).ok());
-    EXPECT_EQ(static_cast<uint8_t>(header[net::kOpcodeOffset]),
-              net::kOpError | net::kResponseBit);
-    const uint32_t payload_len =
-        DecodeFixed32(header + net::kPayloadLenOffset);
-    std::string payload(payload_len, 0);
-    ASSERT_TRUE(net::ReadFully(fd, payload.data(), payload_len).ok());
-    Slice in(payload);
+    uint8_t opcode = 0;
     Status err;
-    ASSERT_TRUE(net::DecodeStatusRecord(&in, &err));
+    ReadStatusFrame(fd, &opcode, &err);
+    EXPECT_EQ(opcode, net::kOpError | net::kResponseBit);
     EXPECT_TRUE(err.IsCorruption());
     // And then EOF.
     char byte;
@@ -336,18 +341,11 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
     net::EncodeFrame(&frame, opcode, 13, Slice());
     ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
 
-    char header[net::kFrameHeaderBytes];
-    ASSERT_TRUE(net::ReadFully(fd, header, sizeof(header)).ok());
-    EXPECT_EQ(static_cast<uint8_t>(header[net::kOpcodeOffset]),
-              net::kOpError | net::kResponseBit)
-        << "opcode " << int{opcode};
-    const uint32_t payload_len =
-        DecodeFixed32(header + net::kPayloadLenOffset);
-    std::string payload(payload_len, 0);
-    ASSERT_TRUE(net::ReadFully(fd, payload.data(), payload_len).ok());
-    Slice in(payload);
+    uint8_t response_opcode = 0;
     Status err;
-    ASSERT_TRUE(net::DecodeStatusRecord(&in, &err));
+    ReadStatusFrame(fd, &response_opcode, &err);
+    EXPECT_EQ(response_opcode, net::kOpError | net::kResponseBit)
+        << "opcode " << int{opcode};
     EXPECT_TRUE(err.IsInvalidArgument()) << err.ToString();
     char byte;
     EXPECT_TRUE(net::ReadFully(fd, &byte, 1).IsIOError());  // EOF
@@ -374,6 +372,91 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   EXPECT_TRUE(client.Ping().ok());
   EXPECT_GE(ServerCount("sealdb_server_protocol_errors_total"), 4u);
+}
+
+// net::kMaxPayloadBytes is the request cap: a frame whose payload is
+// exactly the cap is served, one byte more is a typed protocol error.
+TEST_F(ServerTest, RequestFrameCapHoldsAtBothEdges) {
+  StartServer();
+  const uint8_t ping = static_cast<uint8_t>(net::Op::kPing);
+
+  {
+    int fd = -1;
+    ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd).ok());
+    ASSERT_TRUE(net::SetRecvTimeout(fd, 10000).ok());
+    std::string frame;
+    net::EncodeFrame(&frame, ping, 21,
+                     std::string(net::kMaxPayloadBytes, 'p'));
+    ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
+    uint8_t opcode = 0;
+    Status status;
+    ReadStatusFrame(fd, &opcode, &status);
+    EXPECT_EQ(opcode, ping | net::kResponseBit);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    net::CloseFd(fd);
+  }
+
+  {
+    const uint64_t errors_before =
+        ServerCount("sealdb_server_protocol_errors_total");
+    int fd = -1;
+    ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd).ok());
+    ASSERT_TRUE(net::SetRecvTimeout(fd, 5000).ok());
+    // Only the header is sent: the claim alone is rejected.
+    std::string frame;
+    net::EncodeFrame(&frame, ping, 22, Slice());
+    EncodeFixed32(frame.data() + net::kPayloadLenOffset,
+                  net::kMaxPayloadBytes + 1);
+    ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
+    uint8_t opcode = 0;
+    Status status;
+    ReadStatusFrame(fd, &opcode, &status);
+    EXPECT_EQ(opcode, net::kOpError | net::kResponseBit);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.ToString().find("frame exceeds size limit"),
+              std::string::npos)
+        << status.ToString();
+    char byte;
+    EXPECT_TRUE(net::ReadFully(fd, &byte, 1).IsIOError());  // EOF
+    net::CloseFd(fd);
+    EXPECT_EQ(ServerCount("sealdb_server_protocol_errors_total"),
+              errors_before + 1);
+  }
+}
+
+// A SCAN whose answer would outgrow the frame cap (or the slow-client
+// response buffer) ends early with a key-ordered prefix; the connection
+// stays usable and nothing is evicted.
+TEST_F(ServerTest, LargeScanEndsEarlyInsteadOfEvictingTheClient) {
+  StartServer();
+  constexpr int kEntries = 6000;
+  constexpr size_t kValueBytes = 4096;
+  for (int i = 0; i < kEntries; i += 100) {
+    WriteBatch batch;
+    for (int j = i; j < i + 100; j++) {
+      batch.Put(Key(0, j), std::string(kValueBytes, 'a' + j % 26));
+    }
+    ASSERT_TRUE(stack_->db()->Write(WriteOptions(), &batch).ok());
+  }
+
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const uint64_t evictions_before =
+      ServerCount("sealdb_server_slow_client_evictions_total");
+  for (const size_t limit : {size_t{3000}, size_t{5000}, size_t{10000}}) {
+    std::vector<std::pair<std::string, std::string>> entries;
+    ASSERT_TRUE(client.Scan("", limit, &entries).ok()) << "limit " << limit;
+    ASSERT_FALSE(entries.empty()) << "limit " << limit;
+    EXPECT_LE(entries.size(), limit);
+    for (size_t i = 0; i < entries.size(); i++) {
+      ASSERT_EQ(entries[i].first, Key(0, static_cast<int>(i)));
+      ASSERT_EQ(entries[i].second,
+                std::string(kValueBytes, 'a' + static_cast<int>(i) % 26));
+    }
+    EXPECT_TRUE(client.Ping().ok()) << "limit " << limit;
+  }
+  EXPECT_EQ(ServerCount("sealdb_server_slow_client_evictions_total"),
+            evictions_before);
 }
 
 TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
