@@ -8,12 +8,15 @@
 # handling in the wire protocol, the chaos proxy's frame surgery, and
 # the slow-client eviction path, where a lifetime bug would otherwise
 # hide behind the allocator. Right after the default-config build, the
-# benchmark harness (perfbench/) is built against the same sources (build
-# only). After the default-config suite, a served smoke drives the shipped
-# binaries end to end: sealdb_server on an ephemeral port, sealdb_cli
-# put/get/metrics against it, then a SIGTERM that must drain, print the
-# shutdown summary and exit 0. It runs twice: with 4 shards, and with the
-# server's default shard count (1).
+# benchmark harness (perfbench/) is built against the same sources and its
+# correctness checks run: sealbench's selftest, then one short untraced
+# round each of the ingest and range-scan workloads, which fail (non-zero
+# exit) on a wrong read-back, a wrong scan or a guard violation — there is
+# no timing gate. After the default-config suite, a served smoke drives
+# the shipped binaries end to end: sealdb_server on an ephemeral port,
+# sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
+# print the shutdown summary and exit 0. It runs twice: with 4 shards, and
+# with the server's default shard count (1).
 #
 # Usage: scripts/check.sh [--fast] [--filter <regex>] [--bench]
 #                         [--crash-sweep]
@@ -97,10 +100,19 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 # The benchmark harness (perfbench/) compiles the library sources as its
 # own project; building it here makes a library change that breaks the
-# benchmark fail this gate. Build only: perfbench/run.py runs it.
-echo "== perfbench build =="
+# benchmark fail this gate. The short rounds below run the benchmark's own
+# verifier over the write path (ingest: every value read back is the last
+# one loaded) and the read path (range-scan: keys in order, right count);
+# sealbench exits non-zero when any check fails. No timing is gated.
+echo "== perfbench build + correctness smoke =="
 cmake -S perfbench -B build-perfbench >/dev/null
 cmake --build build-perfbench -j "$JOBS" --target sealbench
+# The selftest corrupts three values on purpose and prints a "check
+# failed" line for each; it exits 0 only when all three were caught.
+./build-perfbench/sealbench --selftest
+./build-perfbench/sealbench --workload=ingest --seconds=1 --trace=0 >/dev/null
+./build-perfbench/sealbench --workload=range-scan --seconds=1.4 --trace=0 \
+  >/dev/null
 ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
 
 echo

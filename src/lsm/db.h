@@ -37,7 +37,10 @@ struct CompactionEvent {
   int num_outputs = 0;
   uint64_t input_bytes = 0;
   uint64_t output_bytes = 0;
-  double device_seconds = 0.0;  // simulated drive time spent
+  // Drive busy time over the compaction's window: exact only when
+  // compactions run inline on a one-shard stack; otherwise it includes
+  // every other stream on the shared drive.
+  double device_seconds = 0.0;
   uint64_t set_id = 0;          // output set/region (0 = none)
   bool trivial_move = false;
   // Physical placement (offset, length) of every output table.

@@ -17,6 +17,7 @@
 #include "lsm/write_batch.h"
 #include "util/cache.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace sealdb {
 
@@ -24,11 +25,11 @@ namespace sealdb {
 // reserved for the WAL, manifest and other non-table files.
 const int kTableCacheSize = 1000 - 10;
 
-// Wall-clock micros for the per-stage compaction accounting (device time is
-// tracked separately by the simulated drive's latency model).
-static uint64_t NowMicros() {
+// Wall-clock nanoseconds for the engine's stage and stall timers (device
+// time is tracked separately by the simulated drive's latency model).
+static uint64_t NowNanos() {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
@@ -540,8 +541,6 @@ static Status BuildTable(const std::string& dbname, fs::FileStore* store,
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                                 Version* base) {
-  const uint64_t start_device_us = 0;
-  (void)start_device_us;
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
@@ -789,11 +788,11 @@ void DBImpl::BackgroundThreadMain() {
       continue;
     }
     if (!pick_exhausted_ && versions_->NeedsCompaction()) {
-      const uint64_t pick_start = NowMicros();
+      const uint64_t pick_start = NowNanos();
       Compaction* c = versions_->PickCompaction(&reservations_);
       const uint64_t ticket =
           (c != nullptr) ? reservations_.TryReserve(c) : 0;
-      em_.pick_micros->AddMicros(NowMicros() - pick_start);
+      em_.pick_time->AddNanos(NowNanos() - pick_start);
       if (c == nullptr) {
         // Every candidate conflicts with a running compaction (or the
         // trigger was stale). Cleared when state changes.
@@ -837,9 +836,9 @@ void DBImpl::BackgroundCompaction() {
     return;
   }
 
-  const uint64_t pick_start = NowMicros();
+  const uint64_t pick_start = NowNanos();
   Compaction* c = versions_->PickCompaction();
-  em_.pick_micros->AddMicros(NowMicros() - pick_start);
+  em_.pick_time->AddNanos(NowNanos() - pick_start);
   if (c != nullptr) {
     ExecuteCompaction(c);
   }
@@ -1007,6 +1006,12 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   return s;
 }
 
+// The merge loop reads the clock only on sampled entries: the first of every
+// compaction, then 1 in kStageSampleOneIn at random. A fixed stride would
+// alias with fixed-size records, which put a fixed number of entries in each
+// block: it would always or never catch the Add that flushes one.
+static constexpr int kStageSampleOneIn = 64;
+
 Status DBImpl::DoCompactionWork(CompactionState* compact) {
   const obs::TimeCounter* device_busy = store_->drive()->metrics().busy;
   const double device_before = device_busy->Seconds();
@@ -1017,7 +1022,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
 
   compactions_in_flight_++;
   em_.max_parallel->SetMax(compactions_in_flight_);
-  uint64_t read_micros = 0, merge_micros = 0, write_micros = 0;
 
   if (snapshots_.empty()) {
     compact->smallest_snapshot = versions_->LastSequence();
@@ -1066,9 +1070,16 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   // Release mutex while we're actually doing the compaction work
   mutex_.unlock();
 
-  uint64_t stage_start = NowMicros();
+  // Stage accounting: SeekToFirst (read) and the trailing output finish
+  // (write) are timed exactly; the loop between them is timed as a whole
+  // and split into read/merge/write in the ratios of the sampled entries.
+  const uint64_t seek_start = NowNanos();
   input->SeekToFirst();
-  read_micros += NowMicros() - stage_start;
+  const uint64_t loop_start = NowNanos();
+  uint64_t sampled_read = 0, sampled_merge = 0, sampled_write = 0;
+  uint64_t flush_nanos = 0;  // in-loop memtable flushes belong to no stage
+  Random sampler(static_cast<uint32_t>(input_bytes));
+  bool sample = true;
   Status status;
   ParsedInternalKey ikey;
   std::string current_user_key;
@@ -1080,9 +1091,11 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
         !options_.inline_compactions) {
       mutex_.lock();
       if (imm_ != nullptr && !imm_flush_in_flight_) {
+        const uint64_t flush_start = NowNanos();
         imm_flush_in_flight_ = true;
         CompactMemTable();
         imm_flush_in_flight_ = false;
+        flush_nanos += NowNanos() - flush_start;
         // Wake up MakeRoomForWrite() if necessary.
         background_work_finished_signal_.notify_all();
         background_wakeup_.notify_all();
@@ -1090,7 +1103,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
       mutex_.unlock();
     }
 
-    stage_start = NowMicros();
+    const uint64_t merge_start = sample ? NowNanos() : 0;
     Slice key = input->key();
     if (compact->compaction->ShouldStopBefore(key) &&
         compact->builder != nullptr) {
@@ -1136,9 +1149,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
       last_sequence_for_key = ikey.sequence;
     }
 
-    uint64_t now = NowMicros();
-    merge_micros += now - stage_start;
-    stage_start = now;
+    const uint64_t write_start = sample ? NowNanos() : 0;
 
     if (!drop) {
       // Open output file if necessary
@@ -1164,19 +1175,27 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
       }
     }
 
-    now = NowMicros();
-    write_micros += now - stage_start;
-    input->Next();
-    read_micros += NowMicros() - now;
+    if (sample) {
+      const uint64_t read_start = NowNanos();
+      input->Next();
+      const uint64_t read_end = NowNanos();
+      sampled_merge += write_start - merge_start;
+      sampled_write += read_start - write_start;
+      sampled_read += read_end - read_start;
+    } else {
+      input->Next();
+    }
+    sample = sampler.OneIn(kStageSampleOneIn);
   }
+  const uint64_t loop_end = NowNanos();
 
   if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
     status = Status::IOError("Deleting DB during compaction");
   }
+  uint64_t finish_nanos = 0;
   if (status.ok() && compact->builder != nullptr) {
-    stage_start = NowMicros();
     status = FinishCompactionOutputFile(compact, input);
-    write_micros += NowMicros() - stage_start;
+    finish_nanos = NowNanos() - loop_end;
   }
   if (status.ok()) {
     status = input->status();
@@ -1189,6 +1208,21 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     status = store_->SealRegion(compact->region_id);
   }
 
+  // Split the loop's exact wall time in the sampled ratios; write takes the
+  // remainder, so the three stages sum exactly to the compaction's time.
+  const uint64_t loop_nanos = loop_end - loop_start - flush_nanos;
+  const uint64_t sampled_total = sampled_read + sampled_merge + sampled_write;
+  uint64_t loop_read = 0, merge_nanos = 0;
+  if (sampled_total > 0) {
+    const double scale = static_cast<double>(loop_nanos) / sampled_total;
+    loop_read = std::min<uint64_t>(loop_nanos, sampled_read * scale);
+    merge_nanos =
+        std::min<uint64_t>(loop_nanos - loop_read, sampled_merge * scale);
+  }
+  const uint64_t read_nanos = (loop_start - seek_start) + loop_read;
+  const uint64_t write_nanos =
+      (loop_nanos - loop_read - merge_nanos) + finish_nanos;
+
   mutex_.lock();
 
   const double device_seconds = device_busy->Seconds() - device_before;
@@ -1196,17 +1230,16 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   em_.compactions_at(out_level)->Inc();
   em_.compaction_read_bytes->Add(input_bytes);
   em_.compaction_write_bytes->Add(compact->total_bytes);
-  em_.compaction_device->AddSeconds(device_seconds);
-  em_.read_micros->AddMicros(read_micros);
-  em_.merge_micros->AddMicros(merge_micros);
-  em_.write_micros->AddMicros(write_micros);
-  em_.compaction_micros_at(out_level)->AddMicros(read_micros + merge_micros +
-                                                 write_micros);
+  em_.read_time->AddNanos(read_nanos);
+  em_.merge_time->AddNanos(merge_nanos);
+  em_.write_time->AddNanos(write_nanos);
+  em_.compaction_time_at(out_level)->AddNanos(read_nanos + merge_nanos +
+                                              write_nanos);
 
   if (status.ok()) {
-    stage_start = NowMicros();
+    const uint64_t install_start = NowNanos();
     status = InstallCompactionResults(compact);
-    em_.install_micros->AddMicros(NowMicros() - stage_start);
+    em_.install_time->AddNanos(NowNanos() - install_start);
   }
   if (!status.ok()) {
     RecordBackgroundError(status);
@@ -1574,9 +1607,9 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         CompactMemTable();
       } else {
         MaybeScheduleCompaction();
-        const uint64_t stall_start = NowMicros();
+        const uint64_t stall_start = NowNanos();
         background_work_finished_signal_.wait(mutex_);
-        em_.stall_micros->AddMicros(NowMicros() - stall_start);
+        em_.stall_time->AddNanos(NowNanos() - stall_start);
       }
     } else if (versions_->NumLevelFiles(0) >=
                options_.level0_stop_writes_trigger) {
@@ -1586,9 +1619,9 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         MaybeScheduleCompaction();
       } else {
         MaybeScheduleCompaction();
-        const uint64_t stall_start = NowMicros();
+        const uint64_t stall_start = NowNanos();
         background_work_finished_signal_.wait(mutex_);
-        em_.stall_micros->AddMicros(NowMicros() - stall_start);
+        em_.stall_time->AddNanos(NowNanos() - stall_start);
       }
     } else {
       // Attempt to switch to a new memtable and trigger compaction of old

@@ -30,24 +30,21 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
   compaction_write_bytes = r.RegisterCounter(
       "sealdb_engine_compaction_bytes_total", "Compaction traffic by direction",
       L({{"dir", "write"}}));
-  compaction_device = r.RegisterTimeCounter(
-      "sealdb_engine_compaction_device_seconds_total",
-      "Simulated device busy time consumed by compactions", L());
 
   const char* stage_help = "Compaction wall time by stage";
-  pick_micros = r.RegisterTimeCounter(
+  pick_time = r.RegisterTimeCounter(
       "sealdb_engine_compaction_stage_seconds_total", stage_help,
       L({{"stage", "pick"}}));
-  read_micros = r.RegisterTimeCounter(
+  read_time = r.RegisterTimeCounter(
       "sealdb_engine_compaction_stage_seconds_total", stage_help,
       L({{"stage", "read"}}));
-  merge_micros = r.RegisterTimeCounter(
+  merge_time = r.RegisterTimeCounter(
       "sealdb_engine_compaction_stage_seconds_total", stage_help,
       L({{"stage", "merge"}}));
-  write_micros = r.RegisterTimeCounter(
+  write_time = r.RegisterTimeCounter(
       "sealdb_engine_compaction_stage_seconds_total", stage_help,
       L({{"stage", "write"}}));
-  install_micros = r.RegisterTimeCounter(
+  install_time = r.RegisterTimeCounter(
       "sealdb_engine_compaction_stage_seconds_total", stage_help,
       L({{"stage", "install"}}));
 
@@ -58,7 +55,7 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
   stall_stops = r.RegisterCounter(
       "sealdb_engine_write_stall_events_total",
       "Writes that hit the L0 slowdown/stop triggers", L({{"kind", "stop"}}));
-  stall_micros = r.RegisterTimeCounter(
+  stall_time = r.RegisterTimeCounter(
       "sealdb_engine_write_stall_seconds_total",
       "Wall time writers spent parked in MakeRoomForWrite", L());
 
@@ -80,7 +77,7 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
         "sealdb_engine_compactions_total",
         "Compactions by output level (trivial moves included)",
         L({{"level", level}}));
-    level_micros_[slot] = r.RegisterTimeCounter(
+    level_time_[slot] = r.RegisterTimeCounter(
         "sealdb_engine_compaction_seconds_total",
         "Compaction wall time by output level", L({{"level", level}}));
   }

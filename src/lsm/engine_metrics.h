@@ -31,18 +31,18 @@ class EngineMetrics {
   obs::Counter* flushes;
   obs::Counter* compaction_read_bytes;
   obs::Counter* compaction_write_bytes;
-  obs::TimeCounter* compaction_device;  // simulated drive time
 
-  // Per-stage compaction wall time, totalled across levels.
-  obs::TimeCounter* pick_micros;
-  obs::TimeCounter* read_micros;
-  obs::TimeCounter* merge_micros;
-  obs::TimeCounter* write_micros;
-  obs::TimeCounter* install_micros;
+  // Per-stage compaction wall time, totalled across levels. read, merge
+  // and write split each compaction's exact time in sampled ratios.
+  obs::TimeCounter* pick_time;
+  obs::TimeCounter* read_time;
+  obs::TimeCounter* merge_time;
+  obs::TimeCounter* write_time;
+  obs::TimeCounter* install_time;
 
   obs::Counter* stall_slowdowns;
   obs::Counter* stall_stops;
-  obs::TimeCounter* stall_micros;
+  obs::TimeCounter* stall_time;
 
   obs::Gauge* max_parallel;  // HWM, via SetMax
   obs::Gauge* stall_level;   // live 0/1/2 (mirror of DB::WriteStallLevel)
@@ -55,8 +55,8 @@ class EngineMetrics {
   obs::Counter* compactions_at(int level) {
     return compactions_[Slot(level)];
   }
-  obs::TimeCounter* compaction_micros_at(int level) {
-    return level_micros_[Slot(level)];
+  obs::TimeCounter* compaction_time_at(int level) {
+    return level_time_[Slot(level)];
   }
 
   // The paper's WA over byte totals; 1.0 before any user write.
@@ -74,7 +74,7 @@ class EngineMetrics {
 
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter* compactions_[kLevelSlots];
-  obs::TimeCounter* level_micros_[kLevelSlots];
+  obs::TimeCounter* level_time_[kLevelSlots];
   size_t wa_hook_id_ = 0;
 };
 

@@ -21,7 +21,8 @@
 //
 // Naming scheme: sealdb_<subsystem>_<quantity>[_<unit>][_total], labels for
 // enumerable dimensions ({level=,stage=,op=,reason=,dir=,kind=}). Counters
-// end in _total; time counters use _nanos/_micros units.
+// end in _total; time counters count nanoseconds and render in seconds
+// (_seconds_total).
 #pragma once
 
 #include <atomic>
@@ -73,10 +74,9 @@ class TimeCounter {
   void AddSeconds(double s) {
     if (s > 0) nanos_.Add(static_cast<uint64_t>(s * 1e9 + 0.5));
   }
-  void AddMicros(uint64_t us) { nanos_.Add(us * 1000); }
+  void AddNanos(uint64_t ns) { nanos_.Add(ns); }
   double Seconds() const { return nanos_.Value() / 1e9; }
   uint64_t Nanos() const { return nanos_.Value(); }
-  uint64_t Micros() const { return nanos_.Value() / 1000; }
 
  private:
   Counter nanos_;

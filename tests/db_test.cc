@@ -4,13 +4,17 @@
 // differential test against an in-memory reference model.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/presets.h"
 #include "lsm/db.h"
 #include "lsm/write_batch.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace sealdb {
@@ -368,6 +372,59 @@ TEST_P(DBTest, DestroyRemovesFiles) {
   // DestroyDB removes a *different* dead prefix safely.
   ASSERT_TRUE(DestroyDB("/nonexistent", options, store).ok());
   EXPECT_EQ("NOT_FOUND", Get("zzz-missing"));
+}
+
+// The merge loop times read/merge/write only on sampled entries and splits
+// each compaction's exact wall time in their ratios: every stage must still
+// see time, the three must sum to the per-level compaction time to the
+// nanosecond, and no stage may count more wall time than the writes took.
+TEST(CompactionStageTest, SampledSplitSumsToCompactionTime) {
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(
+      BuildStack(TinyConfig(SystemKind::kSEALDB), "/stages", &stack).ok());
+  ASSERT_TRUE(stack->options().inline_compactions);
+  DB* db = stack->db();
+  const auto fill_start = std::chrono::steady_clock::now();
+  Random rnd(301);
+  for (int i = 0; i < 30000; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(rnd.Uniform(60000)), Value(i)).ok());
+  }
+  const uint64_t fill_nanos = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - fill_start)
+          .count());
+
+  // Sum a time-counter family in whole nanoseconds, per series, so the
+  // comparison below is exact rather than a sum of rounded doubles.
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  const std::vector<obs::MetricSample> samples = reg.Snapshot();
+  auto family_nanos = [&samples](const std::string& name,
+                                 const std::string& stage = "") {
+    uint64_t total = 0;
+    for (const obs::MetricSample& m : samples) {
+      if (m.name != name) continue;
+      bool match = stage.empty();
+      for (const auto& [key, value] : m.labels) {
+        if (key == "stage" && value == stage) match = true;
+      }
+      if (match) total += static_cast<uint64_t>(std::llround(m.value * 1e9));
+    }
+    return total;
+  };
+  const std::string kStage = "sealdb_engine_compaction_stage_seconds_total";
+  ASSERT_GT(reg.counter_value("sealdb_engine_compactions_total",
+                              {{"level", "2"}}),
+            0u);
+  const uint64_t read = family_nanos(kStage, "read");
+  const uint64_t merge = family_nanos(kStage, "merge");
+  const uint64_t write = family_nanos(kStage, "write");
+  EXPECT_GT(read, 0u);
+  EXPECT_GT(merge, 0u);
+  EXPECT_GT(write, 0u);
+  EXPECT_EQ(read + merge + write,
+            family_nanos("sealdb_engine_compaction_seconds_total"));
+  EXPECT_LE(family_nanos(kStage), fill_nanos);
 }
 
 // Write stalls engage when a slowed device lets L0 files pile past the

@@ -107,7 +107,7 @@ TEST(MetricsRegistry, TimeCounterUnits) {
   obs::TimeCounter* t = reg.RegisterTimeCounter("test_seconds_total", "t", {});
   ASSERT_NE(t, nullptr);
   t->AddSeconds(1.5);
-  t->AddMicros(500'000);
+  t->AddNanos(500'000'000);
   EXPECT_DOUBLE_EQ(t->Seconds(), 2.0);
   EXPECT_EQ(t->Nanos(), 2'000'000'000u);
   EXPECT_DOUBLE_EQ(reg.time_value("test_seconds_total"), 2.0);
