@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstring>
-#include <thread>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -148,6 +146,10 @@ class StoreRandomAccessFile final : public RandomAccessFile {
       return Status::OK();
     }
     n = std::min<uint64_t>(n, meta.size - offset);
+    // A read that starts where the previous one ended is sequential, hit or
+    // miss: a front-to-back reader keeps streaming across buffer refills.
+    const bool sequential = offset == last_end_;
+    last_end_ = offset + n;
 
     // Serve from the readahead buffer when possible.
     if (offset >= buf_offset_ && offset + n <= buf_offset_ + buf_.size()) {
@@ -158,8 +160,6 @@ class StoreRandomAccessFile final : public RandomAccessFile {
 
     // Choose fetch size: stream ahead on sequential access patterns, fetch
     // tightly on random ones.
-    const bool sequential = offset == last_end_;
-    last_end_ = offset + n;
     uint64_t fetch_len = sequential ? std::max<uint64_t>(n, kReadaheadBytes)
                                     : n;
     const uint64_t block = store_->drive()->geometry().block_bytes;
@@ -207,150 +207,6 @@ class StoreSequentialFile final : public SequentialFile {
  private:
   StoreRandomAccessFile file_;
   uint64_t pos_ = 0;
-};
-
-// Double-buffered streaming reader for front-to-back scans. The file is
-// divided into a grid of `window_`-byte chunks; two slots (chunk k in slot
-// k % 2) hold the current chunk and its successor. When a read touches
-// chunk k, chunk k+1 is handed to a per-handle prefetch thread, so by the
-// time the scan crosses the boundary the next chunk's device read has
-// already happened (or is in flight) while the caller decoded the previous
-// one. Random access still works — any miss falls back to a synchronous
-// chunk fetch — it just wastes the prefetch.
-//
-// Locking: m_ guards the slot/prefetch state. The worker never holds the
-// store mutex while acquiring m_ (it reads via FileStore::ReadFileRange,
-// which scopes the store mutex internally), so a consumer holding m_ may
-// safely enter the store.
-class StoreReadaheadFile final : public RandomAccessFile {
- public:
-  StoreReadaheadFile(FileStore* store, std::string name, uint64_t window,
-                     uint64_t size)
-      : store_(store), name_(std::move(name)), window_(window), size_(size) {}
-
-  ~StoreReadaheadFile() override {
-    std::unique_lock<std::mutex> l(m_);
-    shutdown_ = true;
-    work_cv_.notify_all();
-    l.unlock();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  Status Read(uint64_t offset, size_t n, Slice* result,
-              char* scratch) const override {
-    if (offset >= size_) {
-      *result = Slice(scratch, 0);
-      return Status::OK();
-    }
-    n = std::min<uint64_t>(n, size_ - offset);
-    const uint64_t first = offset / window_;
-    const uint64_t last = (offset + n - 1) / window_;
-
-    std::unique_lock<std::mutex> l(m_);
-    uint64_t copied = 0;
-    for (uint64_t k = first; k <= last; k++) {
-      Status s = EnsureChunk(k, l);
-      if (!s.ok()) return s;
-      const Slot& slot = slots_[k % 2];
-      const uint64_t begin = std::max(offset, k * window_);
-      const uint64_t end = std::min<uint64_t>(offset + n, (k + 1) * window_);
-      std::memcpy(scratch + copied, slot.data.data() + (begin - k * window_),
-                  end - begin);
-      copied += end - begin;
-    }
-    // Keep the pipeline full: start fetching the successor chunk while the
-    // caller decodes what it just read.
-    SchedulePrefetch(last + 1, l);
-    *result = Slice(scratch, copied);
-    return Status::OK();
-  }
-
- private:
-  struct Slot {
-    uint64_t index = UINT64_MAX;
-    Status status;
-    std::string data;
-  };
-
-  uint64_t ChunkLen(uint64_t k) const {
-    const uint64_t begin = k * window_;
-    const uint64_t block = store_->drive()->geometry().block_bytes;
-    return std::min(window_, RoundUp(size_, block) - begin);
-  }
-
-  bool ChunkInFile(uint64_t k) const { return k * window_ < size_; }
-
-  // Make chunk k resident in slot k % 2 (waiting out an in-flight prefetch
-  // of the same chunk, or fetching synchronously on a miss).
-  Status EnsureChunk(uint64_t k, std::unique_lock<std::mutex>& l) const {
-    while (true) {
-      Slot& slot = slots_[k % 2];
-      if (slot.index == k) return slot.status;
-      if (pending_active_ && pending_index_ == k) {
-        done_cv_.wait(l);
-        continue;
-      }
-      // Miss: fetch synchronously. Holding m_ here only stalls the worker's
-      // publish step, never the store.
-      const uint64_t len = ChunkLen(k);
-      slot.index = k;
-      slot.data.resize(len);
-      slot.status =
-          store_->ReadFileRange(name_, k * window_, len, slot.data.data());
-      return slot.status;
-    }
-  }
-
-  void SchedulePrefetch(uint64_t k, std::unique_lock<std::mutex>& l) const {
-    (void)l;  // documents that m_ is held
-    if (!ChunkInFile(k)) return;
-    if (slots_[k % 2].index == k) return;
-    if (pending_active_) return;  // one prefetch in flight at a time
-    pending_index_ = k;
-    pending_active_ = true;
-    if (!worker_.joinable()) {
-      worker_ = std::thread(&StoreReadaheadFile::WorkerMain,
-                            const_cast<StoreReadaheadFile*>(this));
-    }
-    work_cv_.notify_all();
-  }
-
-  void WorkerMain() {
-    std::unique_lock<std::mutex> l(m_);
-    while (!shutdown_) {
-      if (!pending_active_) {
-        work_cv_.wait(l);
-        continue;
-      }
-      const uint64_t k = pending_index_;
-      const uint64_t len = ChunkLen(k);
-      std::string buf;
-      buf.resize(len);
-      l.unlock();
-      Status s = store_->ReadFileRange(name_, k * window_, len, buf.data());
-      l.lock();
-      Slot& slot = slots_[k % 2];
-      slot.index = k;
-      slot.status = s;
-      slot.data.swap(buf);
-      pending_active_ = false;
-      done_cv_.notify_all();
-    }
-  }
-
-  FileStore* const store_;
-  const std::string name_;
-  const uint64_t window_;  // block-aligned chunk size
-  const uint64_t size_;    // logical file size (immutable once opened)
-
-  mutable std::mutex m_;
-  mutable std::condition_variable work_cv_;  // worker: a prefetch is queued
-  mutable std::condition_variable done_cv_;  // consumer: a prefetch landed
-  mutable Slot slots_[2];
-  mutable uint64_t pending_index_ = 0;
-  mutable bool pending_active_ = false;
-  mutable bool shutdown_ = false;
-  mutable std::thread worker_;
 };
 
 // ---------------------------------------------------------------------
@@ -1231,23 +1087,6 @@ Status FileStore::NewRandomAccessFile(
     }
   }
   *result = std::make_unique<StoreRandomAccessFile>(this, name);
-  return Status::OK();
-}
-
-Status FileStore::NewReadaheadFile(const std::string& name, uint64_t window,
-                                   std::unique_ptr<RandomAccessFile>* result) {
-  uint64_t size;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    auto it = files_.find(name);
-    if (it == files_.end()) {
-      return Status::NotFound("file not found", name);
-    }
-    size = it->second.size;
-  }
-  const uint64_t block = drive_->geometry().block_bytes;
-  window = RoundUp(std::max(window, block), block);
-  *result = std::make_unique<StoreReadaheadFile>(this, name, window, size);
   return Status::OK();
 }
 

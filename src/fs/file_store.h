@@ -130,14 +130,11 @@ class FileStore {
   Status NewWritableFile(const std::string& name, uint64_t size_hint,
                          std::unique_ptr<WritableFile>* result,
                          bool appendable = false);
+  // Reads fetch exactly the blocks asked for, except that a read starting
+  // where the previous one ended streams 256 KiB ahead into a per-handle
+  // buffer that later reads are served from.
   Status NewRandomAccessFile(const std::string& name,
                              std::unique_ptr<RandomAccessFile>* result);
-  // Streaming reader for front-to-back scans (set-granularity compaction
-  // inputs): fetches `window`-byte chunks and prefetches the next chunk on
-  // a dedicated thread while the caller consumes the previous one, so
-  // decode/merge overlaps the next chunk's device read.
-  Status NewReadaheadFile(const std::string& name, uint64_t window,
-                          std::unique_ptr<RandomAccessFile>* result);
   Status NewSequentialFile(const std::string& name,
                            std::unique_ptr<SequentialFile>* result);
   Status RemoveFile(const std::string& name);
@@ -205,9 +202,11 @@ class FileStore {
   // Which checkpoint slot holds the newest state (testing/inspection).
   int active_checkpoint_slot() const { return active_slot_; }
 
-  // One locked read of [offset, offset+n) from a live file (readahead
-  // worker entry point; offset/n must be device-block aligned within the
-  // block-rounded file size).
+  // One locked read of [offset, offset+n) from a live file, with no
+  // buffering: one drive request per extent the range touches. offset/n
+  // must be device-block aligned within the block-rounded file size.
+  // Compactions read each input table whole through this, before the merge
+  // writes its first output.
   Status ReadFileRange(const std::string& name, uint64_t offset, uint64_t n,
                        char* scratch);
 
@@ -215,7 +214,6 @@ class FileStore {
   friend class StoreWritableFile;
   friend class StoreRandomAccessFile;
   friend class StoreSequentialFile;
-  friend class StoreReadaheadFile;
 
   struct FileMeta {
     std::vector<Extent> extents;

@@ -42,8 +42,9 @@ struct ScrubOptions {
   // foreground latency profile, fast enough to cover a test-sized store
   // in seconds.
   uint64_t rate_bytes_per_sec = 8ull << 20;
-  // Bytes verified per ScrubStep (one mutex hold). Matches the read
-  // path's readahead chunk so a step costs about one foreground read.
+  // Bytes verified per ScrubStep (one mutex hold). Matches the 256 KiB a
+  // table file handle streams ahead on sequential reads, so a step costs
+  // about one streamed foreground read.
   uint64_t step_bytes = 256 * 1024;
   // Quarantined-block count at which the owning shard is degraded.
   uint64_t degrade_bad_blocks = 16;

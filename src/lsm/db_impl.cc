@@ -1031,25 +1031,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
 
   const uint64_t input_bytes = compact->compaction->TotalInputBytes();
 
-  // SEALDB: reserve one contiguous region for the whole output set before
-  // writing (dynamic band management, Eq. 1 applied inside the allocator).
-  if (options_.compaction_unit == CompactionUnit::kSet) {
-    // Outputs roughly equal inputs; the slack covers per-table format
-    // overhead and is returned to the free list by SealRegion.
-    const uint64_t region_size =
-        input_bytes + input_bytes / 16 + 2 * options_.max_file_size;
-    mutex_.unlock();
-    // With background compactions, flushes may append behind the region
-    // while it is still being filled; reserve a trailing guard then.
-    Status rs = store_->AllocateRegion(region_size, &compact->region_id,
-                                       !options_.inline_compactions);
-    mutex_.lock();
-    if (!rs.ok()) {
-      // Fall back to per-file placement rather than failing the compaction.
-      compact->region_id = 0;
-    }
-  }
-
   // Deletion markers can only be dropped when no older version of the key
   // can exist outside the compaction. With an overlapping last level
   // (SMRDB mode), runs not participating in this compaction may still hold
@@ -1065,14 +1046,46 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
         in_level_inputs == versions_->current()->files(out_level).size();
   }
 
-  Iterator* input = versions_->MakeInputIterator(compact->compaction);
-
-  // Release mutex while we're actually doing the compaction work
+  // Release mutex while we're actually doing the compaction work: every
+  // drive request below runs without it.
   mutex_.unlock();
 
-  // Stage accounting: SeekToFirst (read) and the trailing output finish
-  // (write) are timed exactly; the loop between them is timed as a whole
-  // and split into read/merge/write in the ratios of the sampled entries.
+  // Set-at-once I/O: read every input table whole, one drive request each,
+  // the victim level's files and then the set, before the merge writes its
+  // first output (stage "read"). Inputs past TableCache::kMaxImageBytes
+  // stream instead.
+  const uint64_t images_start = NowNanos();
+  TableImages images;
+  Status status = table_cache_->ReadImages(compact->compaction->inputs(0),
+                                           compact->compaction->inputs(1),
+                                           &images);
+  const uint64_t images_nanos = NowNanos() - images_start;
+
+  // SEALDB: reserve one contiguous region for the whole output set before
+  // writing (dynamic band management, Eq. 1 applied inside the allocator).
+  if (status.ok() && options_.compaction_unit == CompactionUnit::kSet) {
+    // Outputs roughly equal inputs; the slack covers per-table format
+    // overhead and is returned to the free list by SealRegion.
+    const uint64_t region_size =
+        input_bytes + input_bytes / 16 + 2 * options_.max_file_size;
+    // With background compactions, flushes may append behind the region
+    // while it is still being filled; reserve a trailing guard then.
+    Status rs = store_->AllocateRegion(region_size, &compact->region_id,
+                                       !options_.inline_compactions);
+    if (!rs.ok()) {
+      // Fall back to per-file placement rather than failing the compaction.
+      compact->region_id = 0;
+    }
+  }
+
+  Iterator* input =
+      status.ok() ? versions_->MakeInputIterator(compact->compaction, images)
+                  : NewErrorIterator(status);
+
+  // Stage accounting: the image reads and SeekToFirst (read) and the
+  // trailing output finish (write) are timed exactly; the loop between
+  // them is timed as a whole and split into read/merge/write in the ratios
+  // of the sampled entries.
   const uint64_t seek_start = NowNanos();
   input->SeekToFirst();
   const uint64_t loop_start = NowNanos();
@@ -1080,7 +1093,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   uint64_t flush_nanos = 0;  // in-loop memtable flushes belong to no stage
   Random sampler(static_cast<uint32_t>(input_bytes));
   bool sample = true;
-  Status status;
   ParsedInternalKey ikey;
   std::string current_user_key;
   bool has_current_user_key = false;
@@ -1202,6 +1214,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   }
   delete input;
   input = nullptr;
+  images.clear();  // the merge was their last reader
 
   if (status.ok() && compact->region_id != 0) {
     // Return the unused tail of the set region to the free-space list.
@@ -1219,7 +1232,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     merge_nanos =
         std::min<uint64_t>(loop_nanos - loop_read, sampled_merge * scale);
   }
-  const uint64_t read_nanos = (loop_start - seek_start) + loop_read;
+  const uint64_t read_nanos =
+      images_nanos + (loop_start - seek_start) + loop_read;
   const uint64_t write_nanos =
       (loop_nanos - loop_read - merge_nanos) + finish_nanos;
 

@@ -1,5 +1,9 @@
 #include "lsm/table.h"
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+
 #include "buf/buffer_pool.h"
 #include "fs/file_store.h"
 #include "lsm/block.h"
@@ -28,6 +32,40 @@ void DeleteFilterPageValue(void* value) {
 }
 
 void DeleteBlockValue(void* value) { delete static_cast<Block*>(value); }
+
+// Open reads the table's tail -- filter, metaindex and index blocks and the
+// footer, which sit contiguously at EOF -- in one request of
+// max(kMinTailBytes, size / kTailDivisor) bytes. Measured tails (16 B keys,
+// 10-bit bloom filter) are 1.3% of the table with 4 KiB values, 1.5% with
+// 256 B and 2.0% with 128 B; size/48 = 2.08% covers them. With 64 B values
+// (2.7%) a table past the 4 KiB floor reads the blocks the span misses on
+// their own.
+constexpr uint64_t kMinTailBytes = 4096;
+constexpr uint64_t kTailDivisor = 48;
+
+// Serves reads inside the tail span from memory, copied into the caller's
+// scratch so the blocks stay heap-allocated and poolable; a block the span
+// does not cover is read from the file.
+class TailFile final : public fs::RandomAccessFile {
+ public:
+  TailFile(fs::RandomAccessFile* file, uint64_t offset, Slice tail)
+      : file_(file), offset_(offset), tail_(tail) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    if (offset >= offset_ && offset + n <= offset_ + tail_.size()) {
+      std::memcpy(scratch, tail_.data() + (offset - offset_), n);
+      *result = Slice(scratch, n);
+      return Status::OK();
+    }
+    return file_->Read(offset, n, result, scratch);
+  }
+
+ private:
+  fs::RandomAccessFile* const file_;
+  const uint64_t offset_;
+  const Slice tail_;
+};
 
 }  // namespace
 
@@ -61,12 +99,17 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
     return Status::Corruption("file is too short to be an sstable");
   }
 
-  char footer_space[Footer::kEncodedLength];
-  Slice footer_input;
-  Status s = file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength,
-                        &footer_input, footer_space);
+  const uint64_t span =
+      std::min(size, std::max(kMinTailBytes, size / kTailDivisor));
+  auto tail_space = std::make_unique_for_overwrite<char[]>(span);
+  Slice tail;
+  Status s = file->Read(size - span, span, &tail, tail_space.get());
   if (!s.ok()) return s;
+  if (tail.size() != span) return Status::Corruption("truncated table tail");
+  TailFile meta_file(file, size - span, tail);
 
+  Slice footer_input(tail.data() + span - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
   Footer footer;
   s = footer.DecodeFrom(&footer_input);
   if (!s.ok()) return s;
@@ -88,7 +131,8 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
     index_owned = false;
   } else {
     BlockContents index_block_contents;
-    s = ReadBlock(file, opt, footer.index_handle(), &index_block_contents);
+    s = ReadBlock(&meta_file, opt, footer.index_handle(),
+                  &index_block_contents);
     if (s.ok()) {
       index_block = new Block(index_block_contents);
       if (buffer && index_block_contents.cachable) {
@@ -119,13 +163,13 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
     rep->filter_data = nullptr;
     rep->filter = nullptr;
     *table = new Table(rep);
-    (*table)->ReadMeta(footer);
+    (*table)->ReadMeta(footer, &meta_file);
   }
 
   return s;
 }
 
-void Table::ReadMeta(const Footer& footer) {
+void Table::ReadMeta(const Footer& footer, fs::RandomAccessFile* file) {
   if (rep_->options.filter_policy == nullptr) {
     return;  // Do not need any metadata
   }
@@ -135,7 +179,7 @@ void Table::ReadMeta(const Footer& footer) {
     opt.verify_checksums = true;
   }
   BlockContents contents;
-  if (!ReadBlock(rep_->file, opt, footer.metaindex_handle(), &contents).ok()) {
+  if (!ReadBlock(file, opt, footer.metaindex_handle(), &contents).ok()) {
     // Do not propagate errors since meta info is not needed for operation
     return;
   }
@@ -146,13 +190,14 @@ void Table::ReadMeta(const Footer& footer) {
   key.append(rep_->options.filter_policy->Name());
   iter->Seek(key);
   if (iter->Valid() && iter->key() == Slice(key)) {
-    ReadFilter(iter->value());
+    ReadFilter(iter->value(), file);
   }
   delete iter;
   delete meta;
 }
 
-void Table::ReadFilter(const Slice& filter_handle_value) {
+void Table::ReadFilter(const Slice& filter_handle_value,
+                       fs::RandomAccessFile* file) {
   Slice v = filter_handle_value;
   BlockHandle filter_handle;
   if (!filter_handle.DecodeFrom(&v).ok()) {
@@ -178,7 +223,7 @@ void Table::ReadFilter(const Slice& filter_handle_value) {
     opt.verify_checksums = true;
   }
   BlockContents block;
-  if (!ReadBlock(rep_->file, opt, filter_handle, &block).ok()) {
+  if (!ReadBlock(file, opt, filter_handle, &block).ok()) {
     return;
   }
   if (buffer && block.heap_allocated) {

@@ -23,7 +23,9 @@ class Table {
  public:
   // Attempt to open the table that is stored in bytes [0..file_size) of
   // "file", and read the metadata entries necessary to allow retrieving
-  // data from the table.
+  // data from the table. The metadata (filter, metaindex and index blocks,
+  // footer) sits contiguously at EOF and is read in one request sized from
+  // the file; a block that request does not cover is read on its own.
   //
   // If successful, returns ok and sets "*table" to the newly opened table.
   // The client should delete "*table" when no longer needed. "*file" must
@@ -69,8 +71,10 @@ class Table {
                      void (*handle_result)(void* arg, const Slice& k,
                                            const Slice& v));
 
-  void ReadMeta(const Footer& footer);
-  void ReadFilter(const Slice& filter_handle_value);
+  // Read the filter through `file`, the table file or Open's tail span.
+  void ReadMeta(const Footer& footer, fs::RandomAccessFile* file);
+  void ReadFilter(const Slice& filter_handle_value,
+                  fs::RandomAccessFile* file);
 
   Rep* const rep_;
 };

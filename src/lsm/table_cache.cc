@@ -1,8 +1,12 @@
 #include "lsm/table_cache.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "fs/file_store.h"
 #include "lsm/filename.h"
 #include "lsm/table.h"
+#include "lsm/version_edit.h"
 #include "util/coding.h"
 
 namespace sealdb {
@@ -78,52 +82,81 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
 
 namespace {
 
-// Owns the private file + table behind a streaming (readahead) iterator;
-// these deliberately bypass the shared table cache so a one-pass compaction
-// scan neither evicts hot tables nor leaves its prefetch thread alive
-// longer than the iterator.
-struct StreamingTableState {
-  std::unique_ptr<fs::RandomAccessFile> file;
-  Table* table = nullptr;
-  ~StreamingTableState() { delete table; }
+// A table image's bytes as a file. Reads return pointers into the image,
+// so ReadBlock decodes blocks in place (its `data != buf` path).
+class ImageFile final : public fs::RandomAccessFile {
+ public:
+  explicit ImageFile(Slice image) : image_(image) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    (void)scratch;
+    if (offset >= image_.size()) {
+      *result = Slice();
+      return Status::OK();
+    }
+    *result = Slice(image_.data() + offset,
+                    std::min<uint64_t>(n, image_.size() - offset));
+    return Status::OK();
+  }
+
+ private:
+  const Slice image_;
 };
 
-void DeleteStreamingTable(void* arg1, void* arg2) {
-  (void)arg2;
-  delete reinterpret_cast<StreamingTableState*>(arg1);
-}
-
 }  // namespace
+
+TableImage::TableImage() = default;
+TableImage::TableImage(TableImage&&) noexcept = default;
+TableImage::~TableImage() = default;
+
+Status TableCache::ReadImages(const std::vector<FileMetaData*>& victims,
+                              const std::vector<FileMetaData*>& set,
+                              TableImages* images) {
+  const uint64_t block = store_->drive()->geometry().block_bytes;
+  uint64_t held = 0;
+  std::vector<fs::Extent> extents;
+  for (const std::vector<FileMetaData*>* files : {&victims, &set}) {
+    std::vector<std::pair<uint64_t, const FileMetaData*>> order;  // physical
+    for (const FileMetaData* f : *files) {
+      Status s =
+          store_->GetFileExtents(TableFileName(dbname_, f->number), &extents);
+      if (!s.ok()) return s;
+      order.emplace_back(extents.empty() ? 0 : extents.front().offset, f);
+    }
+    std::sort(order.begin(), order.end());
+
+    for (const auto& [physical, f] : order) {
+      const std::string fname = TableFileName(dbname_, f->number);
+      const uint64_t len = (f->file_size + block - 1) / block * block;
+      TableImage image;
+      Status s;
+      if (held + len <= kMaxImageBytes) {
+        image.data = std::make_unique_for_overwrite<char[]>(len);
+        s = store_->ReadFileRange(fname, 0, len, image.data.get());
+        if (!s.ok()) return s;
+        image.file =
+            std::make_unique<ImageFile>(Slice(image.data.get(), f->file_size));
+        held += len;
+      } else {
+        s = store_->NewRandomAccessFile(fname, &image.file);
+        if (!s.ok()) return s;
+      }
+      Table* table = nullptr;
+      s = Table::Open(options_, image.file.get(), f->file_size, &table);
+      if (!s.ok()) return s;
+      image.table.reset(table);
+      images->emplace(f->number, std::move(image));
+    }
+  }
+  return Status::OK();
+}
 
 Iterator* TableCache::NewIterator(const ReadOptions& options,
                                   uint64_t file_number, uint64_t file_size,
                                   Table** tableptr) {
   if (tableptr != nullptr) {
     *tableptr = nullptr;
-  }
-
-  if (options.readahead_bytes > 0) {
-    // Streaming scan: open a dedicated double-buffered reader instead of
-    // the cached mmap-style handle, so the whole table is consumed in a
-    // few large sequential chunks with the next chunk prefetched.
-    std::string fname = TableFileName(dbname_, file_number);
-    auto state = std::make_unique<StreamingTableState>();
-    Status s = store_->NewReadaheadFile(fname, options.readahead_bytes,
-                                        &state->file);
-    if (s.ok()) {
-      // No buffer client: a one-pass compaction scan must not flush the
-      // pool's hot pages.
-      s = Table::Open(options_, state->file.get(), file_size, &state->table);
-    }
-    if (!s.ok()) {
-      return NewErrorIterator(s);
-    }
-    Iterator* result = state->table->NewIterator(options);
-    result->RegisterCleanup(&DeleteStreamingTable, state.release(), nullptr);
-    if (tableptr != nullptr) {
-      // Not exposed: the table dies with the iterator.
-    }
-    return result;
   }
 
   Cache::Handle* handle = nullptr;

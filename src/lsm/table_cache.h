@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "buf/buffer_pool.h"
 #include "lsm/dbformat.h"
@@ -15,9 +17,31 @@ namespace sealdb {
 
 namespace fs {
 class FileStore;
+class RandomAccessFile;
 }
 
+struct FileMetaData;
 class Table;
+
+// A compaction input opened for one pass: read whole, in one drive
+// request, and opened over that buffer, so the table's iterators decode
+// blocks in place; or, past the compaction's image budget, opened over a
+// private store handle that streams it through the handle's readahead. It
+// has no buffer-pool client, so a one-pass compaction scan never flushes
+// the pool's hot pages. Must outlive the table's iterators.
+struct TableImage {
+  TableImage();
+  TableImage(TableImage&&) noexcept;
+  ~TableImage();
+
+  std::unique_ptr<char[]> data;  // null when the table streams
+  // Reads pointing into `data`, or the streaming store handle.
+  std::unique_ptr<fs::RandomAccessFile> file;
+  std::unique_ptr<Table> table;
+};
+
+// Table images keyed by file number.
+using TableImages = std::map<uint64_t, TableImage>;
 
 class TableCache {
  public:
@@ -40,6 +64,18 @@ class TableCache {
   // as the returned iterator is live.
   Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
                         uint64_t file_size, Table** tableptr = nullptr);
+
+  // A compaction holds at most this many bytes of input images.
+  static constexpr uint64_t kMaxImageBytes = 64ull << 20;
+
+  // Open a compaction's inputs into *images: the victim level's tables,
+  // then the set, each group in physical order so the head sweeps forward.
+  // Each table is read whole, one FileStore::ReadFileRange over the
+  // block-rounded file, while the images stay within kMaxImageBytes; the
+  // rest stream (see TableImage). Needs no DB mutex.
+  Status ReadImages(const std::vector<FileMetaData*>& victims,
+                    const std::vector<FileMetaData*>& set,
+                    TableImages* images);
 
   // If a seek to internal key "k" in specified file finds an entry,
   // call (*handle_result)(arg, found_key, found_value).

@@ -1235,20 +1235,37 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
   GetRange(all, smallest, largest);
 }
 
-Iterator* VersionSet::MakeInputIterator(Compaction* c) {
+static Iterator* ImageIterator(const TableImages& images,
+                               const ReadOptions& options, uint64_t number) {
+  auto it = images.find(number);
+  if (it == images.end()) {
+    return NewErrorIterator(
+        Status::Corruption("compaction input was not read"));
+  }
+  return it->second.table->NewIterator(options);
+}
+
+static Iterator* GetImageIterator(void* arg, const ReadOptions& options,
+                                  const Slice& file_value) {
+  if (file_value.size() != 16) {
+    return NewErrorIterator(
+        Status::Corruption("FileReader invoked with unexpected value"));
+  }
+  return ImageIterator(*reinterpret_cast<const TableImages*>(arg), options,
+                       DecodeFixed64(file_value.data()));
+}
+
+Iterator* VersionSet::MakeInputIterator(Compaction* c,
+                                        const TableImages& images) {
   ReadOptions options;
   options.verify_checksums = options_->paranoid_checks;
-  // Compaction inputs are consumed front-to-back exactly once; stream each
-  // file in large chunks and prefetch the next chunk while the merge decodes
-  // the previous one. A window of half the target file size (bounded to
-  // [256 KB, 4 MB]) keeps the double buffer at most one file-sized span.
-  options.readahead_bytes = std::clamp<uint64_t>(options_->max_file_size / 2,
-                                                 256 * 1024, 4 * 1024 * 1024);
 
   // Level-0 files (and files of an overlapping level) have to be merged
   // together; for other levels we can use a concatenating iterator that
-  // sequentially walks through the non-overlapping files.
-  const bool in0_overlapping = current_->LevelIsOverlapping(c->level());
+  // sequentially walks through the non-overlapping files. Overlap depends
+  // only on the level, so the input version answers without the mutex.
+  const bool in0_overlapping =
+      c->input_version_->LevelIsOverlapping(c->level());
   const int space =
       (in0_overlapping ? c->inputs_[0].size() + 1 : 2);
   Iterator** list = new Iterator*[space];
@@ -1256,16 +1273,14 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
   for (int which = 0; which < 2; which++) {
     if (!c->inputs_[which].empty()) {
       if (which == 0 && in0_overlapping) {
-        const std::vector<FileMetaData*>& files = c->inputs_[which];
-        for (size_t i = 0; i < files.size(); i++) {
-          list[num++] = table_cache_->NewIterator(options, files[i]->number,
-                                                  files[i]->file_size);
+        for (const FileMetaData* f : c->inputs_[which]) {
+          list[num++] = ImageIterator(images, options, f->number);
         }
       } else {
         // Create concatenating iterator for the files from this level
         list[num++] = NewTwoLevelIterator(
             new Version::LevelFileNumIterator(icmp_, &c->inputs_[which]),
-            &GetFileIterator, table_cache_, options);
+            &GetImageIterator, const_cast<TableImages*>(&images), options);
       }
     }
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lsm/dbformat.h"
+#include "lsm/table_cache.h"
 #include "lsm/version_edit.h"
 #include "util/options.h"
 
@@ -35,7 +36,6 @@ class Compaction;
 class Iterator;
 class MemTable;
 class TableBuilder;
-class TableCache;
 class Version;
 class VersionSet;
 class WritableFile;
@@ -295,8 +295,10 @@ class VersionSet {
 
   uint64_t MaxFileSizeForLevel(int level) const;
 
-  // Create an iterator that reads over the compaction inputs for "*c".
-  Iterator* MakeInputIterator(Compaction* c);
+  // Create an iterator that merges the compaction inputs for "*c" from
+  // their images (read by TableCache::ReadImages, and outliving the
+  // iterator). Needs no mutex.
+  Iterator* MakeInputIterator(Compaction* c, const TableImages& images);
 
   // Returns true iff some level needs a compaction.
   bool NeedsCompaction() const {
@@ -398,6 +400,9 @@ class Compaction {
 
   // Return the ith input file at "level()+which" ("which" must be 0 or 1).
   FileMetaData* input(int which, int i) const { return inputs_[which][i]; }
+  const std::vector<FileMetaData*>& inputs(int which) const {
+    return inputs_[which];
+  }
 
   // Maximum size of files to build during this compaction.
   uint64_t MaxOutputFileSize() const { return max_output_file_size_; }

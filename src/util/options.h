@@ -114,11 +114,6 @@ struct Options {
 
 struct ReadOptions {
   bool verify_checksums = false;
-  // Nonzero requests a dedicated streaming reader that fetches the file in
-  // chunks of this size and prefetches the next chunk while the previous
-  // one is consumed (set-granularity compaction input scans). Such a
-  // reader has no buffer-pool client, so the scan never fills the pool.
-  uint64_t readahead_bytes = 0;
   // If non-null, read as of the supplied snapshot.
   const Snapshot* snapshot = nullptr;
 };

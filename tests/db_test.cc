@@ -4,17 +4,24 @@
 // differential test against an in-memory reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/presets.h"
+#include "core/dynamic_band_allocator.h"
+#include "fs/file_store.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
 #include "lsm/write_batch.h"
 #include "obs/metrics.h"
+#include "smr/drive.h"
+#include "util/filter_policy.h"
 #include "util/random.h"
 
 namespace sealdb {
@@ -425,6 +432,219 @@ TEST(CompactionStageTest, SampledSplitSumsToCompactionTime) {
   EXPECT_EQ(read + merge + write,
             family_nanos("sealdb_engine_compaction_seconds_total"));
   EXPECT_LE(family_nanos(kStage), fill_nanos);
+}
+
+namespace {
+
+// Logs every drive request, in the order it reaches the drive, while
+// `recording` is set.
+class RecordingDrive final : public smr::Drive {
+ public:
+  struct Request {
+    bool write;
+    uint64_t offset;
+    uint64_t n;
+  };
+
+  explicit RecordingDrive(std::unique_ptr<smr::Drive> target)
+      : target_(std::move(target)) {}
+
+  Status Read(uint64_t offset, uint64_t n, char* scratch) override {
+    if (recording) log.push_back({false, offset, n});
+    return target_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const Slice& data) override {
+    if (recording) log.push_back({true, offset, data.size()});
+    return target_->Write(offset, data);
+  }
+  Status Trim(uint64_t offset, uint64_t n) override {
+    return target_->Trim(offset, n);
+  }
+  const smr::Geometry& geometry() const override {
+    return target_->geometry();
+  }
+  const smr::DeviceMetrics& metrics() const override {
+    return target_->metrics();
+  }
+  bool IsValid(uint64_t offset, uint64_t n) const override {
+    return target_->IsValid(offset, n);
+  }
+
+  bool recording = false;
+  std::vector<Request> log;
+
+ private:
+  std::unique_ptr<smr::Drive> target_;
+};
+
+bool Overlaps(const RecordingDrive::Request& r, const fs::Extent& e) {
+  return r.offset < e.offset + e.length && e.offset < r.offset + r.n;
+}
+
+}  // namespace
+
+// Set-at-once compaction I/O on a one-shard inline SEALDB store: an L1 file
+// over a one-set L2. The compaction reads each input table whole in one
+// drive request -- the victim first, then the set in physical order --
+// before its first output write, and the "table is usable" open of each
+// output costs one read.
+TEST(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
+  const StackConfig config = TinyConfig(SystemKind::kSEALDB);
+  smr::Geometry geo;
+  geo.capacity_bytes = config.capacity_bytes;
+  geo.track_bytes = config.track_bytes;
+  geo.shingle_overlap_tracks = config.shingle_overlap_tracks;
+  geo.conventional_bytes = config.conventional_bytes;
+  RecordingDrive drive(smr::NewShingledDisk(geo, smr::LatencyParams::Smr()));
+  core::DynamicBandOptions aopt;
+  aopt.base = geo.conventional_bytes;
+  aopt.limit = geo.capacity_bytes;
+  aopt.track_bytes = geo.track_bytes;
+  aopt.guard_bytes = geo.guard_bytes();
+  aopt.class_unit = config.sstable_bytes;
+  core::DynamicBandAllocator allocator(aopt);
+  fs::FileStore store(&drive, &allocator);
+  ASSERT_TRUE(store.Format().ok());
+
+  std::unique_ptr<const FilterPolicy> filter(NewBloomFilterPolicy(10));
+  Options options;
+  options.write_buffer_size = config.write_buffer_bytes;
+  options.max_file_size = config.sstable_bytes;
+  options.max_bytes_for_level_base = 10 * config.sstable_bytes;
+  options.filter_policy = filter.get();
+  options.compaction_unit = CompactionUnit::kSet;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/io", &store, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  // Even keys, in random order, compacted into one set at L2; then odd
+  // keys across the same range until the memtable has flushed once, and
+  // that L0 file compacted into L1. The recorded compaction merges L1 (the
+  // victim) with the L2 set.
+  std::map<std::string, std::string> model;
+  Random rnd(301);
+  for (int i = 0; i < 2000; i++) {
+    const std::string key = Key(2 * rnd.Uniform(2000));
+    model[key] = Value(i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, Value(i)).ok());
+  }
+  db->CompactRange(nullptr, nullptr);
+  std::string prop;
+  for (int i = 0; prop != "1"; i++) {
+    ASSERT_LT(i, 2000) << "the memtable never flushed";
+    const std::string key = Key(2 * rnd.Uniform(2000) + 1);
+    model[key] = Value(i, 100);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, Value(i, 100)).ok());
+    ASSERT_TRUE(db->GetProperty("sealdb.num-files-at-level0", &prop));
+  }
+  db->CompactLevelRange(0, nullptr, nullptr);
+  ASSERT_TRUE(db->GetProperty("sealdb.num-files-at-level0", &prop));
+  ASSERT_EQ(prop, "0");
+
+  auto table_extent = [&store](uint64_t number) {
+    std::vector<fs::Extent> extents;
+    EXPECT_TRUE(
+        store.GetFileExtents(TableFileName("/io", number), &extents).ok());
+    EXPECT_EQ(extents.size(), 1u);
+    return extents.empty() ? fs::Extent{} : extents[0];
+  };
+  std::map<uint64_t, LiveFileMeta> before;
+  std::map<uint64_t, fs::Extent> before_extent;
+  for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
+    before[f.number] = f;
+    before_extent[f.number] = table_extent(f.number);
+  }
+
+  drive.recording = true;
+  db->CompactLevelRange(1, nullptr, nullptr);
+  drive.recording = false;
+
+  // Inputs are the tables the compaction retired; outputs the new ones.
+  std::map<uint64_t, LiveFileMeta> after;
+  for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
+    after[f.number] = f;
+  }
+  std::vector<std::pair<uint64_t, int>> inputs;  // (number, level)
+  for (const auto& [number, f] : before) {
+    if (after.count(number) == 0) inputs.emplace_back(number, f.level);
+  }
+  std::vector<fs::Extent> outputs;
+  for (const auto& [number, f] : after) {
+    if (before.count(number) == 0) outputs.push_back(table_extent(number));
+  }
+  ASSERT_GE(inputs.size(), 3u);
+  ASSERT_GE(outputs.size(), 3u);
+
+  const std::vector<RecordingDrive::Request>& log = drive.log;
+  auto is_output_write = [&outputs](const RecordingDrive::Request& r) {
+    if (!r.write) return false;
+    for (const fs::Extent& e : outputs) {
+      if (Overlaps(r, e)) return true;
+    }
+    return false;
+  };
+  const size_t first_output_write =
+      std::find_if(log.begin(), log.end(), is_output_write) - log.begin();
+  ASSERT_LT(first_output_write, log.size());
+
+  // Exactly one read per input, covering the block-rounded table, all
+  // before the first output write: the L1 victim, then the L2 set, each in
+  // physical order.
+  const uint64_t block = geo.block_bytes;
+  std::vector<std::tuple<size_t, int, uint64_t>> reads;  // (log, level, at)
+  for (const auto& [number, level] : inputs) {
+    const fs::Extent& e = before_extent[number];
+    const uint64_t rounded =
+        (before[number].file_size + block - 1) / block * block;
+    int count = 0;
+    for (size_t i = 0; i < log.size(); i++) {
+      if (log[i].write || !Overlaps(log[i], e)) continue;
+      count++;
+      EXPECT_EQ(log[i].offset, e.offset) << "table " << number;
+      EXPECT_EQ(log[i].n, rounded) << "table " << number;
+      EXPECT_LT(i, first_output_write) << "table " << number;
+      reads.emplace_back(i, level, e.offset);
+    }
+    EXPECT_EQ(count, 1) << "table " << number << " at L" << level;
+  }
+  ASSERT_EQ(reads.size(), inputs.size());
+  std::sort(reads.begin(), reads.end());
+  EXPECT_EQ(std::get<1>(reads.front()), 1) << "the victim is read first";
+  EXPECT_EQ(std::get<1>(reads.back()), 2);
+  for (size_t i = 1; i < reads.size(); i++) {
+    const auto& [prev_log, prev_level, prev_at] = reads[i - 1];
+    const auto& [log_index, level, at] = reads[i];
+    EXPECT_LT(std::make_pair(prev_level, prev_at), std::make_pair(level, at))
+        << "input read out of order at request " << log_index;
+  }
+
+  // The verification open of each output: one read, after its writes.
+  for (const fs::Extent& e : outputs) {
+    int count = 0;
+    bool written = false;
+    for (const RecordingDrive::Request& r : log) {
+      if (!Overlaps(r, e)) continue;
+      if (r.write) {
+        EXPECT_EQ(count, 0) << "output at " << e.offset << " read early";
+        written = true;
+      } else {
+        EXPECT_TRUE(written) << "output at " << e.offset << " read early";
+        count++;
+      }
+    }
+    EXPECT_EQ(count, 1) << "output at " << e.offset;
+  }
+
+  // Same keys and values as written.
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  auto mit = model.begin();
+  for (it->SeekToFirst(); it->Valid(); it->Next(), ++mit) {
+    ASSERT_NE(mit, model.end());
+    ASSERT_EQ(it->key().ToString(), mit->first);
+    ASSERT_EQ(it->value().ToString(), mit->second);
+  }
+  EXPECT_EQ(mit, model.end());
+  EXPECT_TRUE(it->status().ok());
 }
 
 // Write stalls engage when a slowed device lets L0 files pile past the

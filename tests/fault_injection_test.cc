@@ -10,8 +10,11 @@
 
 #include "baselines/presets.h"
 #include "core/dynamic_band_allocator.h"
+#include "fs/doctor.h"
 #include "fs/file_store.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
+#include "lsm/sharded_db.h"
 #include "smr/drive.h"
 #include "smr/fault_injection_drive.h"
 #include "util/random.h"
@@ -468,6 +471,94 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   EXPECT_GT(reg.counter_value("sealdb_device_faults_total",
                               {{"kind", "write_error"}}),
             0u);
+}
+
+// A compaction input the drive cannot read fails the compaction before it
+// writes anything: the engine latches an IOError, no output is installed
+// or left in the store, the shard degrades on its next write, and neither
+// the allocator nor the on-media metadata holds a leaked extent or region.
+TEST(DbFaultTest, CompactionInputReadErrorInstallsNothing) {
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(FaultConfig(baselines::SystemKind::kSEALDB),
+                                    "/db", &stack)
+                  .ok());
+  ShardedDb* db = stack->db();
+  DB* engine = db->shard(0);
+  // Even keys, in random order, compacted into one set at L2; odd keys
+  // across the same range until one memtable flush lands in L0, compacted
+  // into L1. Compacting L1 then reads L1 and the L2 set.
+  Random rnd(301);
+  for (int i = 0; i < 1500; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500)), Value(i)).ok());
+  }
+  db->CompactRange(nullptr, nullptr);
+  std::string prop;
+  for (int i = 0; prop != "1"; i++) {
+    ASSERT_LT(i, 1500) << "the memtable never flushed";
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500) + 1), Value(i)).ok());
+    ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
+  }
+  db->CompactLevelRange(0, nullptr, nullptr);
+  ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
+  ASSERT_EQ(prop, "0");
+
+  fs::DoctorReport doctor_before;
+  ASSERT_TRUE(
+      fs::RunDoctor(stack->drive(), fs::DoctorOptions(), &doctor_before).ok());
+  ASSERT_EQ(doctor_before.shards.size(), 1u);
+
+  // Make the first L1 table (the compaction's victim) unreadable.
+  std::set<uint64_t> live_before;
+  const LiveFileMeta* first = nullptr;
+  const std::vector<LiveFileMeta> live = engine->GetLiveFilesMetadata();
+  for (const LiveFileMeta& f : live) {
+    live_before.insert(f.number);
+    if (f.level == 1 &&
+        (first == nullptr || f.smallest_user_key < first->smallest_user_key)) {
+      first = &f;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  const std::string victim = TableFileName("/db", first->number);
+  std::vector<fs::Extent> extents;
+  ASSERT_TRUE(stack->store()->GetFileExtents(victim, &extents).ok());
+  stack->fault_drive()->InjectReadError(extents[0].offset + kBlock, kBlock);
+  const std::vector<std::string> children = stack->store()->GetChildren();
+  const uint64_t allocated = stack->dynamic_allocator()->allocated_bytes();
+
+  db->CompactLevelRange(1, nullptr, nullptr);
+
+  std::string bg;
+  ASSERT_TRUE(engine->GetProperty("sealdb.background-error", &bg));
+  EXPECT_EQ(bg.rfind("IO error", 0), 0u) << bg;
+  std::set<uint64_t> live_after;
+  for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
+    live_after.insert(f.number);
+  }
+  EXPECT_EQ(live_after, live_before);
+  EXPECT_EQ(stack->store()->GetChildren(), children);
+  EXPECT_EQ(stack->dynamic_allocator()->allocated_bytes(), allocated);
+
+  // The next write meets the latched error and degrades shard 0.
+  EXPECT_FALSE(db->Put(WriteOptions(), "after", "fault").ok());
+  EXPECT_TRUE(db->IsShardDegraded(0));
+  EXPECT_TRUE(db->Put(WriteOptions(), "again", "fault").IsShardDegraded());
+
+  // The metadata on media holds the same regions and extents as before
+  // the failed compaction: nothing allocated, nothing orphaned.
+  fs::DoctorReport report;
+  ASSERT_TRUE(fs::RunDoctor(stack->drive(), fs::DoctorOptions(), &report).ok());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_EQ(report.shards.size(), 1u);
+  const fs::ShardDoctorReport& was = doctor_before.shards[0];
+  const fs::ShardDoctorReport& now = report.shards[0];
+  EXPECT_EQ(now.files, was.files) << report.ToString();
+  EXPECT_EQ(now.regions, was.regions) << report.ToString();
+  EXPECT_EQ(now.orphaned_regions, was.orphaned_regions) << report.ToString();
+  EXPECT_EQ(now.live_bytes, was.live_bytes) << report.ToString();
+  EXPECT_EQ(now.free_bytes, was.free_bytes) << report.ToString();
 }
 
 }  // namespace sealdb

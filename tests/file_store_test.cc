@@ -153,6 +153,42 @@ TEST_F(FileStoreTest, SequentialFile) {
   EXPECT_EQ(payload, got);
 }
 
+// A front-to-back reader streams: after the first (random) block fetch,
+// every drive request is a full 256 KiB readahead, including the refills
+// that follow a run of reads served from the buffer.
+TEST_F(FileStoreTest, SequentialReaderStreamsAcrossBufferRefills) {
+  constexpr uint64_t kFile = 1 << 20;
+  constexpr uint64_t kStep = 4096;
+  constexpr uint64_t kReadahead = 256 << 10;
+  const std::string payload = RandomPayload(kFile, 11);
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(store_->NewWritableFile("/db/seq", kFile, &f).ok());
+  ASSERT_TRUE(f->Append(payload).ok());
+  ASSERT_TRUE(f->Close().ok());
+
+  const obs::MetricsRegistry& reg = *drive_->metrics().registry();
+  auto read_ops = [&reg] {
+    return reg.counter_value("sealdb_device_ops_total", {{"kind", "read"}});
+  };
+  const uint64_t ops_before = read_ops();
+  const uint64_t bytes_before = drive_->metrics().logical_read->Value();
+
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_TRUE(store_->NewRandomAccessFile("/db/seq", &r).ok());
+  char buf[kStep];
+  for (uint64_t off = 0; off < kFile; off += kStep) {
+    Slice result;
+    ASSERT_TRUE(r->Read(off, kStep, &result, buf).ok());
+    ASSERT_EQ(payload.substr(off, kStep), result.ToString()) << off;
+  }
+
+  // One block, then ceil((1 MiB - 4 KiB) / 256 KiB) streamed requests, and
+  // no byte fetched twice.
+  EXPECT_EQ(read_ops() - ops_before,
+            1 + (kFile - kStep + kReadahead - 1) / kReadahead);
+  EXPECT_EQ(drive_->metrics().logical_read->Value() - bytes_before, kFile);
+}
+
 TEST_F(FileStoreTest, RemoveFreesSpace) {
   std::unique_ptr<WritableFile> f;
   ASSERT_TRUE(store_->NewWritableFile("/db/a", 1 << 20, &f).ok());

@@ -5,15 +5,19 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/dynamic_band_allocator.h"
 #include "fs/file_store.h"
 #include "lsm/block.h"
 #include "lsm/block_builder.h"
 #include "lsm/filter_block.h"
+#include "lsm/filename.h"
 #include "lsm/format.h"
 #include "lsm/table.h"
 #include "lsm/table_builder.h"
+#include "lsm/table_cache.h"
+#include "lsm/version_edit.h"
 #include "smr/drive.h"
 #include "util/comparator.h"
 #include "util/filter_policy.h"
@@ -222,13 +226,14 @@ class TableTest : public ::testing::Test {
 
   // Build a table from the model and open it.
   void BuildAndOpen(const std::map<std::string, std::string>& model,
-                    bool with_filter) {
+                    bool with_filter, size_t block_size = 1024,
+                    const std::string& fname = "/table") {
     options_ = Options();
-    options_.block_size = 1024;
+    options_.block_size = block_size;
     if (with_filter) options_.filter_policy = filter_.get();
 
     std::unique_ptr<fs::WritableFile> file;
-    ASSERT_TRUE(store_->NewWritableFile("/table", 8 << 20, &file).ok());
+    ASSERT_TRUE(store_->NewWritableFile(fname, 8 << 20, &file).ok());
     TableBuilder builder(options_, file.get());
     for (const auto& [k, v] : model) {
       builder.Add(k, v);
@@ -237,10 +242,12 @@ class TableTest : public ::testing::Test {
     file_size_ = builder.FileSize();
     ASSERT_TRUE(file->Close().ok());
 
-    ASSERT_TRUE(store_->NewRandomAccessFile("/table", &raf_).ok());
+    ASSERT_TRUE(store_->NewRandomAccessFile(fname, &raf_).ok());
+    const uint64_t reads_before = drive_->metrics().read_ops->Value();
     Table* table = nullptr;
     ASSERT_TRUE(Table::Open(options_, raf_.get(), file_size_, &table).ok());
     table_.reset(table);
+    open_reads_ = drive_->metrics().read_ops->Value() - reads_before;
   }
 
   std::unique_ptr<smr::Drive> drive_;
@@ -251,6 +258,7 @@ class TableTest : public ::testing::Test {
   std::unique_ptr<Table> table_;
   Options options_;
   uint64_t file_size_ = 0;
+  uint64_t open_reads_ = 0;  // drive requests Table::Open sent
 };
 
 static std::map<std::string, std::string> MakeModel(int n) {
@@ -340,6 +348,124 @@ TEST_F(TableTest, ChecksumVerification) {
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) count++;
   EXPECT_EQ(count, 100);
   EXPECT_TRUE(iter->status().ok());
+}
+
+// The filter, metaindex and index blocks and the footer sit contiguously
+// at EOF, so opening a table with ordinary blocks is one drive request,
+// even when that metadata (mostly filter here) spans several device blocks.
+TEST_F(TableTest, OpenReadsTheTailInOneRequest) {
+  BuildAndOpen(MakeModel(6000), /*with_filter=*/true, /*block_size=*/4096);
+  EXPECT_EQ(open_reads_, 1u);
+}
+
+// Tiny blocks make the index outgrow Open's tail span: the blocks the span
+// misses are read on their own, and the table still serves Gets (through
+// its filter), seeks and full scans.
+TEST_F(TableTest, TailLargerThanOpenSpanFallsBackToBlockReads) {
+  const auto model = MakeModel(2000);
+  const std::string fname = TableFileName("/tail", 7);
+  BuildAndOpen(model, /*with_filter=*/true, /*block_size=*/64, fname);
+  EXPECT_GT(open_reads_, 1u);
+
+  std::unique_ptr<Iterator> iter(table_->NewIterator(ReadOptions()));
+  auto mit = model.begin();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++mit) {
+    ASSERT_NE(mit, model.end());
+    ASSERT_EQ(mit->first, iter->key().ToString());
+    ASSERT_EQ(mit->second, iter->value().ToString());
+  }
+  EXPECT_EQ(mit, model.end());
+  EXPECT_TRUE(iter->status().ok());
+  iter->Seek("k00000700");
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(iter->key().ToString(), "k00000700");
+
+  TableCache cache("/tail", options_, store_.get(), 10);
+  struct Found {
+    std::string key, value;
+  };
+  auto save = [](void* arg, const Slice& k, const Slice& v) {
+    auto* found = static_cast<Found*>(arg);
+    found->key = k.ToString();
+    found->value = v.ToString();
+  };
+  for (const auto& [k, v] : model) {
+    Found found;
+    ASSERT_TRUE(cache.Get(ReadOptions(), 7, file_size_, k, &found, save).ok());
+    ASSERT_EQ(found.key, k);
+    ASSERT_EQ(found.value, v);
+  }
+  Found absent;
+  ASSERT_TRUE(
+      cache.Get(ReadOptions(), 7, file_size_, "k00000701", &absent, save)
+          .ok());
+  EXPECT_NE(absent.key, "k00000701");
+}
+
+// A compaction's inputs are read whole while their images fit in
+// TableCache::kMaxImageBytes, victim first; the tables past it are opened
+// over a streaming handle (one tail read each) and still scan in full.
+TEST_F(TableTest, ImagesPastTheBudgetStream) {
+  options_ = Options();
+  const int kTables = 5;
+  const int kEntries = 256;  // 64 KiB values: 16 MiB tables
+  auto key_of = [](int t, int i) {
+    char key[20];
+    std::snprintf(key, sizeof(key), "t%d-k%06d", t, i);
+    return std::string(key);
+  };
+  auto value_of = [](int t, int i) {
+    return std::string(64 << 10, static_cast<char>('a' + (t * 7 + i) % 26));
+  };
+  std::vector<FileMetaData> metas(kTables);
+  for (int t = 0; t < kTables; t++) {
+    metas[t].number = t + 1;
+    std::unique_ptr<fs::WritableFile> file;
+    ASSERT_TRUE(store_
+                    ->NewWritableFile(TableFileName("/img", t + 1), 17 << 20,
+                                      &file)
+                    .ok());
+    TableBuilder builder(options_, file.get());
+    for (int i = 0; i < kEntries; i++) builder.Add(key_of(t, i), value_of(t, i));
+    ASSERT_TRUE(builder.Finish().ok());
+    metas[t].file_size = builder.FileSize();
+    ASSERT_TRUE(file->Close().ok());
+  }
+  std::vector<FileMetaData*> victims = {&metas[0]};
+  std::vector<FileMetaData*> set;
+  for (int t = 1; t < kTables; t++) set.push_back(&metas[t]);
+
+  TableCache cache("/img", options_, store_.get(), 10);
+  TableImages images;
+  const uint64_t reads_before = drive_->metrics().read_ops->Value();
+  ASSERT_TRUE(cache.ReadImages(victims, set, &images).ok());
+  EXPECT_EQ(drive_->metrics().read_ops->Value() - reads_before,
+            static_cast<uint64_t>(kTables));
+  ASSERT_EQ(images.size(), static_cast<size_t>(kTables));
+  ASSERT_NE(images.at(1).data, nullptr);
+  uint64_t held = 0;
+  int streamed = 0;
+  for (const auto& [number, image] : images) {
+    if (image.data != nullptr) {
+      held += metas[number - 1].file_size;
+    } else {
+      streamed++;
+    }
+  }
+  EXPECT_LE(held, TableCache::kMaxImageBytes);
+  EXPECT_GT(streamed, 0);
+
+  for (int t = 0; t < kTables; t++) {
+    std::unique_ptr<Iterator> iter(
+        images.at(t + 1).table->NewIterator(ReadOptions()));
+    int i = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), i++) {
+      ASSERT_EQ(iter->key().ToString(), key_of(t, i));
+      ASSERT_TRUE(iter->value() == Slice(value_of(t, i)));
+    }
+    EXPECT_TRUE(iter->status().ok());
+    EXPECT_EQ(i, kEntries);
+  }
 }
 
 TEST_F(TableTest, OpenTooShortFails) {
