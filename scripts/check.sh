@@ -36,7 +36,9 @@
 #                     fixed seeds baked into the tests; every recovered
 #                     store is checked by the doctor in-process), then
 #                     drive the sealdb_doctor binary end-to-end: a clean
-#                     check over a crash-recovered 4-shard store, and a
+#                     check over a crash-recovered 4-shard store whose
+#                     shards all ran set compactions (it fails on a shard
+#                     with no set region or with an orphaned one), and a
 #                     detect -> repair -> re-check cycle over a
 #                     deliberately corrupted checkpoint slot.
 set -euo pipefail
@@ -186,8 +188,10 @@ if [ "$CRASH_SWEEP" = 1 ]; then
   ctest --test-dir build --output-on-failure --no-tests=error \
     -R 'crash_point_test'
   # Offline doctor end-to-end, through the shipped binary: clean check
-  # over a crash-recovered store, then prove --repair actually fixes a
-  # corrupted checkpoint slot (exit status carries the verdict).
+  # over a crash-recovered store (every shard holds set regions and
+  # orphans none, so a leaked set region fails it), then prove --repair
+  # actually fixes a corrupted checkpoint slot (exit status carries the
+  # verdict).
   ./build/src/sealdb_doctor --shards 4
   ./build/src/sealdb_doctor --shards 4 --corrupt-slot --repair
 fi

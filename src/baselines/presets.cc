@@ -86,8 +86,6 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
             : 2;
   }
   opt.max_bytes_for_level_base = 10 * config.sstable_bytes;
-  opt.max_manifest_file_size =
-      std::max<uint64_t>(256 << 10, 2 * config.write_buffer_bytes);
   if (config.level0_slowdown_writes_trigger > 0) {
     opt.level0_slowdown_writes_trigger = config.level0_slowdown_writes_trigger;
   }

@@ -53,7 +53,7 @@ struct StackConfig {
   uint32_t track_bytes = 1u << 20;
   uint32_t shingle_overlap_tracks = 4;     // guard = 4 tracks = 4 MB
   // Conventional (unshingled) region: FileStore metadata journal in the
-  // front half, WAL/manifest pool in the back half, like the conventional
+  // front half, WAL pool in the back half, like the conventional
   // zones of real HM-SMR drives.
   uint64_t conventional_bytes = 64ull << 20;
   bool inline_compactions = true;

@@ -23,7 +23,7 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
     if (!store_->GetRegionExtent(f.set_id, &region).ok()) continue;
     SetSpan& span = sets[f.set_id];
     span.begin = region.offset;
-    span.end = region.end();
+    span.end = region.end_with_guard();
     span.level = f.level;
     if (span.smallest.empty() || f.smallest_user_key < span.smallest) {
       span.smallest = f.smallest_user_key;
@@ -35,18 +35,31 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
   }
 
   // For every fragment, charge its size to the set region that starts
-  // right after it (the set pinning the fragment in place).
+  // right after it (the set pinning the fragment in place), if retiring
+  // that set reclaims the fragment: the run it frees (the fragment, the
+  // region and any free space right after it) must outgrow the threshold.
+  // A region ending at the residual frontier does not un-band either: the
+  // compaction places its output set before it frees its inputs.
   struct Pin {
     uint64_t bytes = 0;
     uint64_t fragment_offset = 0;
   };
+  const std::vector<DynamicBandAllocator::FreeRegionInfo> free_regions =
+      allocator_->FreeRegions();
+  std::map<uint64_t, uint64_t> free_at;  // offset -> length
+  for (const auto& fr : free_regions) free_at[fr.offset] = fr.length;
   std::map<uint64_t, Pin> pinned;  // set_id -> pin
-  for (const auto& fr : allocator_->FreeRegions()) {
+  for (const auto& fr : free_regions) {
     if (fr.length > options_.fragment_threshold_bytes) continue;
     auto it = span_starts.lower_bound(fr.offset + fr.length);
     if (it == span_starts.end() || it->first != fr.offset + fr.length) {
       continue;
     }
+    const SetSpan& span = sets[it->second];
+    auto next = free_at.find(span.end);
+    const uint64_t run = fr.length + (span.end - span.begin) +
+                         (next != free_at.end() ? next->second : 0);
+    if (run <= options_.fragment_threshold_bytes) continue;
     Pin& pin = pinned[it->second];
     pin.bytes += fr.length;
     pin.fragment_offset = fr.offset;

@@ -10,7 +10,7 @@
 //    reopen with a different count fails with a typed error instead of
 //    silently routing keys to the wrong shard's LSM;
 //  - the remaining conventional space is divided into N equal block-aligned
-//    slices, one metadata journal + WAL/manifest pool per shard;
+//    slices, one metadata journal + WAL pool per shard;
 //  - the shingled space is divided into N track-aligned slices with a
 //    guard-sized gap between neighbours, so a shard appending at the tail
 //    of its region can never shingle over the first tracks of the next
@@ -39,7 +39,7 @@ namespace sealdb::core {
 // One shard's byte ranges on the shared drive.
 struct ShardRegion {
   // Conventional slice holding this shard's FileStore journal and
-  // appendable-file (WAL/manifest) pool.
+  // appendable-file (WAL) pool.
   uint64_t conv_base = 0;
   uint64_t conv_len = 0;
   // Shingled slice managed by this shard's extent allocator. The

@@ -25,6 +25,7 @@ struct DocFile {
   uint64_t size = 0;
   uint64_t region_id = 0;
   std::vector<Extent> extents;
+  std::string tag;  // engine tag (set by commit records)
 };
 
 struct DocRegion {
@@ -35,12 +36,30 @@ struct DocRegion {
 
 struct DocState {
   uint64_t next_region_id = 1;
+  std::string engine_state;
   std::map<uint64_t, DocRegion> regions;
   std::map<std::string, DocFile> files;
+
+  // Replay keeps region occupancy current: the record that removes a
+  // region's last file releases the region, as the live store does.
+  void EraseFile(std::map<std::string, DocFile>::iterator it) {
+    auto rit = regions.find(it->second.region_id);
+    if (rit != regions.end() && --rit->second.live_files == 0) {
+      regions.erase(rit);
+    }
+    files.erase(it);
+  }
+  void PutFile(const std::string& name, DocFile f) {
+    auto rit = regions.find(f.region_id);
+    if (rit != regions.end()) rit->second.live_files++;
+    auto it = files.find(name);
+    if (it != files.end()) EraseFile(it);
+    files[name] = std::move(f);
+  }
 };
 
 // Mirror of FileStore's conventional-slice geometry (file_store.cc):
-// two checkpoint slots, then the append log, then the WAL/manifest pool.
+// two checkpoint slots, then the append log, then the WAL pool.
 struct ConvGeometry {
   uint64_t conv_base, conv_len, block;
   uint64_t SlotBytes() const { return conv_len / 8 / block * block; }
@@ -78,9 +97,13 @@ bool DecodeDocState(Slice in, DocState* st) {
   st->files.clear();
   st->regions.clear();
   uint64_t nregions, nfiles;
-  if (!GetVarint64(&in, &st->next_region_id) || !GetVarint64(&in, &nregions)) {
+  Slice engine_state;
+  if (!GetVarint64(&in, &st->next_region_id) ||
+      !GetLengthPrefixedSlice(&in, &engine_state) ||
+      !GetVarint64(&in, &nregions)) {
     return false;
   }
+  st->engine_state = engine_state.ToString();
   for (uint64_t i = 0; i < nregions; i++) {
     uint64_t id;
     DocRegion r;
@@ -97,8 +120,13 @@ bool DecodeDocState(Slice in, DocState* st) {
   for (uint64_t i = 0; i < nfiles; i++) {
     std::string name;
     DocFile f;
-    if (!DecodeDocFileMeta(&in, &name, &f)) return false;
-    st->files[name] = std::move(f);
+    Slice tag;
+    if (!DecodeDocFileMeta(&in, &name, &f) ||
+        !GetLengthPrefixedSlice(&in, &tag)) {
+      return false;
+    }
+    f.tag = tag.ToString();
+    st->PutFile(name, std::move(f));
   }
   return true;
 }
@@ -113,26 +141,16 @@ bool ApplyDocRecord(Slice payload, DocState* st) {
       std::string name;
       DocFile f;
       if (!DecodeDocFileMeta(&payload, &name, &f)) return false;
-      st->files[name] = std::move(f);
+      auto it = st->files.find(name);
+      if (tag == kUpdateFile && it != st->files.end()) f.tag = it->second.tag;
+      st->PutFile(name, std::move(f));
       return true;
     }
     case kRemoveFileTag: {
       Slice name;
       if (!GetLengthPrefixedSlice(&payload, &name)) return false;
-      st->files.erase(name.ToString());
-      return true;
-    }
-    case kRenameTag: {
-      Slice src, target;
-      if (!GetLengthPrefixedSlice(&payload, &src) ||
-          !GetLengthPrefixedSlice(&payload, &target)) {
-        return false;
-      }
-      auto it = st->files.find(src.ToString());
-      if (it != st->files.end()) {
-        st->files[target.ToString()] = std::move(it->second);
-        st->files.erase(it);
-      }
+      auto it = st->files.find(name.ToString());
+      if (it != st->files.end()) st->EraseFile(it);
       return true;
     }
     case kCreateRegion: {
@@ -162,6 +180,48 @@ bool ApplyDocRecord(Slice payload, DocState* st) {
       }
       return true;
     }
+    case kReleaseRegionTag: {
+      uint64_t id;
+      if (!GetVarint64(&payload, &id)) return false;
+      st->regions.erase(id);
+      return true;
+    }
+    case kCommitTag: {
+      // Tag changes, removals, then the engine's state blob.
+      uint32_t ntags, nremoves;
+      if (!GetVarint32(&payload, &ntags)) return false;
+      std::vector<std::pair<std::string, std::string>> tags;
+      for (uint32_t i = 0; i < ntags; i++) {
+        Slice name, file_tag;
+        if (!GetLengthPrefixedSlice(&payload, &name) ||
+            !GetLengthPrefixedSlice(&payload, &file_tag)) {
+          return false;
+        }
+        tags.emplace_back(name.ToString(), file_tag.ToString());
+      }
+      if (!GetVarint32(&payload, &nremoves)) return false;
+      std::vector<std::string> removes;
+      for (uint32_t i = 0; i < nremoves; i++) {
+        Slice name;
+        if (!GetLengthPrefixedSlice(&payload, &name)) return false;
+        removes.push_back(name.ToString());
+      }
+      Slice engine_state;
+      if (!GetLengthPrefixedSlice(&payload, &engine_state) ||
+          !payload.empty()) {
+        return false;
+      }
+      for (auto& [name, file_tag] : tags) {
+        auto it = st->files.find(name);
+        if (it != st->files.end()) it->second.tag = std::move(file_tag);
+      }
+      for (const std::string& name : removes) {
+        auto it = st->files.find(name);
+        if (it != st->files.end()) st->EraseFile(it);
+      }
+      st->engine_state = engine_state.ToString();
+      return true;
+    }
     default:
       return false;
   }
@@ -170,6 +230,7 @@ bool ApplyDocRecord(Slice payload, DocState* st) {
 std::string EncodeDocState(const DocState& st) {
   std::string out;
   PutVarint64(&out, st.next_region_id);
+  PutLengthPrefixedSlice(&out, st.engine_state);
   PutVarint64(&out, st.regions.size());
   for (const auto& [id, r] : st.regions) {
     PutVarint64(&out, id);
@@ -189,6 +250,7 @@ std::string EncodeDocState(const DocState& st) {
       PutVarint64(&out, e.length);
       PutVarint64(&out, e.guard);
     }
+    PutLengthPrefixedSlice(&out, f.tag);
   }
   return out;
 }

@@ -13,8 +13,12 @@
 //     conventional pool or shingled data slice; no two live allocations
 //     (standalone files, set regions) overlap; region-carved files stay
 //     inside their region; no file references an unknown region;
-//   - orphaned extents: sealed regions holding no live files (benign —
-//     recovery reclaims them — but reported).
+//   - orphaned regions: regions holding no live file. Replay releases a
+//     region with the record that removes its last file, and an empty
+//     region is released by a journaled seal, so on a store at rest this
+//     is 0; a nonzero count is a region leaked by a compaction that
+//     crashed or failed between allocating its set region and writing or
+//     removing its tables (benign — recovery reclaims it — but reported).
 //
 // From the surviving extents the doctor re-derives the data-slice free
 // map the allocator would build at recovery (SMORE-style: free = slice
@@ -63,7 +67,7 @@ struct ShardDoctorReport {
   uint64_t live_bytes = 0;        // extent bytes (with guards) in use
   uint64_t free_bytes = 0;        // re-derived data-slice free space
   int damaged_checkpoint_slots = 0;
-  uint64_t orphaned_regions = 0;
+  uint64_t orphaned_regions = 0;  // regions holding no live file (header)
   // Fatal inconsistencies (store must not be trusted until repaired) and
   // benign notes.
   std::vector<std::string> errors;

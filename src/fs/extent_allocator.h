@@ -29,7 +29,7 @@ class ExtentAllocator {
   }
 
   // Allocate with a trailing guard reserved unconditionally. Needed for
-  // long-lived APPEND-mode files (WAL, manifest) on shingled media: their
+  // long-lived APPEND-mode files (the WAL) on shingled media: their
   // tail tracks are written long after later allocations land behind them,
   // so the shingle-overlap window after the extent must stay dead for the
   // extent's whole lifetime. Allocators for media without the constraint

@@ -248,6 +248,7 @@ Status FileStore::Format() {
   files_.clear();
   regions_.clear();
   next_region_id_ = 1;
+  engine_state_.clear();
   journal_seq_ = 0;
   active_slot_ = 1;  // WriteCheckpoint flips to slot 0
   log_head_ = LogBegin();
@@ -289,6 +290,7 @@ Status FileStore::JournalAppend(const std::string& payload) {
 std::string FileStore::EncodeState() const {
   std::string out;
   PutVarint64(&out, next_region_id_);
+  PutLengthPrefixedSlice(&out, engine_state_);
   PutVarint64(&out, regions_.size());
   for (const auto& [id, r] : regions_) {
     PutVarint64(&out, id);
@@ -300,6 +302,7 @@ std::string FileStore::EncodeState() const {
   PutVarint64(&out, files_.size());
   for (const auto& [name, meta] : files_) {
     EncodeFileMeta(&out, name, meta);
+    PutLengthPrefixedSlice(&out, meta.tag);
   }
   return out;
 }
@@ -308,9 +311,13 @@ Status FileStore::DecodeState(Slice in) {
   files_.clear();
   regions_.clear();
   uint64_t nregions, nfiles;
-  if (!GetVarint64(&in, &next_region_id_) || !GetVarint64(&in, &nregions)) {
+  Slice engine_state;
+  if (!GetVarint64(&in, &next_region_id_) ||
+      !GetLengthPrefixedSlice(&in, &engine_state) ||
+      !GetVarint64(&in, &nregions)) {
     return Status::Corruption("bad filestore checkpoint");
   }
+  engine_state_ = engine_state.ToString();
   for (uint64_t i = 0; i < nregions; i++) {
     uint64_t id;
     RegionMeta r;
@@ -329,10 +336,13 @@ Status FileStore::DecodeState(Slice in) {
   for (uint64_t i = 0; i < nfiles; i++) {
     std::string name;
     FileMeta meta;
-    if (!DecodeFileMeta(&in, &name, &meta)) {
+    Slice tag;
+    if (!DecodeFileMeta(&in, &name, &meta) ||
+        !GetLengthPrefixedSlice(&in, &tag)) {
       return Status::Corruption("bad file record");
     }
-    files_[name] = std::move(meta);
+    meta.tag = tag.ToString();
+    ReplayPutFile(name, std::move(meta));
   }
   return Status::OK();
 }
@@ -543,6 +553,18 @@ Status FileStore::Recover() {
   return Status::OK();
 }
 
+void FileStore::ReplayPutFile(const std::string& name, FileMeta meta) {
+  // Count the new incarnation before dropping the old one, so a region
+  // whose only file is being updated is never released in between.
+  if (meta.region_id != 0) {
+    auto rit = regions_.find(meta.region_id);
+    if (rit != regions_.end()) rit->second.live_files++;
+  }
+  auto it = files_.find(name);
+  if (it != files_.end()) EraseFile(it, /*free_space=*/false);
+  files_[name] = std::move(meta);
+}
+
 Status FileStore::ApplyRecord(Slice payload) {
   if (payload.empty()) return Status::Corruption("empty journal record");
   const uint8_t tag = static_cast<uint8_t>(payload[0]);
@@ -555,7 +577,9 @@ Status FileStore::ApplyRecord(Slice payload) {
       if (!DecodeFileMeta(&payload, &name, &meta)) {
         return Status::Corruption("bad file journal record");
       }
-      files_[name] = std::move(meta);
+      auto it = files_.find(name);
+      if (tag == kUpdateFile && it != files_.end()) meta.tag = it->second.tag;
+      ReplayPutFile(name, std::move(meta));
       return Status::OK();
     }
     case kRemoveFileTag: {
@@ -563,20 +587,8 @@ Status FileStore::ApplyRecord(Slice payload) {
       if (!GetLengthPrefixedSlice(&payload, &name)) {
         return Status::Corruption("bad remove record");
       }
-      files_.erase(name.ToString());
-      return Status::OK();
-    }
-    case kRenameTag: {
-      Slice src, target;
-      if (!GetLengthPrefixedSlice(&payload, &src) ||
-          !GetLengthPrefixedSlice(&payload, &target)) {
-        return Status::Corruption("bad rename record");
-      }
-      auto it = files_.find(src.ToString());
-      if (it != files_.end()) {
-        files_[target.ToString()] = std::move(it->second);
-        files_.erase(it);
-      }
+      auto it = files_.find(name.ToString());
+      if (it != files_.end()) EraseFile(it, /*free_space=*/false);
       return Status::OK();
     }
     case kCreateRegion: {
@@ -605,6 +617,30 @@ Status FileStore::ApplyRecord(Slice payload) {
         it->second.extent = e;
         it->second.sealed = true;
       }
+      return Status::OK();
+    }
+    case kReleaseRegionTag: {
+      uint64_t id;
+      if (!GetVarint64(&payload, &id)) {
+        return Status::Corruption("bad release record");
+      }
+      regions_.erase(id);
+      return Status::OK();
+    }
+    case kCommitTag: {
+      FileCommit commit;
+      if (!DecodeCommit(payload, &commit)) {
+        return Status::Corruption("bad commit record");
+      }
+      for (const auto& [name, file_tag] : commit.tags) {
+        auto it = files_.find(name);
+        if (it != files_.end()) it->second.tag = file_tag;
+      }
+      for (const std::string& name : commit.removes) {
+        auto it = files_.find(name);
+        if (it != files_.end()) EraseFile(it, /*free_space=*/false);
+      }
+      engine_state_ = std::move(commit.engine_state);
       return Status::OK();
     }
     default:
@@ -867,7 +903,7 @@ Status FileStore::GrowFile(const std::string& name, FileMeta* meta,
   Extent e;
   Status s;
   if (meta->appendable) {
-    // Long-lived append-mode file (WAL, manifest): placed in the
+    // Long-lived append-mode file (the WAL): placed in the
     // conventional-region pool, like the conventional zones real zoned
     // deployments reserve for logs. Falls back to a guarded allocation in
     // the shingled space when the pool is full.
@@ -1056,17 +1092,7 @@ Status FileStore::NewWritableFile(const std::string& name, uint64_t size_hint,
     auto it = files_.find(name);
     if (it != files_.end()) {
       // Truncate semantics: drop the old incarnation.
-      DropFileData(it->second);
-      if (it->second.region_id == 0) {
-        for (const Extent& e : it->second.extents) FreeExtent(e);
-      } else {
-        auto rit = regions_.find(it->second.region_id);
-        if (rit != regions_.end() && --rit->second.live_files == 0) {
-          FreeAllocatorExtent(rit->second.extent);
-          regions_.erase(rit);
-        }
-      }
-      files_.erase(it);
+      EraseFile(it, /*free_space=*/true);
     }
     FileMeta meta;
     meta.appendable = appendable;
@@ -1118,47 +1144,106 @@ Status FileStore::RemoveFile(const std::string& name) {
   if (it == files_.end()) {
     return Status::NotFound("file not found", name);
   }
-  DropFileData(it->second);
-  if (it->second.region_id == 0) {
-    for (const Extent& e : it->second.extents) FreeExtent(e);
-  } else {
+  std::string payload;
+  payload.push_back(static_cast<char>(kRemoveFileTag));
+  PutLengthPrefixedSlice(&payload, name);
+  Status s = JournalAppend(payload);
+  if (!s.ok()) return s;
+  EraseFile(it, /*free_space=*/true);
+  return Status::OK();
+}
+
+void FileStore::EraseFile(std::map<std::string, FileMeta>::iterator it,
+                          bool free_space) {
+  const FileMeta& meta = it->second;
+  if (free_space) {
+    DropFileData(meta);
+    if (meta.region_id == 0) {
+      for (const Extent& e : meta.extents) FreeExtent(e);
+    }
+  }
+  if (meta.region_id != 0) {
     // Set-granular reclamation: the region's space is recycled only when
     // its last SSTable dies (paper Sec. III-C "Delete").
-    auto rit = regions_.find(it->second.region_id);
+    auto rit = regions_.find(meta.region_id);
     if (rit != regions_.end() && --rit->second.live_files == 0) {
-      FreeAllocatorExtent(rit->second.extent);
+      if (free_space) FreeAllocatorExtent(rit->second.extent);
       regions_.erase(rit);
     }
   }
   files_.erase(it);
-  std::string payload;
-  payload.push_back(static_cast<char>(kRemoveFileTag));
-  PutLengthPrefixedSlice(&payload, name);
-  return JournalAppend(payload);
 }
 
-Status FileStore::RenameFile(const std::string& src,
-                             const std::string& target) {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = files_.find(src);
-  if (it == files_.end()) {
-    return Status::NotFound("file not found", src);
+void EncodeCommit(std::string* dst, const FileCommit& commit) {
+  PutVarint32(dst, static_cast<uint32_t>(commit.tags.size()));
+  for (const auto& [name, tag] : commit.tags) {
+    PutLengthPrefixedSlice(dst, name);
+    PutLengthPrefixedSlice(dst, tag);
   }
-  auto tgt = files_.find(target);
-  if (tgt != files_.end()) {
-    DropFileData(tgt->second);
-    if (tgt->second.region_id == 0) {
-      for (const Extent& e : tgt->second.extents) FreeExtent(e);
+  PutVarint32(dst, static_cast<uint32_t>(commit.removes.size()));
+  for (const std::string& name : commit.removes) {
+    PutLengthPrefixedSlice(dst, name);
+  }
+  PutLengthPrefixedSlice(dst, commit.engine_state);
+}
+
+bool DecodeCommit(Slice in, FileCommit* commit) {
+  *commit = FileCommit();
+  uint32_t ntags, nremoves;
+  if (!GetVarint32(&in, &ntags)) return false;
+  for (uint32_t i = 0; i < ntags; i++) {
+    Slice name, tag;
+    if (!GetLengthPrefixedSlice(&in, &name) ||
+        !GetLengthPrefixedSlice(&in, &tag)) {
+      return false;
     }
-    files_.erase(tgt);
+    commit->tags[name.ToString()] = tag.ToString();
   }
-  files_[target] = std::move(it->second);
-  files_.erase(src);
-  std::string payload;
-  payload.push_back(static_cast<char>(kRenameTag));
-  PutLengthPrefixedSlice(&payload, src);
-  PutLengthPrefixedSlice(&payload, target);
-  return JournalAppend(payload);
+  if (!GetVarint32(&in, &nremoves)) return false;
+  for (uint32_t i = 0; i < nremoves; i++) {
+    Slice name;
+    if (!GetLengthPrefixedSlice(&in, &name)) return false;
+    commit->removes.push_back(name.ToString());
+  }
+  Slice state;
+  if (!GetLengthPrefixedSlice(&in, &state) || !in.empty()) return false;
+  commit->engine_state = state.ToString();
+  return true;
+}
+
+Status FileStore::Commit(const FileCommit& commit) {
+  std::lock_guard<std::mutex> l(mu_);
+  for (const auto& [name, tag] : commit.tags) {
+    if (files_.find(name) == files_.end()) {
+      return Status::NotFound("commit tags a missing file", name);
+    }
+  }
+  std::string payload(1, static_cast<char>(kCommitTag));
+  EncodeCommit(&payload, commit);
+  Status s = JournalAppend(payload);
+  if (!s.ok()) return s;
+  for (const auto& [name, tag] : commit.tags) files_[name].tag = tag;
+  for (const std::string& name : commit.removes) {
+    auto it = files_.find(name);
+    if (it != files_.end()) EraseFile(it, /*free_space=*/true);
+  }
+  engine_state_ = commit.engine_state;
+  return Status::OK();
+}
+
+std::vector<FileInfo> FileStore::ListFiles() {
+  std::lock_guard<std::mutex> l(mu_);
+  std::vector<FileInfo> out;
+  out.reserve(files_.size());
+  for (const auto& [name, meta] : files_) {
+    out.push_back({name, meta.size, meta.region_id, meta.tag});
+  }
+  return out;
+}
+
+std::string FileStore::engine_state() {
+  std::lock_guard<std::mutex> l(mu_);
+  return engine_state_;
 }
 
 bool FileStore::FileExists(const std::string& name) {
@@ -1241,6 +1326,11 @@ Status FileStore::SealRegion(uint64_t region_id) {
   RegionMeta& region = rit->second;
   if (region.live_files == 0) {
     // Nothing was written into the region; drop it entirely.
+    std::string payload;
+    payload.push_back(static_cast<char>(kReleaseRegionTag));
+    PutVarint64(&payload, region_id);
+    Status s = JournalAppend(payload);
+    if (!s.ok()) return s;
     FreeAllocatorExtent(region.extent);
     regions_.erase(rit);
     return Status::OK();

@@ -4,14 +4,23 @@
 //
 // Files are stored as chains of extents placed by a pluggable
 // ExtentAllocator. File metadata (name, extents, logical size, set-region
-// membership) is persisted in a journal living in the drive's conventional
-// region: two alternating checkpoint slots plus an append log, so the store
-// recovers after a crash from drive contents alone.
+// membership, engine tag) is persisted in a journal living in the drive's
+// conventional region: two alternating checkpoint slots plus an append log,
+// so the store recovers after a crash from drive contents alone.
 //
 // Set support: a *region* is one contiguous allocation holding the output
 // SSTables of one compaction (a set). Files carved from a region share its
 // extent; the region's space returns to the allocator only when the last
 // file in it is removed — the paper's set-granular space reclamation.
+//
+// The journal is the store's only metadata log, the engine's included. A
+// file may carry an opaque engine *tag* (the LSM stores a table's level and
+// key range there), and the store keeps one opaque engine *state* blob (the
+// LSM's last sequence number); both ride in checkpoints. Commit() changes
+// any number of tags, removes files and replaces the state blob in ONE
+// journal record, so a flush or compaction is installed atomically: the
+// tables that carry a tag are the engine's live set, and a table without
+// one is an output whose commit never landed.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +49,17 @@ inline constexpr uint32_t kJournalMagic = 0x4a524e4c;  // "JRNL"
 inline constexpr uint32_t kCkptMagic = 0x434b5054;     // "CKPT"
 inline constexpr size_t kRecordHeader = 4 + 8 + 4 + 4;
 
-// Journal record payload tags (first payload byte).
+// Journal record payload tags (first payload byte). Replaying the record
+// that removes a region's last file releases the region, as the live store
+// does.
 enum JournalRecordTag : uint8_t {
   kCreateFile = 1,
-  kUpdateFile = 2,
+  kUpdateFile = 2,      // keeps the file's tag
   kRemoveFileTag = 3,
-  kRenameTag = 4,
   kCreateRegion = 5,
   kSealRegionTag = 6,
+  kReleaseRegionTag = 7,  // an empty region sealed without a file
+  kCommitTag = 8,         // see FileCommit
 };
 
 class SequentialFile {
@@ -103,6 +115,31 @@ struct ScrubStepResult {
   bool wrapped = false;  // the namespace end was reached; cursor reset
 };
 
+// One atomic metadata change (FileStore::Commit): journaled as a single
+// record, applied in memory only once that record has landed.
+struct FileCommit {
+  // Live file -> its new engine tag; an empty tag clears it.
+  std::map<std::string, std::string> tags;
+  // Files removed, space included (missing names are skipped).
+  std::vector<std::string> removes;
+  // Replaces the store's engine state blob.
+  std::string engine_state;
+};
+
+// A commit record's body (the payload after its kCommitTag byte): the tag
+// changes, the removals, then the state blob. DecodeCommit rejects
+// truncated or trailing bytes.
+void EncodeCommit(std::string* dst, const FileCommit& commit);
+bool DecodeCommit(Slice body, FileCommit* commit);
+
+// One live file as ListFiles reports it.
+struct FileInfo {
+  std::string name;
+  uint64_t size = 0;       // logical bytes
+  uint64_t region_id = 0;  // 0 = standalone
+  std::string tag;         // empty = untagged
+};
+
 class FileStore {
  public:
   // The store writes its metadata journal into the drive's conventional
@@ -124,7 +161,7 @@ class FileStore {
   Status Recover();
 
   // ---- Env-like file API ----
-  // `appendable` marks long-lived append-mode files (WAL, manifest): on
+  // `appendable` marks long-lived append-mode files (the WAL): on
   // shingled media their allocations carry a trailing guard because their
   // tail tracks are written after later allocations land behind them.
   Status NewWritableFile(const std::string& name, uint64_t size_hint,
@@ -138,10 +175,20 @@ class FileStore {
   Status NewSequentialFile(const std::string& name,
                            std::unique_ptr<SequentialFile>* result);
   Status RemoveFile(const std::string& name);
-  Status RenameFile(const std::string& src, const std::string& target);
   bool FileExists(const std::string& name);
   Status GetFileSize(const std::string& name, uint64_t* size);
   std::vector<std::string> GetChildren();
+
+  // ---- engine metadata (tags and the state blob; see the file header) ----
+  // Apply `commit` atomically. Every tagged name must be a live file. The
+  // journal record is written first; a failed write changes nothing in
+  // memory (on media the record may or may not have landed, and recovery
+  // decides).
+  Status Commit(const FileCommit& commit);
+  // Every live file with its size, region and tag, sorted by name.
+  std::vector<FileInfo> ListFiles();
+  // The state blob of the last landed commit ("" for a fresh store).
+  std::string engine_state();
 
   // ---- set-region API (SEALDB compactions) ----
   // Allocate one contiguous region of `size` bytes; returns its id.
@@ -154,6 +201,8 @@ class FileStore {
   Status NewWritableFileInRegion(uint64_t region_id, const std::string& name,
                                  std::unique_ptr<WritableFile>* result);
   // Declare the region complete: return the unused tail to the allocator.
+  // A region no file was carved from is released whole, and the release
+  // is journaled.
   Status SealRegion(uint64_t region_id);
   // Physical extent currently covered by the region.
   Status GetRegionExtent(uint64_t region_id, Extent* extent);
@@ -219,6 +268,7 @@ class FileStore {
     std::vector<Extent> extents;
     uint64_t size = 0;          // logical bytes
     uint64_t region_id = 0;     // 0 = standalone
+    std::string tag;            // engine tag; set only by Commit
     bool appendable = false;    // in-memory only, not persisted
   };
 
@@ -249,6 +299,14 @@ class FileStore {
   // Release over-allocated space beyond the file's logical size.
   void ShrinkToFit(FileMeta* meta);
   void DropFileData(const FileMeta& meta);
+  // Unlink a file; the region whose last file it was is released. Live
+  // removals (`free_space`) also trim the data and return its space;
+  // journal replay only rebuilds the maps (the allocators are seeded
+  // after it).
+  void EraseFile(std::map<std::string, FileMeta>::iterator it,
+                 bool free_space);
+  // Insert or replace a replayed file's metadata (region counts follow).
+  void ReplayPutFile(const std::string& name, FileMeta meta);
 
   // Journal helpers (mutex held by caller).
   Status JournalAppend(const std::string& payload);
@@ -270,7 +328,7 @@ class FileStore {
 
   // Geometry of the metadata area. The conventional region is split in
   // half: the journal (checkpoint slots + log) in the front, a pool for
-  // appendable files (WAL, manifest) in the back — like the conventional
+  // appendable files (the WAL) in the back — like the conventional
   // zones real zoned deployments reserve for logs and metadata.
   uint64_t SlotBytes() const;
   uint64_t SlotOffset(int slot) const;
@@ -291,6 +349,7 @@ class FileStore {
   std::set<uint64_t> bad_blocks_;  // quarantined block byte offsets
   FreeMap conv_files_free_;  // appendable-file pool in the conventional region
   uint64_t next_region_id_ = 1;
+  std::string engine_state_;  // see Commit
 
   // Observability (null until SetMetrics).
   obs::Counter* c_free_errors_ = nullptr;

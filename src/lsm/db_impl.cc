@@ -22,7 +22,7 @@
 namespace sealdb {
 
 // Tables the TableCache keeps open: LevelDB's 1000 open files, less ten
-// reserved for the WAL, manifest and other non-table files.
+// reserved for the WAL and other non-table files.
 const int kTableCacheSize = 1000 - 10;
 
 // Wall-clock nanoseconds for the engine's stage and stall timers (device
@@ -166,53 +166,6 @@ DBImpl::~DBImpl() {
   logfile_.reset();
 }
 
-Status DBImpl::NewDB() {
-  VersionEdit new_db;
-  new_db.SetComparatorName(user_comparator()->Name());
-  new_db.SetLogNumber(0);
-  new_db.SetNextFile(2);
-  new_db.SetLastSequence(0);
-
-  const std::string manifest = DescriptorFileName(dbname_, 1);
-  std::unique_ptr<fs::WritableFile> file;
-  Status s = store_->NewWritableFile(manifest, 1 << 20, &file,
-                                     /*appendable=*/true);
-  if (!s.ok()) {
-    return s;
-  }
-  {
-    log::Writer log(file.get());
-    std::string record;
-    new_db.EncodeTo(&record);
-    s = log.AddRecord(record);
-    if (s.ok()) {
-      s = log.PadToBlockBoundary();
-    }
-    if (s.ok()) {
-      s = file->Close();
-    }
-  }
-  file.reset();
-  if (s.ok()) {
-    // Make "CURRENT" file that points to the new manifest file.
-    std::string tmp = TempFileName(dbname_, 1);
-    std::unique_ptr<fs::WritableFile> f;
-    s = store_->NewWritableFile(tmp, 4096, &f);
-    if (s.ok()) {
-      std::string contents = manifest.substr(dbname_.size() + 1) + "\n";
-      s = f->Append(contents);
-      if (s.ok()) s = f->Close();
-      f.reset();
-      if (s.ok()) {
-        s = store_->RenameFile(tmp, CurrentFileName(dbname_));
-      }
-    }
-  } else {
-    store_->RemoveFile(manifest);
-  }
-  return s;
-}
-
 void DBImpl::MaybeIgnoreError(Status* s) const {
   if (s->ok() || options_.paranoid_checks) {
     // No change needed
@@ -222,80 +175,39 @@ void DBImpl::MaybeIgnoreError(Status* s) const {
 }
 
 void DBImpl::RemoveObsoleteFiles() {
-  if (!bg_error_.ok()) {
-    // After a background error, we don't know whether a new version may
-    // or may not have been committed, so we cannot safely garbage collect.
-    return;
-  }
-  if (removing_obsolete_files_) {
-    // Another worker is mid-deletion (it drops mutex_ while unlinking);
-    // whatever this call would have collected is caught by the next one.
-    return;
-  }
-  removing_obsolete_files_ = true;
+  std::vector<uint64_t> dead = versions_->TakeObsoleteFiles();
+  if (dead.empty()) return;
+  std::sort(dead.begin(), dead.end());
+  for (uint64_t number : dead) table_cache_->Evict(number);
 
-  // Make a set of all of the live files
-  std::set<uint64_t> live = pending_outputs_;
-  versions_->AddLiveFiles(&live);
-
-  std::vector<std::string> filenames = store_->GetChildren();
-  uint64_t number;
-  FileType type;
-  std::vector<std::string> files_to_delete;
-  std::vector<uint64_t> tables_to_delete;
-  const std::string prefix = dbname_ + "/";
-  for (std::string& filename : filenames) {
-    if (filename.compare(0, prefix.size(), prefix) != 0) continue;
-    if (ParseFileName(filename, &number, &type)) {
-      bool keep = true;
-      switch (type) {
-        case kLogFile:
-          keep = ((number >= versions_->LogNumber()) ||
-                  (number == versions_->PrevLogNumber()));
-          break;
-        case kDescriptorFile:
-          // Keep my manifest file, and any newer incarnations'
-          // (in case there is a race that allows other incarnations)
-          keep = (number >= versions_->ManifestFileNumber());
-          break;
-        case kTableFile:
-          keep = (live.find(number) != live.end());
-          break;
-        case kTempFile:
-          // Any temp files that are currently being written to must
-          // be recorded in pending_outputs_, which is inserted into "live"
-          keep = (live.find(number) != live.end());
-          break;
-        case kCurrentFile:
-        case kDBLockFile:
-          keep = true;
-          break;
-      }
-
-      if (!keep) {
-        files_to_delete.push_back(std::move(filename));
-        if (type == kTableFile) {
-          tables_to_delete.push_back(number);
-          table_cache_->Evict(number);
-        }
-      }
-    }
-  }
-
-  // While deleting all files unblock other threads. All files being deleted
-  // have unique names which will not collide with newly created files and
-  // are therefore safe to delete while allowing other threads to proceed.
+  // No version references these tables and their names are never reused,
+  // so other threads may proceed while they are removed.
   mutex_.unlock();
-  for (const std::string& filename : files_to_delete) {
-    store_->RemoveFile(filename);
+  for (uint64_t number : dead) {
+    store_->RemoveFile(TableFileName(dbname_, number));
   }
   mutex_.lock();
   if (set_manager_ != nullptr) {
-    for (uint64_t number_deleted : tables_to_delete) {
-      set_manager_->OnFileDeleted(number_deleted);
-    }
+    for (uint64_t number : dead) set_manager_->OnFileDeleted(number);
   }
-  removing_obsolete_files_ = false;
+}
+
+void DBImpl::RemoveUncommittedOutputs(CompactionState* compact) {
+  if (compact->builder != nullptr) {
+    compact->builder->Abandon();
+    delete compact->builder;
+    compact->builder = nullptr;
+  }
+  compact->outfile.reset();
+  for (const CompactionState::Output& out : compact->outputs) {
+    table_cache_->Evict(out.number);
+    store_->RemoveFile(TableFileName(dbname_, out.number));
+  }
+  if (compact->region_id != 0) {
+    // Removing the region's last table released it; a region no table was
+    // carved from is released by sealing it empty.
+    store_->SealRegion(compact->region_id);
+  }
 }
 
 void DBImpl::QuarantineFile(uint64_t file_number) {
@@ -306,62 +218,23 @@ void DBImpl::QuarantineFile(uint64_t file_number) {
   table_cache_->Evict(file_number, /*ban=*/true);
 }
 
-Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
+Status DBImpl::Recover(VersionEdit* edit) {
   // The FileStore itself has already been recovered by the caller.
-  // A store without a CURRENT file is a new DB.
-  if (!store_->FileExists(CurrentFileName(dbname_))) {
-    Status s = NewDB();
-    if (!s.ok()) {
-      return s;
-    }
-  }
-
-  Status s = versions_->Recover(save_manifest);
+  std::vector<uint64_t> logs;
+  Status s = versions_->Recover(&logs);
   if (!s.ok()) {
     return s;
   }
+
+  // Replay every WAL, in the order the logs were written. A WAL whose
+  // memtable was flushed went away in that flush's commit record.
   SequenceNumber max_sequence(0);
-
-  // Recover from all newer log files than the ones named in the
-  // descriptor (new log files may have been added by the previous
-  // incarnation without registering them in the descriptor).
-  const uint64_t min_log = versions_->LogNumber();
-  const uint64_t prev_log = versions_->PrevLogNumber();
-  std::vector<std::string> filenames = store_->GetChildren();
-  std::set<uint64_t> expected;
-  versions_->AddLiveFiles(&expected);
-  uint64_t number;
-  FileType type;
-  std::vector<uint64_t> logs;
-  const std::string prefix = dbname_ + "/";
-  for (size_t i = 0; i < filenames.size(); i++) {
-    if (filenames[i].compare(0, prefix.size(), prefix) != 0) continue;
-    if (ParseFileName(filenames[i], &number, &type)) {
-      expected.erase(number);
-      if (type == kLogFile && ((number >= min_log) || (number == prev_log)))
-        logs.push_back(number);
-    }
-  }
-  if (!expected.empty()) {
-    char buf[50];
-    std::snprintf(buf, sizeof(buf), "%d missing table files",
-                  static_cast<int>(expected.size()));
-    return Status::Corruption(buf);
-  }
-
-  // Recover in the order in which the logs were generated
-  std::sort(logs.begin(), logs.end());
-  for (size_t i = 0; i < logs.size(); i++) {
-    s = RecoverLogFile(logs[i], (i == logs.size() - 1), save_manifest, edit,
-                       &max_sequence);
+  for (uint64_t log : logs) {
+    s = RecoverLogFile(log, edit, &max_sequence);
     if (!s.ok()) {
       return s;
     }
-
-    // The previous incarnation may not have written any MANIFEST
-    // records after allocating this log number.  So we manually
-    // update the file number allocation counter in VersionSet.
-    versions_->MarkFileNumberUsed(logs[i]);
+    edit->RemoveLog(log);
   }
 
   if (versions_->LastSequence() < max_sequence) {
@@ -381,8 +254,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   return Status::OK();
 }
 
-Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
-                              bool* save_manifest, VersionEdit* edit,
+Status DBImpl::RecoverLogFile(uint64_t log_number, VersionEdit* edit,
                               SequenceNumber* max_sequence) {
   struct LogReporter : public log::Reader::Reporter {
     Status* status;
@@ -412,7 +284,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
   std::string scratch;
   Slice record;
   WriteBatch batch;
-  int compactions = 0;
   MemTable* mem = nullptr;
   while (reader.ReadRecord(&record, &scratch) && status.ok()) {
     if (record.size() < 12) {
@@ -438,8 +309,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     }
 
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
-      compactions++;
-      *save_manifest = true;
       status = WriteLevel0Table(mem, edit, nullptr);
       mem->Unref();
       mem = nullptr;
@@ -453,16 +322,9 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
 
   file.reset();
 
-  // See if we should keep reusing the last log file.
-  if (status.ok() && last_log && compactions == 0 && mem != nullptr) {
-    // Keep it simple: always write a fresh log on reopen; flush the
-    // recovered memtable below.
-  }
-
+  // Always write a fresh log on reopen: flush the recovered memtable.
   if (mem != nullptr) {
-    // mem did not get reused; compact it.
     if (status.ok()) {
-      *save_manifest = true;
       status = WriteLevel0Table(mem, edit, nullptr);
     }
     mem->Unref();
@@ -543,7 +405,6 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                                 Version* base) {
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
-  pending_outputs_.insert(meta.number);
   Iterator* iter = mem->NewIterator();
 
   Status s;
@@ -554,10 +415,9 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   }
 
   delete iter;
-  pending_outputs_.erase(meta.number);
 
   // Note that if file_size is zero, the file has been deleted and
-  // should not be added to the manifest.
+  // should not be committed.
   int level = 0;
   if (s.ok() && meta.file_size > 0) {
     const Slice min_user_key = meta.smallest.user_key();
@@ -591,14 +451,10 @@ void DBImpl::CompactMemTable() {
   Status s = WriteLevel0Table(imm_, &edit, base);
   base->Unref();
 
-  if (s.ok() && shutting_down_.load(std::memory_order_acquire)) {
-    s = Status::IOError("Deleting DB during memtable compaction");
-  }
-
-  // Replace immutable memtable with the generated Table
+  // Replace immutable memtable with the generated Table, and retire the
+  // WAL behind it in the same commit.
   if (s.ok()) {
-    edit.SetPrevLogNumber(0);
-    edit.SetLogNumber(logfile_number_);  // Earlier logs no longer needed
+    edit.RemoveLog(imm_logfile_number_);
     s = versions_->LogAndApply(&edit);
   }
 
@@ -719,7 +575,7 @@ Status DBImpl::TEST_CompactMemTable() {
 }
 
 // Enter read-only degraded mode: the first persistent I/O error (failed WAL
-// append/sync, flush, compaction, or manifest write) is latched and every
+// append/sync, flush, compaction, or commit record) is latched and every
 // subsequent write or compaction fails fast with it. Reads keep being served
 // from whatever state is already durable/in memory; re-opening the DB after
 // the underlying fault is repaired restores write availability.
@@ -901,10 +757,6 @@ void DBImpl::CleanupCompaction(CompactionState* compact) {
     assert(compact->outfile == nullptr);
   }
   compact->outfile.reset();
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    pending_outputs_.erase(out.number);
-  }
   delete compact;
 }
 
@@ -915,7 +767,6 @@ Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
   {
     mutex_.lock();
     file_number = versions_->NewFileNumber();
-    pending_outputs_.insert(file_number);
     CompactionState::Output out;
     out.number = file_number;
     out.smallest.Clear();
@@ -1219,6 +1070,10 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   if (status.ok() && compact->region_id != 0) {
     // Return the unused tail of the set region to the free-space list.
     status = store_->SealRegion(compact->region_id);
+  }
+  if (!status.ok()) {
+    // Failed before its commit: nothing references the outputs.
+    RemoveUncommittedOutputs(compact);
   }
 
   // Split the loop's exact wall time in the sampled ratios; write takes the
@@ -1639,7 +1494,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       }
     } else {
       // Attempt to switch to a new memtable and trigger compaction of old
-      assert(versions_->PrevLogNumber() == 0);
       uint64_t new_log_number = versions_->NewFileNumber();
       std::unique_ptr<fs::WritableFile> lfile;
       s = store_->NewWritableFile(LogFileName(dbname_, new_log_number),
@@ -1652,6 +1506,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       }
       log_.reset();
       logfile_ = std::move(lfile);
+      imm_logfile_number_ = logfile_number_;
       logfile_number_ = new_log_number;
       log_ = std::make_unique<log::Writer>(logfile_.get());
       imm_ = mem_;
@@ -1801,9 +1656,8 @@ Status DB::Open(const Options& options, const std::string& dbname,
   DBImpl* impl = new DBImpl(options, dbname, store);
   impl->mutex_.lock();
   VersionEdit edit;
-  bool save_manifest = false;
-  Status s = impl->Recover(&edit, &save_manifest);
-  if (s.ok() && impl->mem_ == nullptr) {
+  Status s = impl->Recover(&edit);
+  if (s.ok()) {
     // Create new log and a corresponding memtable.
     uint64_t new_log_number = impl->versions_->NewFileNumber();
     std::unique_ptr<fs::WritableFile> lfile;
@@ -1811,7 +1665,6 @@ Status DB::Open(const Options& options, const std::string& dbname,
                                impl->options_.write_buffer_size * 2, &lfile,
                                /*appendable=*/true);
     if (s.ok()) {
-      edit.SetLogNumber(new_log_number);
       impl->logfile_ = std::move(lfile);
       impl->logfile_number_ = new_log_number;
       impl->log_ = std::make_unique<log::Writer>(impl->logfile_.get());
@@ -1819,18 +1672,16 @@ Status DB::Open(const Options& options, const std::string& dbname,
       impl->mem_->Ref();
     }
   }
-  if (s.ok() && save_manifest) {
-    edit.SetPrevLogNumber(0);  // No older logs needed after recovery.
-    edit.SetLogNumber(impl->logfile_number_);
+  if (s.ok()) {
+    // One commit installs the recovered tables and retires the replayed
+    // WALs; until it lands, the next Open replays the same WALs again.
     s = impl->versions_->LogAndApply(&edit);
   }
   if (s.ok()) {
-    impl->RemoveObsoleteFiles();
     impl->MaybeScheduleCompaction();
   }
   impl->mutex_.unlock();
   if (s.ok()) {
-    assert(impl->mem_ != nullptr);
     *dbptr = impl;
   } else {
     delete impl;

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,26 +97,26 @@ class DBImpl : public DB {
                                 SequenceNumber* latest_snapshot,
                                 uint32_t* seed);
 
-  Status NewDB();
-
-  // Recover the descriptor from persistent storage.  May do a significant
-  // amount of work to recover recently logged updates.  Any changes to
-  // be made to the descriptor are added to *edit.
-  Status Recover(VersionEdit* edit, bool* save_manifest)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Rebuild the version from the store and replay every WAL into level-0
+  // tables; *edit collects those tables and retires the replayed WALs.
+  Status Recover(VersionEdit* edit) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   void MaybeIgnoreError(Status* s) const;
 
-  // Delete any unneeded files and stale in-memory entries.
+  // Remove the tables no version references any more (and drop them from
+  // the table cache and the set manager).
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Compact the in-memory write buffer to disk.  Switches to a new
-  // log-file/memtable and writes a new descriptor iff successful.
-  // Errors are recorded in bg_error_.
+  // Remove the tables of a compaction that failed before its commit, and
+  // release its set region. Called without mutex_: no version references
+  // the outputs.
+  void RemoveUncommittedOutputs(CompactionState* compact);
+
+  // Compact the in-memory write buffer to disk and commit it, retiring the
+  // WAL behind it. Errors are recorded in bg_error_.
   void CompactMemTable() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  Status RecoverLogFile(uint64_t log_number, bool last_log,
-                        bool* save_manifest, VersionEdit* edit,
+  Status RecoverLogFile(uint64_t log_number, VersionEdit* edit,
                         SequenceNumber* max_sequence)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
@@ -185,6 +184,7 @@ class DBImpl : public DB {
   std::atomic<bool> has_imm_;     // So bg thread can detect non-null imm_
   std::unique_ptr<fs::WritableFile> logfile_;
   uint64_t logfile_number_;
+  uint64_t imm_logfile_number_ = 0;  // the WAL behind imm_, retired by its flush
   std::unique_ptr<log::Writer> log_;
   uint32_t seed_;  // For sampling.
 
@@ -193,10 +193,6 @@ class DBImpl : public DB {
   WriteBatch* tmp_batch_;
 
   SnapshotList snapshots_;
-
-  // Set of table files to protect from deletion because they are
-  // part of ongoing compactions.
-  std::set<uint64_t> pending_outputs_;
 
   // Background executor (used when !options_.inline_compactions): a pool
   // of options_.max_background_compactions workers shares one wakeup cv.
@@ -209,7 +205,6 @@ class DBImpl : public DB {
   int compactions_in_flight_ = 0;  // concurrent DoCompactionWork calls
   bool imm_flush_in_flight_ = false;
   bool pick_exhausted_ = false;    // last pick found nothing runnable
-  bool removing_obsolete_files_ = false;
   bool in_inline_compaction_ = false;
   CompactionReservations reservations_;
 

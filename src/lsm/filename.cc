@@ -25,30 +25,7 @@ std::string TableFileName(const std::string& dbname, uint64_t number) {
   return MakeFileName(dbname, number, "ldb");
 }
 
-std::string DescriptorFileName(const std::string& dbname, uint64_t number) {
-  assert(number > 0);
-  char buf[100];
-  std::snprintf(buf, sizeof(buf), "/MANIFEST-%06llu",
-                static_cast<unsigned long long>(number));
-  return dbname + buf;
-}
-
-std::string CurrentFileName(const std::string& dbname) {
-  return dbname + "/CURRENT";
-}
-
-std::string LockFileName(const std::string& dbname) { return dbname + "/LOCK"; }
-
-std::string TempFileName(const std::string& dbname, uint64_t number) {
-  assert(number > 0);
-  return MakeFileName(dbname, number, "dbtmp");
-}
-
-// Owned filenames have the form:
-//    dbname/CURRENT
-//    dbname/LOCK
-//    dbname/MANIFEST-[0-9]+
-//    dbname/[0-9]+.(log|ldb|dbtmp)
+// Owned filenames have the form dbname/[0-9]+.(log|ldb).
 bool ParseFileName(const std::string& filename, uint64_t* number,
                    FileType* type) {
   // Strip any directory prefix.
@@ -58,42 +35,20 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
     rest.remove_prefix(slash + 1);
   }
 
-  if (rest == "CURRENT") {
-    *number = 0;
-    *type = kCurrentFile;
-  } else if (rest == "LOCK") {
-    *number = 0;
-    *type = kDBLockFile;
-  } else if (rest.starts_with("MANIFEST-")) {
-    rest.remove_prefix(strlen("MANIFEST-"));
-    uint64_t num;
-    if (!ConsumeDecimalNumber(&rest, &num)) {
-      return false;
-    }
-    if (!rest.empty()) {
-      return false;
-    }
-    *type = kDescriptorFile;
-    *number = num;
-  } else {
-    // Avoid strtoull() to keep filename format independent of the
-    // current locale
-    uint64_t num;
-    if (!ConsumeDecimalNumber(&rest, &num)) {
-      return false;
-    }
-    Slice suffix = rest;
-    if (suffix == Slice(".log")) {
-      *type = kLogFile;
-    } else if (suffix == Slice(".ldb")) {
-      *type = kTableFile;
-    } else if (suffix == Slice(".dbtmp")) {
-      *type = kTempFile;
-    } else {
-      return false;
-    }
-    *number = num;
+  // Avoid strtoull() to keep filename format independent of the
+  // current locale
+  uint64_t num;
+  if (!ConsumeDecimalNumber(&rest, &num)) {
+    return false;
   }
+  if (rest == Slice(".log")) {
+    *type = kLogFile;
+  } else if (rest == Slice(".ldb")) {
+    *type = kTableFile;
+  } else {
+    return false;
+  }
+  *number = num;
   return true;
 }
 

@@ -1,9 +1,9 @@
 // File naming scheme inside the FileStore namespace:
 //   <dbname>/<number>.log     write-ahead log
 //   <dbname>/<number>.ldb     SSTable
-//   <dbname>/MANIFEST-<number> version descriptor
-//   <dbname>/CURRENT          name of the current manifest
-//   <dbname>/<number>.dbtmp   temporary files (renamed into place)
+// Which tables are live is not a file: each live table carries a FileStore
+// tag (its level and key range), written by the commit record that
+// installed it (lsm/version_set.h).
 #pragma once
 
 #include <cstdint>
@@ -15,19 +15,11 @@ namespace sealdb {
 
 enum FileType {
   kLogFile,
-  kDBLockFile,
   kTableFile,
-  kDescriptorFile,
-  kCurrentFile,
-  kTempFile,
 };
 
 std::string LogFileName(const std::string& dbname, uint64_t number);
 std::string TableFileName(const std::string& dbname, uint64_t number);
-std::string DescriptorFileName(const std::string& dbname, uint64_t number);
-std::string CurrentFileName(const std::string& dbname);
-std::string LockFileName(const std::string& dbname);
-std::string TempFileName(const std::string& dbname, uint64_t number);
 
 // If filename is a sealdb file, store the type of the file in *type.
 // The number encoded in the filename is stored in *number.

@@ -1,4 +1,4 @@
-// WAL / manifest record format. Records are packed into fixed-size blocks
+// WAL record format. Records are packed into fixed-size blocks
 // matching the drive block (4 KB) so that a synced log can be padded to a
 // block boundary and never rewritten in place — a requirement on shingled
 // media.

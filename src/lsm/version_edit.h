@@ -1,9 +1,14 @@
-// VersionEdit: a delta applied to a Version, serialized into the manifest.
-// Extended relative to classic LevelDB with the SEALDB set id carried by
-// every table file (0 = no set).
+// VersionEdit: a delta applied to a Version — the tables a flush or
+// compaction adds and deletes, and the WALs a flush retires.
+// VersionSet::LogAndApply writes each edit as ONE FileStore commit record
+// (fs/file_store.h): added tables get their tag, deleted tables lose it,
+// retired WALs are removed. The tag is the only table metadata the store
+// does not already hold (size is the file's logical size, the SEALDB set
+// id its region id).
 #pragma once
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,39 +31,15 @@ struct FileMetaData {
   uint64_t set_id;       // SEALDB set (FileStore region) id, 0 if none
 };
 
+// Table tag codec: a live table's level and smallest and largest internal
+// keys. DecodeTableTag rejects truncated input, trailing bytes and levels
+// past 63.
+void EncodeTableTag(std::string* dst, int level, const FileMetaData& f);
+bool DecodeTableTag(Slice tag, int* level, FileMetaData* f);
+
 class VersionEdit {
  public:
-  VersionEdit() { Clear(); }
-  ~VersionEdit() = default;
-
-  void Clear();
-
-  void SetComparatorName(const Slice& name) {
-    has_comparator_ = true;
-    comparator_ = name.ToString();
-  }
-  void SetLogNumber(uint64_t num) {
-    has_log_number_ = true;
-    log_number_ = num;
-  }
-  void SetPrevLogNumber(uint64_t num) {
-    has_prev_log_number_ = true;
-    prev_log_number_ = num;
-  }
-  void SetNextFile(uint64_t num) {
-    has_next_file_number_ = true;
-    next_file_number_ = num;
-  }
-  void SetLastSequence(SequenceNumber seq) {
-    has_last_sequence_ = true;
-    last_sequence_ = seq;
-  }
-  void SetCompactPointer(int level, const InternalKey& key) {
-    compact_pointers_.push_back(std::make_pair(level, key));
-  }
-
   // Add the specified file at the specified number.
-  // REQUIRES: This version has not been saved (see VersionSet::SaveTo)
   // REQUIRES: "smallest" and "largest" are smallest and largest keys in file
   void AddFile(int level, uint64_t file, uint64_t file_size,
                const InternalKey& smallest, const InternalKey& largest,
@@ -77,30 +58,15 @@ class VersionEdit {
     deleted_files_.insert(std::make_pair(level, file));
   }
 
-  void EncodeTo(std::string* dst) const;
-  Status DecodeFrom(const Slice& src);
-
-  std::string DebugString() const;
+  // The memtable this edit flushes was the last user of WAL `number`.
+  void RemoveLog(uint64_t number) { removed_logs_.push_back(number); }
 
  private:
   friend class VersionSet;
 
-  typedef std::set<std::pair<int, uint64_t>> DeletedFileSet;
-
-  std::string comparator_;
-  uint64_t log_number_;
-  uint64_t prev_log_number_;
-  uint64_t next_file_number_;
-  SequenceNumber last_sequence_;
-  bool has_comparator_;
-  bool has_log_number_;
-  bool has_prev_log_number_;
-  bool has_next_file_number_;
-  bool has_last_sequence_;
-
-  std::vector<std::pair<int, InternalKey>> compact_pointers_;
-  DeletedFileSet deleted_files_;
+  std::set<std::pair<int, uint64_t>> deleted_files_;
   std::vector<std::pair<int, FileMetaData>> new_files_;
+  std::vector<uint64_t> removed_logs_;
 };
 
 }  // namespace sealdb

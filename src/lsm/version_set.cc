@@ -5,8 +5,6 @@
 
 #include "fs/file_store.h"
 #include "lsm/filename.h"
-#include "lsm/log_reader.h"
-#include "lsm/log_writer.h"
 #include "lsm/merger.h"
 #include "lsm/table.h"
 #include "lsm/table_cache.h"
@@ -86,13 +84,15 @@ Version::~Version() {
   prev_->next_ = next_;
   next_->prev_ = prev_;
 
-  // Drop references to files
+  // Drop references to files. A table no version references any more is
+  // dead: the commit that dropped it from the current version has landed.
   for (size_t level = 0; level < files_.size(); level++) {
     for (size_t i = 0; i < files_[level].size(); i++) {
       FileMetaData* f = files_[level][i];
       assert(f->refs > 0);
       f->refs--;
       if (f->refs <= 0) {
+        vset_->obsolete_files_.push_back(f->number);
         delete f;
       }
     }
@@ -663,13 +663,6 @@ class VersionSet::Builder {
 
   // Apply all of the edits in *edit to the current state.
   void Apply(const VersionEdit* edit) {
-    // Update compaction pointers
-    for (size_t i = 0; i < edit->compact_pointers_.size(); i++) {
-      const int level = edit->compact_pointers_[i].first;
-      vset_->compact_pointer_[level] =
-          edit->compact_pointers_[i].second.Encode().ToString();
-    }
-
     // Delete files
     for (const auto& deleted_file_set_kvp : edit->deleted_files_) {
       const int level = deleted_file_set_kvp.first;
@@ -680,8 +673,16 @@ class VersionSet::Builder {
     // Add new files
     for (size_t i = 0; i < edit->new_files_.size(); i++) {
       const int level = edit->new_files_[i].first;
-      FileMetaData* f = new FileMetaData(edit->new_files_[i].second);
-      f->refs = 1;
+      // A trivial move deletes a table from one level and adds it to
+      // another: both versions share its FileMetaData, so its refcount
+      // reaches 0 only when the table dies.
+      FileMetaData* f = MovedFile(edit, edit->new_files_[i].second.number);
+      if (f != nullptr) {
+        f->refs++;
+      } else {
+        f = new FileMetaData(edit->new_files_[i].second);
+        f->refs = 1;
+      }
 
       // We arrange to automatically compact this file after
       // a certain number of seeks.  Let's assume:
@@ -751,6 +752,18 @@ class VersionSet::Builder {
     }
   }
 
+  // The base version's metadata for `number` if *edit deletes it from
+  // some level, else nullptr.
+  FileMetaData* MovedFile(const VersionEdit* edit, uint64_t number) const {
+    for (const auto& [level, deleted] : edit->deleted_files_) {
+      if (deleted != number) continue;
+      for (FileMetaData* f : base_->files_[level]) {
+        if (f->number == number) return f;
+      }
+    }
+    return nullptr;
+  }
+
   void MaybeAddFile(Version* v, int level, FileMetaData* f) {
     if (levels_[level].deleted_files.count(f->number) > 0) {
       // File is deleted: do nothing
@@ -775,13 +788,6 @@ VersionSet::VersionSet(const std::string& dbname, const Options* options,
       store_(store),
       table_cache_(table_cache),
       icmp_(*cmp),
-      next_file_number_(2),
-      manifest_file_number_(0),  // Filled by Recover()
-      last_sequence_(0),
-      log_number_(0),
-      prev_log_number_(0),
-      descriptor_file_(nullptr),
-      descriptor_log_(nullptr),
       dummy_versions_(this),
       current_(nullptr),
       compact_pointer_(options->num_levels) {
@@ -811,19 +817,20 @@ void VersionSet::AppendVersion(Version* v) {
 }
 
 Status VersionSet::LogAndApply(VersionEdit* edit) {
-  if (edit->has_log_number_) {
-    assert(edit->log_number_ >= log_number_);
-    assert(edit->log_number_ < next_file_number_);
-  } else {
-    edit->SetLogNumber(log_number_);
+  fs::FileCommit commit;
+  for (const auto& [level, number] : edit->deleted_files_) {
+    commit.tags[TableFileName(dbname_, number)].clear();
   }
-
-  if (!edit->has_prev_log_number_) {
-    edit->SetPrevLogNumber(prev_log_number_);
+  // After the deletions: a trivial move re-tags the table it deleted.
+  for (const auto& [level, f] : edit->new_files_) {
+    EncodeTableTag(&commit.tags[TableFileName(dbname_, f.number)], level, f);
   }
-
-  edit->SetNextFile(next_file_number_);
-  edit->SetLastSequence(last_sequence_);
+  for (uint64_t log : edit->removed_logs_) {
+    commit.removes.push_back(LogFileName(dbname_, log));
+  }
+  PutVarint64(&commit.engine_state, last_sequence_);
+  Status s = store_->Commit(commit);
+  if (!s.ok()) return s;
 
   Version* v = new Version(this);
   {
@@ -832,219 +839,57 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
     builder.SaveTo(v);
   }
   Finalize(v);
-
-  // Rotate an oversized manifest: start a fresh one seeded with a full
-  // snapshot so old descriptor files can be deleted.
-  if (descriptor_log_ != nullptr &&
-      manifest_bytes_written_ > options_->max_manifest_file_size) {
-    descriptor_log_.reset();
-    descriptor_file_.reset();
-    manifest_file_number_ = NewFileNumber();
-    manifest_bytes_written_ = 0;
-  }
-
-  // Initialize new descriptor log file if necessary by creating
-  // a temporary file that contains a snapshot of the current version.
-  std::string new_manifest_file;
-  Status s;
-  if (descriptor_log_ == nullptr) {
-    // No reason to unlock *mu here since we only hit this path in the
-    // first call to LogAndApply (when opening the database).
-    assert(descriptor_file_ == nullptr);
-    new_manifest_file = DescriptorFileName(dbname_, manifest_file_number_);
-    s = store_->NewWritableFile(new_manifest_file, 1 << 20, &descriptor_file_,
-                                /*appendable=*/true);
-    if (s.ok()) {
-      descriptor_log_ = std::make_unique<log::Writer>(descriptor_file_.get());
-      s = WriteSnapshot(descriptor_log_.get());
-    }
-  }
-
-  // Write new record to MANIFEST log
-  if (s.ok()) {
-    std::string record;
-    edit->EncodeTo(&record);
-    s = descriptor_log_->AddRecord(record);
-    if (s.ok()) {
-      s = descriptor_log_->PadToBlockBoundary();
-    }
-    if (s.ok()) {
-      s = descriptor_file_->Sync();
-    }
-    manifest_bytes_written_ += record.size() + 4096;
-  }
-
-  // If we just created a new descriptor file, install it by writing a
-  // new CURRENT file that points to it.
-  if (s.ok() && !new_manifest_file.empty()) {
-    // Write CURRENT via a temp file + rename for atomicity.
-    std::string tmp = TempFileName(dbname_, manifest_file_number_);
-    std::unique_ptr<fs::WritableFile> f;
-    s = store_->NewWritableFile(tmp, 4096, &f);
-    if (s.ok()) {
-      // Store the bare manifest name (without the dbname prefix).
-      std::string contents =
-          new_manifest_file.substr(dbname_.size() + 1) + "\n";
-      s = f->Append(contents);
-      if (s.ok()) s = f->Close();
-      f.reset();
-      if (s.ok()) {
-        s = store_->RenameFile(tmp, CurrentFileName(dbname_));
-      }
-    }
-  }
-
-  // Install the new version
-  if (s.ok()) {
-    AppendVersion(v);
-    log_number_ = edit->log_number_;
-    prev_log_number_ = edit->prev_log_number_;
-  } else {
-    delete v;
-    if (!new_manifest_file.empty()) {
-      descriptor_log_.reset();
-      descriptor_file_.reset();
-      store_->RemoveFile(new_manifest_file);
-    }
-  }
-
-  return s;
+  AppendVersion(v);
+  return Status::OK();
 }
 
-Status VersionSet::Recover(bool* save_manifest) {
-  struct LogReporter : public log::Reader::Reporter {
-    Status* status;
-    void Corruption(size_t bytes, const Status& s) override {
-      (void)bytes;
-      if (this->status->ok()) *this->status = s;
+Status VersionSet::Recover(std::vector<uint64_t>* logs) {
+  const std::string state = store_->engine_state();
+  Slice in(state);
+  if (!state.empty() && (!GetVarint64(&in, &last_sequence_) || !in.empty())) {
+    return Status::Corruption("bad engine state in the file store");
+  }
+
+  VersionEdit edit;
+  std::vector<std::string> untagged;
+  const std::string prefix = dbname_ + "/";
+  for (const fs::FileInfo& info : store_->ListFiles()) {
+    uint64_t number;
+    FileType type;
+    if (info.name.compare(0, prefix.size(), prefix) != 0 ||
+        !ParseFileName(info.name, &number, &type)) {
+      continue;
     }
-  };
-
-  // Read "CURRENT" file, which contains a pointer to the current manifest
-  std::unique_ptr<fs::SequentialFile> current_file;
-  Status s = store_->NewSequentialFile(CurrentFileName(dbname_),
-                                       &current_file);
-  if (!s.ok()) {
-    return s;
-  }
-  uint64_t current_size;
-  s = store_->GetFileSize(CurrentFileName(dbname_), &current_size);
-  if (!s.ok()) return s;
-  std::string current;
-  current.resize(current_size);
-  Slice result;
-  s = current_file->Read(current_size, &result, current.data());
-  if (!s.ok()) return s;
-  current.assign(result.data(), result.size());
-  current_file.reset();
-  if (current.empty() || current[current.size() - 1] != '\n') {
-    return Status::Corruption("CURRENT file does not end with newline");
-  }
-  current.resize(current.size() - 1);
-
-  std::string dscname = dbname_ + "/" + current;
-  std::unique_ptr<fs::SequentialFile> file;
-  s = store_->NewSequentialFile(dscname, &file);
-  if (!s.ok()) {
-    if (s.IsNotFound()) {
-      return Status::Corruption("CURRENT points to a non-existent file",
-                                s.ToString());
+    MarkFileNumberUsed(number);
+    if (type == kLogFile) {
+      logs->push_back(number);
+    } else if (info.tag.empty()) {
+      untagged.push_back(info.name);
+    } else {
+      int level;
+      FileMetaData f;
+      if (!DecodeTableTag(info.tag, &level, &f) || level >= NumLevels()) {
+        return Status::Corruption("bad table tag", info.name);
+      }
+      edit.AddFile(level, number, info.size, f.smallest, f.largest,
+                   info.region_id);
     }
-    return s;
   }
+  for (const std::string& name : untagged) {
+    Status s = store_->RemoveFile(name);
+    if (!s.ok()) return s;
+  }
+  std::sort(logs->begin(), logs->end());
 
-  bool have_log_number = false;
-  bool have_prev_log_number = false;
-  bool have_next_file = false;
-  bool have_last_sequence = false;
-  uint64_t next_file = 0;
-  uint64_t last_sequence = 0;
-  uint64_t log_number = 0;
-  uint64_t prev_log_number = 0;
-  Builder builder(this, current_);
-  int read_records = 0;
-
+  Version* v = new Version(this);
   {
-    LogReporter reporter;
-    reporter.status = &s;
-    log::Reader reader(file.get(), &reporter, true /*checksum*/);
-    Slice record;
-    std::string scratch;
-    while (reader.ReadRecord(&record, &scratch) && s.ok()) {
-      ++read_records;
-      VersionEdit edit;
-      s = edit.DecodeFrom(record);
-      if (s.ok()) {
-        if (edit.has_comparator_ &&
-            edit.comparator_ != icmp_.user_comparator()->Name()) {
-          s = Status::InvalidArgument(
-              edit.comparator_ + " does not match existing comparator ",
-              icmp_.user_comparator()->Name());
-        }
-      }
-
-      if (s.ok()) {
-        builder.Apply(&edit);
-      }
-
-      if (edit.has_log_number_) {
-        log_number = edit.log_number_;
-        have_log_number = true;
-      }
-
-      if (edit.has_prev_log_number_) {
-        prev_log_number = edit.prev_log_number_;
-        have_prev_log_number = true;
-      }
-
-      if (edit.has_next_file_number_) {
-        next_file = edit.next_file_number_;
-        have_next_file = true;
-      }
-
-      if (edit.has_last_sequence_) {
-        last_sequence = edit.last_sequence_;
-        have_last_sequence = true;
-      }
-    }
-  }
-  file.reset();
-
-  if (s.ok()) {
-    if (!have_next_file) {
-      s = Status::Corruption("no meta-nextfile entry in descriptor");
-    } else if (!have_log_number) {
-      s = Status::Corruption("no meta-lognumber entry in descriptor");
-    } else if (!have_last_sequence) {
-      s = Status::Corruption("no last-sequence-number entry in descriptor");
-    }
-
-    if (!have_prev_log_number) {
-      prev_log_number = 0;
-    }
-
-    MarkFileNumberUsed(prev_log_number);
-    MarkFileNumberUsed(log_number);
-  }
-
-  if (s.ok()) {
-    Version* v = new Version(this);
+    Builder builder(this, current_);
+    builder.Apply(&edit);
     builder.SaveTo(v);
-    // Install recovered version
-    Finalize(v);
-    AppendVersion(v);
-    manifest_file_number_ = next_file;
-    next_file_number_ = next_file + 1;
-    last_sequence_ = last_sequence;
-    log_number_ = log_number;
-    prev_log_number_ = prev_log_number;
-
-    // We always write a fresh manifest on open (no manifest reuse), so the
-    // caller must persist the current state.
-    *save_manifest = true;
   }
-
-  return s;
+  Finalize(v);
+  AppendVersion(v);
+  return Status::OK();
 }
 
 void VersionSet::MarkFileNumberUsed(uint64_t number) {
@@ -1103,35 +948,6 @@ void VersionSet::Finalize(Version* v) {
   v->compaction_score_ = best_score;
 }
 
-Status VersionSet::WriteSnapshot(log::Writer* log) {
-  // Save metadata
-  VersionEdit edit;
-  edit.SetComparatorName(icmp_.user_comparator()->Name());
-
-  // Save compaction pointers
-  for (int level = 0; level < NumLevels(); level++) {
-    if (!compact_pointer_[level].empty()) {
-      InternalKey key;
-      key.DecodeFrom(compact_pointer_[level]);
-      edit.SetCompactPointer(level, key);
-    }
-  }
-
-  // Save files
-  for (int level = 0; level < NumLevels(); level++) {
-    const std::vector<FileMetaData*>& files = current_->files_[level];
-    for (size_t i = 0; i < files.size(); i++) {
-      const FileMetaData* f = files[i];
-      edit.AddFile(level, f->number, f->file_size, f->smallest, f->largest,
-                   f->set_id);
-    }
-  }
-
-  std::string record;
-  edit.EncodeTo(&record);
-  return log->AddRecord(record);
-}
-
 int VersionSet::NumLevelFiles(int level) const {
   assert(level >= 0);
   assert(level < NumLevels());
@@ -1174,18 +990,6 @@ uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
     }
   }
   return result;
-}
-
-void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
-  for (Version* v = dummy_versions_.next_; v != &dummy_versions_;
-       v = v->next_) {
-    for (int level = 0; level < NumLevels(); level++) {
-      const std::vector<FileMetaData*>& files = v->files_[level];
-      for (size_t i = 0; i < files.size(); i++) {
-        live->insert(files[i]->number);
-      }
-    }
-  }
 }
 
 int64_t VersionSet::MaxGrandParentOverlapBytes() const {
@@ -1546,7 +1350,6 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
     InternalKey smallest, largest;
     GetRange(c->inputs_[0], &smallest, &largest);
     compact_pointer_[level] = largest.Encode().ToString();
-    c->edit_.SetCompactPointer(level, largest);
     return;
   }
 
@@ -1592,12 +1395,10 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
                                    &c->grandparents_);
   }
 
-  // Update the place where we will do the next compaction for this level.
-  // We update this immediately instead of waiting for the VersionEdit
-  // to be applied so that if the compaction fails, we will try a different
+  // Update the place where we will do the next compaction for this level,
+  // at pick time, so that if the compaction fails, we will try a different
   // key range next time.
   compact_pointer_[level] = largest.Encode().ToString();
-  c->edit_.SetCompactPointer(level, largest);
 }
 
 Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,

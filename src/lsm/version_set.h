@@ -1,5 +1,12 @@
-// Version / VersionSet: the persistent tree of table files per level, the
-// manifest log that records its evolution, and compaction picking.
+// Version / VersionSet: the tree of table files per level, its one-record
+// commits to the FileStore journal, and compaction picking.
+//
+// The FileStore journal is the only metadata log. A live table is a store
+// file whose tag holds its level and key range (lsm/version_edit.h);
+// LogAndApply installs each flush, compaction and trivial move with one
+// FileStore::Commit, and Recover rebuilds the Version from the store's
+// file list. A table dies when the last Version referencing it is dropped
+// (its FileMetaData refcount reaches 0); the engine then removes the file.
 //
 // Extensions over classic LevelDB:
 //  * configurable level count (SMRDB runs with 2 levels),
@@ -14,6 +21,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lsm/dbformat.h"
@@ -25,12 +33,7 @@ namespace sealdb {
 
 namespace fs {
 class FileStore;
-class WritableFile;
 }  // namespace fs
-
-namespace log {
-class Writer;
-}
 
 class Compaction;
 class Iterator;
@@ -221,19 +224,19 @@ class VersionSet {
 
   ~VersionSet();
 
-  // Apply *edit to the current version to form a new descriptor that is
-  // both saved to persistent state and installed as the new current
-  // version.
+  // Commit *edit (one FileStore journal record carrying the new tags, the
+  // cleared ones, the retired WALs and the last sequence), then install the
+  // version it forms as current. On error nothing changes in memory.
   Status LogAndApply(VersionEdit* edit);
 
-  // Recover the last saved descriptor from persistent storage.
-  Status Recover(bool* save_manifest);
+  // Rebuild the current version from the store's tagged tables and the
+  // last sequence from its engine state. Removes untagged tables (outputs
+  // whose commit never landed), marks every listed file number used, and
+  // returns the WALs to replay, oldest first.
+  Status Recover(std::vector<uint64_t>* logs);
 
   // Return the current version.
   Version* current() const { return current_; }
-
-  // Return the current manifest file number
-  uint64_t ManifestFileNumber() const { return manifest_file_number_; }
 
   // Allocate and return a new file number
   uint64_t NewFileNumber() { return next_file_number_++; }
@@ -261,15 +264,11 @@ class VersionSet {
     last_sequence_ = s;
   }
 
-  // Mark the specified file number as used.
-  void MarkFileNumberUsed(uint64_t number);
-
-  // Return the current log file number.
-  uint64_t LogNumber() const { return log_number_; }
-
-  // Return the log file number for the log file that is currently
-  // being compacted, or zero if there is no such log file.
-  uint64_t PrevLogNumber() const { return prev_log_number_; }
+  // Tables no Version references any more, since the last call. Their
+  // tags were cleared by a landed commit; the caller removes the files.
+  std::vector<uint64_t> TakeObsoleteFiles() {
+    return std::exchange(obsolete_files_, {});
+  }
 
   int NumLevels() const { return options_->num_levels; }
 
@@ -306,9 +305,6 @@ class VersionSet {
     return (v->compaction_score_ >= 1) || (v->file_to_compact_ != nullptr);
   }
 
-  // Add all files listed in any live version to *live.
-  void AddLiveFiles(std::set<uint64_t>* live);
-
   // Return the approximate offset in the database of the data for
   // "key" as of version "v".
   uint64_t ApproximateOffsetOf(Version* v, const InternalKey& key);
@@ -327,7 +323,8 @@ class VersionSet {
   friend class Compaction;
   friend class Version;
 
-  bool ReuseManifest();
+  // Mark the specified file number as used.
+  void MarkFileNumberUsed(uint64_t number);
   void Finalize(Version* v);
 
   // SMRDB mode: seed inputs[0] with a file from the deepest overlap
@@ -348,9 +345,6 @@ class VersionSet {
 
   void SetupOtherInputs(Compaction* c);
 
-  // Save current contents to *log
-  Status WriteSnapshot(log::Writer* log);
-
   void AppendVersion(Version* v);
 
   const std::string dbname_;
@@ -358,23 +352,17 @@ class VersionSet {
   fs::FileStore* const store_;
   TableCache* const table_cache_;
   const InternalKeyComparator icmp_;
-  uint64_t next_file_number_;
-  uint64_t manifest_file_number_;
-  uint64_t last_sequence_;
-  uint64_t log_number_;
-  uint64_t prev_log_number_;  // 0 or backing store for memtable being compacted
-
-  // Opened lazily
-  std::unique_ptr<fs::WritableFile> descriptor_file_;
-  std::unique_ptr<log::Writer> descriptor_log_;
-  uint64_t manifest_bytes_written_ = 0;
+  uint64_t next_file_number_ = 1;
+  uint64_t last_sequence_ = 0;
+  std::vector<uint64_t> obsolete_files_;  // see TakeObsoleteFiles
   Version dummy_versions_;  // Head of circular doubly-linked list of versions.
   Version* current_;        // == dummy_versions_.prev_
 
   const SetInfoProvider* set_info_ = nullptr;
 
   // Per-level key at which the next compaction at that level should start.
-  // Either an empty string, or a valid InternalKey.
+  // Either an empty string, or a valid InternalKey. In memory only: it
+  // restarts from the beginning of the key space on reopen.
   std::vector<std::string> compact_pointer_;
 };
 

@@ -8,6 +8,11 @@
 // to prove the checker catches (and --repair fixes) real damage; library
 // users call RunDoctor() on their own drive.
 //
+// The default load makes every shard run set compactions. A store at rest
+// then holds set regions and orphans none, so without --corrupt-slot the
+// check also fails when a shard holds no region (the check would say
+// nothing about regions) or an orphaned one (a leaked set region).
+//
 //   sealdb_doctor [--shards N] [--keys N] [--scale F]
 //                 [--corrupt-slot] [--repair] [--verbose]
 //
@@ -28,6 +33,7 @@
 #include "baselines/presets.h"
 #include "core/shard_layout.h"
 #include "fs/doctor.h"
+#include "util/random.h"
 
 namespace {
 
@@ -44,7 +50,7 @@ void Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   int shards = 4;
-  int keys = 2000;
+  int keys = 40000;
   uint64_t scale = 64;
   bool corrupt_slot = false;
   bool repair = false;
@@ -86,9 +92,13 @@ int main(int argc, char** argv) {
 
   WriteOptions wo;
   wo.sync = false;
+  // Random order, so flushes overlap and compact instead of landing in
+  // disjoint key ranges.
+  Random rnd(301);
   for (int i = 0; i < keys; i++) {
     char key[32], value[64];
-    std::snprintf(key, sizeof(key), "doctor-key-%08d", i);
+    std::snprintf(key, sizeof(key), "doctor-key-%08d",
+                  static_cast<int>(rnd.Uniform(keys)));
     std::snprintf(value, sizeof(value), "value-%08d-%032d", i, 0);
     s = stack->db()->Put(wo, key, value);
     if (!s.ok()) {
@@ -139,6 +149,23 @@ int main(int argc, char** argv) {
 
   bool clean = report.ok();
   const bool damage_expected = corrupt_slot;
+  if (!damage_expected) {
+    for (const auto& sr : report.shards) {
+      if (sr.regions == 0) {
+        std::fprintf(stderr,
+                     "shard %d holds no set region: load more keys so "
+                     "every shard compacts\n",
+                     sr.shard);
+        return 2;
+      }
+      if (sr.orphaned_regions > 0) {
+        std::fprintf(stderr, "shard %d: %llu orphaned region(s)\n", sr.shard,
+                     static_cast<unsigned long long>(sr.orphaned_regions));
+        if (clean && !verbose) std::fputs(report.ToString().c_str(), stdout);
+        clean = false;
+      }
+    }
+  }
   if (damage_expected && clean && !repair) {
     // A corrupted slot the checker failed to notice is itself a failure.
     // (A damaged inactive slot is only a warning; the active slot carries

@@ -1,5 +1,5 @@
 // Little-endian fixed-width and varint encodings used across the on-disk
-// formats (SSTable blocks, WAL records, manifest edits, file-store journal).
+// formats (SSTable blocks, WAL records, table tags, file-store journal).
 #pragma once
 
 #include <cstdint>

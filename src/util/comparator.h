@@ -15,8 +15,8 @@ class Comparator {
   // Three-way comparison: <0 iff a < b, 0 iff a == b, >0 iff a > b.
   virtual int Compare(const Slice& a, const Slice& b) const = 0;
 
-  // Name of this comparator, persisted in the manifest so a database is
-  // never opened with a mismatched ordering.
+  // Name of this comparator (diagnostics; the store does not persist it,
+  // since bytewise is the only ordering in use).
   virtual const char* Name() const = 0;
 
   // If *start < limit, change *start to a short string in [start, limit).

@@ -1,5 +1,5 @@
 // Small formatting helpers for diagnostics: number/escaped-string appends
-// and numeric parsing used by the manifest recovery path.
+// and numeric parsing used by file-name parsing.
 #pragma once
 
 #include <cstdint>

@@ -45,10 +45,6 @@ struct Options {
   size_t block_size = 4 * 1024;
   int block_restart_interval = 16;
 
-  // Rotate to a fresh (snapshot-seeded) MANIFEST once the current one
-  // exceeds this size, bounding metadata growth.
-  uint64_t max_manifest_file_size = 1 << 20;
-
   // If non-null, use this filter policy (e.g. bloom) for table reads.
   const FilterPolicy* filter_policy = nullptr;
   // If non-null, all SSTable block reads go through this page-based buffer

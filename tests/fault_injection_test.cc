@@ -350,6 +350,38 @@ baselines::StackConfig FaultConfig(baselines::SystemKind kind) {
   return config;
 }
 
+// Loads a one-shard SEALDB stack so that compacting L1 merges it with an L2
+// set: even keys, in random order, compacted into one set at L2; odd keys
+// across the same range until one memtable flush lands in L0, compacted
+// into L1.
+void LoadL1OverL2Set(ShardedDb* db) {
+  DB* engine = db->shard(0);
+  Random rnd(301);
+  for (int i = 0; i < 1500; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500)), Value(i)).ok());
+  }
+  db->CompactRange(nullptr, nullptr);
+  std::string prop;
+  for (int i = 0; prop != "1"; i++) {
+    ASSERT_LT(i, 1500) << "the memtable never flushed";
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500) + 1), Value(i)).ok());
+    ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
+  }
+  db->CompactLevelRange(0, nullptr, nullptr);
+  ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
+  ASSERT_EQ(prop, "0");
+}
+
+std::set<uint64_t> LiveTables(DB* engine) {
+  std::set<uint64_t> live;
+  for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
+    live.insert(f.number);
+  }
+  return live;
+}
+
 }  // namespace
 
 // An unreadable SSTable block must surface as a non-OK Status on Get —
@@ -484,30 +516,17 @@ TEST(DbFaultTest, CompactionInputReadErrorInstallsNothing) {
                   .ok());
   ShardedDb* db = stack->db();
   DB* engine = db->shard(0);
-  // Even keys, in random order, compacted into one set at L2; odd keys
-  // across the same range until one memtable flush lands in L0, compacted
-  // into L1. Compacting L1 then reads L1 and the L2 set.
-  Random rnd(301);
-  for (int i = 0; i < 1500; i++) {
-    ASSERT_TRUE(
-        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500)), Value(i)).ok());
-  }
-  db->CompactRange(nullptr, nullptr);
-  std::string prop;
-  for (int i = 0; prop != "1"; i++) {
-    ASSERT_LT(i, 1500) << "the memtable never flushed";
-    ASSERT_TRUE(
-        db->Put(WriteOptions(), Key(2 * rnd.Uniform(1500) + 1), Value(i)).ok());
-    ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
-  }
-  db->CompactLevelRange(0, nullptr, nullptr);
-  ASSERT_TRUE(engine->GetProperty("sealdb.num-files-at-level0", &prop));
-  ASSERT_EQ(prop, "0");
+  // Compacting L1 reads L1 and the L2 set.
+  LoadL1OverL2Set(db);
+  if (HasFatalFailure()) return;
 
+  // A compacted store at rest holds regions and orphans none.
   fs::DoctorReport doctor_before;
   ASSERT_TRUE(
       fs::RunDoctor(stack->drive(), fs::DoctorOptions(), &doctor_before).ok());
   ASSERT_EQ(doctor_before.shards.size(), 1u);
+  EXPECT_GT(doctor_before.shards[0].regions, 0u);
+  EXPECT_EQ(doctor_before.shards[0].orphaned_regions, 0u);
 
   // Make the first L1 table (the compaction's victim) unreadable.
   std::set<uint64_t> live_before;
@@ -556,7 +575,63 @@ TEST(DbFaultTest, CompactionInputReadErrorInstallsNothing) {
   const fs::ShardDoctorReport& now = report.shards[0];
   EXPECT_EQ(now.files, was.files) << report.ToString();
   EXPECT_EQ(now.regions, was.regions) << report.ToString();
-  EXPECT_EQ(now.orphaned_regions, was.orphaned_regions) << report.ToString();
+  EXPECT_EQ(now.orphaned_regions, 0u) << report.ToString();
+  EXPECT_EQ(now.live_bytes, was.live_bytes) << report.ToString();
+  EXPECT_EQ(now.free_bytes, was.free_bytes) << report.ToString();
+}
+
+// A write error after the compaction's first output is closed fails the
+// compaction before its commit. Its failure path removes every output and
+// releases the set region at once, with no reopen: the store, the
+// allocator and the on-media metadata are back where they were.
+TEST(DbFaultTest, CompactionWriteErrorRemovesItsOutputs) {
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(FaultConfig(baselines::SystemKind::kSEALDB),
+                                    "/db", &stack)
+                  .ok());
+  ShardedDb* db = stack->db();
+  DB* engine = db->shard(0);
+  LoadL1OverL2Set(db);
+  if (HasFatalFailure()) return;
+
+  fs::DoctorReport doctor_before;
+  ASSERT_TRUE(
+      fs::RunDoctor(stack->drive(), fs::DoctorOptions(), &doctor_before).ok());
+  ASSERT_EQ(doctor_before.shards.size(), 1u);
+  const std::set<uint64_t> live_before = LiveTables(engine);
+  const std::vector<std::string> children = stack->store()->GetChildren();
+  const uint64_t allocated = stack->dynamic_allocator()->allocated_bytes();
+
+  // The compaction's set region is appended at the residual frontier. Its
+  // first output (one 64 KiB table) fits below the faulted range; every
+  // write past that fails.
+  const uint64_t frontier = stack->dynamic_allocator()->frontier();
+  stack->fault_drive()->SetWriteError(true, frontier + 96 * 1024);
+  engine->SetRecordCompactionEvents(true);
+  db->CompactLevelRange(1, nullptr, nullptr);
+  stack->fault_drive()->SetWriteError(false);
+
+  // A second output was opened, so the first one was finished and closed.
+  const std::vector<CompactionEvent> events = engine->TakeCompactionEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_GE(events[0].num_outputs, 2);
+  std::string bg;
+  ASSERT_TRUE(engine->GetProperty("sealdb.background-error", &bg));
+  EXPECT_EQ(bg, "IO error: fault injection: write error");
+
+  EXPECT_EQ(LiveTables(engine), live_before);
+  EXPECT_EQ(stack->store()->GetChildren(), children);
+  EXPECT_EQ(stack->dynamic_allocator()->allocated_bytes(), allocated);
+
+  fs::DoctorReport report;
+  ASSERT_TRUE(fs::RunDoctor(stack->drive(), fs::DoctorOptions(), &report).ok());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_EQ(report.shards.size(), 1u);
+  const fs::ShardDoctorReport& was = doctor_before.shards[0];
+  const fs::ShardDoctorReport& now = report.shards[0];
+  EXPECT_EQ(now.files, was.files) << report.ToString();
+  EXPECT_EQ(now.regions, was.regions) << report.ToString();
+  EXPECT_EQ(now.orphaned_regions, 0u) << report.ToString();
   EXPECT_EQ(now.live_bytes, was.live_bytes) << report.ToString();
   EXPECT_EQ(now.free_bytes, was.free_bytes) << report.ToString();
 }

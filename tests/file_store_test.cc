@@ -1,5 +1,6 @@
-// FileStore tests: file round-trips, growth chains, rename/remove, regions
-// (set allocation), and metadata-journal crash recovery.
+// FileStore tests: file round-trips, growth chains, removal, commit records
+// (engine tags and state), regions (set allocation), and metadata-journal
+// crash recovery.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -203,21 +204,51 @@ TEST_F(FileStoreTest, RemoveFreesSpace) {
   EXPECT_TRUE(store_->NewRandomAccessFile("/db/a", &r).IsNotFound());
 }
 
-TEST_F(FileStoreTest, Rename) {
-  std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(store_->NewWritableFile("/db/a", 64 << 10, &f).ok());
-  ASSERT_TRUE(f->Append("hello").ok());
-  ASSERT_TRUE(f->Close().ok());
-  ASSERT_TRUE(store_->RenameFile("/db/a", "/db/b").ok());
-  EXPECT_FALSE(store_->FileExists("/db/a"));
-  EXPECT_EQ("hello", ReadAll("/db/b"));
-  // Rename over an existing target replaces it.
-  std::unique_ptr<WritableFile> g;
-  ASSERT_TRUE(store_->NewWritableFile("/db/c", 64 << 10, &g).ok());
-  ASSERT_TRUE(g->Append("world").ok());
-  ASSERT_TRUE(g->Close().ok());
-  ASSERT_TRUE(store_->RenameFile("/db/c", "/db/b").ok());
-  EXPECT_EQ("world", ReadAll("/db/b"));
+// One commit sets and clears tags, removes files and replaces the engine
+// state with a single journal record; a commit naming a missing file
+// changes nothing.
+TEST_F(FileStoreTest, CommitIsOneRecord) {
+  for (const char* name : {"/db/a", "/db/b", "/db/c"}) {
+    std::unique_ptr<WritableFile> f;
+    ASSERT_TRUE(store_->NewWritableFile(name, 64 << 10, &f).ok());
+    ASSERT_TRUE(f->Append(name).ok());
+    ASSERT_TRUE(f->Close().ok());
+  }
+  FileCommit first;
+  first.tags = {{"/db/a", "tag-a"}, {"/db/b", "tag-b"}};
+  first.engine_state = "state-1";
+  ASSERT_TRUE(store_->Commit(first).ok());
+
+  const uint64_t records = store_->journal_records_written();
+  const uint64_t allocated = allocator_->allocated_bytes();
+  FileCommit second;
+  second.tags = {{"/db/a", ""}, {"/db/b", "tag-b2"}};
+  second.removes = {"/db/c", "/db/never-created"};
+  second.engine_state = "state-2";
+  ASSERT_TRUE(store_->Commit(second).ok());
+  EXPECT_EQ(store_->journal_records_written(), records + 1);
+  EXPECT_FALSE(store_->FileExists("/db/c"));
+  EXPECT_LT(allocator_->allocated_bytes(), allocated);
+
+  FileCommit bad;
+  bad.tags = {{"/db/b", "tag-b3"}, {"/db/missing", "x"}};
+  bad.engine_state = "state-3";
+  EXPECT_TRUE(store_->Commit(bad).IsNotFound());
+  EXPECT_EQ(store_->journal_records_written(), records + 1);
+
+  for (int pass = 0; pass < 2; pass++) {
+    SCOPED_TRACE(pass == 0 ? "live" : "recovered");
+    const std::vector<FileInfo> files = store_->ListFiles();
+    ASSERT_EQ(files.size(), 2u);
+    EXPECT_EQ(files[0].name, "/db/a");
+    EXPECT_EQ(files[0].tag, "");
+    EXPECT_EQ(files[1].name, "/db/b");
+    EXPECT_EQ(files[1].tag, "tag-b2");
+    EXPECT_EQ(files[1].size, 5u);
+    EXPECT_EQ(store_->engine_state(), "state-2");
+    EXPECT_EQ("/db/b", ReadAll("/db/b"));
+    Reopen();
+  }
 }
 
 TEST_F(FileStoreTest, TruncateOnRecreate) {
@@ -326,22 +357,69 @@ TEST_F(FileStoreTest, RecoverSimpleFiles) {
   EXPECT_EQ(payload, ReadAll("/db/a"));
 }
 
-TEST_F(FileStoreTest, RecoverAfterRemovesAndRenames) {
-  for (const char* name : {"/db/a", "/db/b", "/db/c"}) {
+TEST_F(FileStoreTest, RecoverAfterRemovesAndCommits) {
+  for (const char* name : {"/db/a", "/db/b", "/db/c", "/db/d"}) {
     std::unique_ptr<WritableFile> f;
     ASSERT_TRUE(store_->NewWritableFile(name, 64 << 10, &f).ok());
     ASSERT_TRUE(f->Append(std::string("data-") + name).ok());
     ASSERT_TRUE(f->Close().ok());
   }
   ASSERT_TRUE(store_->RemoveFile("/db/b").ok());
-  ASSERT_TRUE(store_->RenameFile("/db/c", "/db/d").ok());
+  FileCommit commit;
+  commit.tags = {{"/db/d", "live"}};
+  commit.removes = {"/db/c"};
+  ASSERT_TRUE(store_->Commit(commit).ok());
+  // An update record (a later sync) keeps the tag the commit set.
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(store_->NewWritableFile("/db/e", 64 << 10, &f).ok());
+  ASSERT_TRUE(f->Append("e").ok());
+  ASSERT_TRUE(f->Sync().ok());
+  commit.tags = {{"/db/e", "tagged-while-open"}};
+  commit.removes.clear();
+  ASSERT_TRUE(store_->Commit(commit).ok());
+  ASSERT_TRUE(f->Append(std::string(8192, 'e')).ok());
+  ASSERT_TRUE(f->Close().ok());
 
   Reopen();
   EXPECT_TRUE(store_->FileExists("/db/a"));
   EXPECT_FALSE(store_->FileExists("/db/b"));
   EXPECT_FALSE(store_->FileExists("/db/c"));
-  EXPECT_TRUE(store_->FileExists("/db/d"));
-  EXPECT_EQ("data-/db/c", ReadAll("/db/d"));
+  EXPECT_EQ("data-/db/d", ReadAll("/db/d"));
+  const std::vector<FileInfo> files = store_->ListFiles();
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[1].tag, "live");
+  EXPECT_EQ(files[2].tag, "tagged-while-open");
+  EXPECT_EQ(files[2].size, 8193u);
+}
+
+// Replay releases a region with the record that removes its last file,
+// and an empty region sealed without a file is released by a journaled
+// record: neither leaves a region behind in the recovered state.
+TEST_F(FileStoreTest, RegionsReleasedOnReplay) {
+  uint64_t used = 0, empty = 0;
+  ASSERT_TRUE(store_->AllocateRegion(8 << 20, &used).ok());
+  ASSERT_TRUE(store_->AllocateRegion(8 << 20, &empty).ok());
+  for (const char* name : {"/db/r1", "/db/r2"}) {
+    std::unique_ptr<WritableFile> f;
+    ASSERT_TRUE(store_->NewWritableFileInRegion(used, name, &f).ok());
+    ASSERT_TRUE(f->Append(RandomPayload(100000, 9)).ok());
+    ASSERT_TRUE(f->Close().ok());
+  }
+  ASSERT_TRUE(store_->SealRegion(used).ok());
+  ASSERT_TRUE(store_->SealRegion(empty).ok());
+  Extent extent;
+  EXPECT_TRUE(store_->GetRegionExtent(empty, &extent).IsNotFound());
+  ASSERT_TRUE(store_->RemoveFile("/db/r1").ok());
+  ASSERT_TRUE(store_->GetRegionExtent(used, &extent).ok());
+  ASSERT_TRUE(store_->RemoveFile("/db/r2").ok());
+  EXPECT_TRUE(store_->GetRegionExtent(used, &extent).IsNotFound());
+  EXPECT_EQ(allocator_->allocated_bytes(), 0u);
+
+  Reopen();
+  EXPECT_TRUE(store_->GetChildren().empty());
+  EXPECT_TRUE(store_->GetRegionExtent(used, &extent).IsNotFound());
+  EXPECT_TRUE(store_->GetRegionExtent(empty, &extent).IsNotFound());
+  EXPECT_EQ(allocator_->allocated_bytes(), 0u);
 }
 
 TEST_F(FileStoreTest, RecoverRegions) {

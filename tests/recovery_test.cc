@@ -1,15 +1,22 @@
-// Crash/recovery tests: WAL replay, manifest recovery, synced-vs-unsynced
-// durability across a simulated power cycle (Stack::Reopen rebuilds the
-// whole software stack from drive contents only).
+// Crash/recovery tests: WAL replay, rebuilding the LSM from the store's
+// table tags, synced-vs-unsynced durability across a simulated power cycle
+// (Stack::Reopen rebuilds the whole software stack from drive contents
+// only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/presets.h"
+#include "fs/file_store.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
+#include "smr/fault_injection_drive.h"
 #include "util/random.h"
 
 namespace sealdb {
@@ -150,6 +157,109 @@ TEST_P(RecoveryTest, SequenceNumbersMonotonicAcrossCrash) {
   EXPECT_EQ("v2", Get("k"));
   Crash();
   EXPECT_EQ("v2", Get("k"));
+}
+
+// The store's table tags are the whole LSM: a reopen rebuilds every live
+// table's level, number, size, set id and key range exactly.
+TEST_P(RecoveryTest, LiveFilesSurviveReopen) {
+  Random rnd(11);
+  for (int i = 0; i < 12000; i++) {
+    ASSERT_TRUE(db()->Put(WriteOptions(), Key(rnd.Uniform(6000)),
+                          std::string(200, 'a' + i % 26))
+                    .ok());
+  }
+  db()->WaitForIdle();
+  // Compacting part of the key space flushes the memtable first, so the
+  // WAL the reopen replays is empty and adds no table.
+  const std::string begin = Key(0), end = Key(1000);
+  const Slice begin_slice(begin), end_slice(end);
+  db()->CompactRange(&begin_slice, &end_slice);
+  db()->WaitForIdle();
+
+  using Row = std::tuple<int, uint64_t, uint64_t, uint64_t, std::string,
+                         std::string>;
+  auto rows = [this] {
+    std::vector<Row> out;
+    for (const LiveFileMeta& f : db()->GetLiveFilesMetadata()) {
+      out.emplace_back(f.level, f.number, f.file_size, f.set_id,
+                       f.smallest_user_key, f.largest_user_key);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<Row> before = rows();
+  ASSERT_GT(before.size(), 1u);
+  std::set<int> levels;
+  bool has_sets = false;
+  for (const Row& r : before) {
+    levels.insert(std::get<0>(r));
+    has_sets = has_sets || std::get<3>(r) != 0;
+  }
+  if (GetParam() != SystemKind::kSMRDB) EXPECT_GT(levels.size(), 1u);
+  EXPECT_EQ(has_sets, GetParam() == SystemKind::kSEALDB);
+
+  Crash();
+  EXPECT_EQ(rows(), before);
+}
+
+// A power cut right after a flush's commit. That one record installed the
+// table and removed the WAL it covers, so recovery replays only the newer
+// WAL: no write is applied twice, and later writes still win.
+TEST_P(RecoveryTest, CrashAfterFlushCommitReplaysOnlyNewerWal) {
+  WriteOptions sync;
+  sync.sync = true;
+  fs::FileStore* store = stack_->store();
+  auto wals = [&store] {
+    std::set<std::string> out;
+    for (const std::string& name : store->GetChildren()) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(name, &number, &type) && type == kLogFile) {
+        out.insert(name);
+      }
+    }
+    return out;
+  };
+  // Sequential keys until a put triggers the first flush: that put lands
+  // in the WAL the flush switched to.
+  int last = 0;
+  std::set<std::string> covered;
+  for (;; last++) {
+    ASSERT_LT(last, 5000) << "the memtable never flushed";
+    covered = wals();
+    ASSERT_TRUE(db()->Put(sync, Key(last), "v" + std::to_string(last)).ok());
+    if (!db()->GetLiveFilesMetadata().empty()) break;
+  }
+  std::set<uint64_t> tables;
+  for (const LiveFileMeta& f : db()->GetLiveFilesMetadata()) {
+    tables.insert(f.number);
+  }
+  ASSERT_FALSE(covered.empty());
+  for (const std::string& name : covered) {
+    EXPECT_EQ(wals().count(name), 0u) << name << " outlived its flush";
+  }
+
+  stack_->fault_drive()->PowerOff();
+  Crash();
+  store = stack_->store();
+  for (const std::string& name : covered) {
+    EXPECT_FALSE(store->FileExists(name)) << name << " came back";
+  }
+  // The flushed table is still there; the only new table holds the one
+  // put of the newer WAL.
+  for (const LiveFileMeta& f : db()->GetLiveFilesMetadata()) {
+    if (tables.count(f.number) > 0) continue;
+    EXPECT_EQ(f.smallest_user_key, Key(last)) << "replayed twice";
+    EXPECT_EQ(f.largest_user_key, Key(last)) << "replayed twice";
+  }
+  for (int i = 0; i <= last; i++) {
+    ASSERT_EQ("v" + std::to_string(i), Get(Key(i)));
+  }
+
+  ASSERT_TRUE(db()->Put(sync, Key(0), "newer").ok());
+  EXPECT_EQ("newer", Get(Key(0)));
+  Crash();
+  EXPECT_EQ("newer", Get(Key(0)));
 }
 
 // Unsynced-data loss semantics under a real power cut (not a polite

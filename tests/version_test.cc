@@ -1,11 +1,17 @@
-// Version machinery tests: FindFile / SomeFileOverlapsRange and the
-// VersionEdit manifest record round-trip (including the SEALDB set id).
+// Version machinery tests: FindFile / SomeFileOverlapsRange, and the table
+// tag and commit record round trips (including the SEALDB set id).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "fs/ext4_allocator.h"
+#include "fs/file_store.h"
 #include "lsm/version_edit.h"
 #include "lsm/version_set.h"
+#include "smr/drive.h"
+#include "util/coding.h"
 #include "util/comparator.h"
 
 namespace sealdb {
@@ -172,54 +178,118 @@ TEST_F(FindFileTest, OverlappingFiles) {
   EXPECT_TRUE(Overlaps("600", "700"));
 }
 
-// -------------------------------------------------------- VersionEdit
+// ------------------------------------------------ table tags and commits
 
-static void TestEncodeDecode(const VersionEdit& edit) {
-  std::string encoded, encoded2;
-  edit.EncodeTo(&encoded);
-  VersionEdit parsed;
-  Status s = parsed.DecodeFrom(encoded);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  parsed.EncodeTo(&encoded2);
-  EXPECT_EQ(encoded, encoded2);
-}
-
-TEST(VersionEditTest, EncodeDecode) {
+// A table's tag (its level and key range) and the commit record that sets
+// it are the engine's only on-media metadata.
+TEST(TableTagTest, EncodeDecode) {
   static const uint64_t kBig = 1ull << 50;
-
-  VersionEdit edit;
-  for (int i = 0; i < 4; i++) {
-    TestEncodeDecode(edit);
-    edit.AddFile(3, kBig + 300 + i, kBig + 400 + i,
-                 InternalKey("foo", kBig + 500 + i, kTypeValue),
-                 InternalKey("zoo", kBig + 600 + i, kTypeDeletion),
-                 /*set_id=*/i);
-    edit.RemoveFile(4, kBig + 700 + i);
-    edit.SetCompactPointer(i, InternalKey("x", kBig + 900 + i, kTypeValue));
+  for (int level = 0; level < 7; level++) {
+    FileMetaData f;
+    f.smallest = InternalKey("foo", kBig + 500 + level, kTypeValue);
+    f.largest = InternalKey("zoo", kBig + 600 + level, kTypeDeletion);
+    std::string tag;
+    EncodeTableTag(&tag, level, f);
+    int parsed_level = -1;
+    FileMetaData parsed;
+    ASSERT_TRUE(DecodeTableTag(tag, &parsed_level, &parsed));
+    EXPECT_EQ(parsed_level, level);
+    EXPECT_EQ(parsed.smallest.Encode(), f.smallest.Encode());
+    EXPECT_EQ(parsed.largest.Encode(), f.largest.Encode());
+    std::string again;
+    EncodeTableTag(&again, parsed_level, parsed);
+    EXPECT_EQ(again, tag);
   }
 
-  edit.SetComparatorName("foo");
-  edit.SetLogNumber(kBig + 100);
-  edit.SetNextFile(kBig + 200);
-  edit.SetLastSequence(kBig + 1000);
-  TestEncodeDecode(edit);
+  fs::FileCommit commit;
+  for (int i = 0; i < 4; i++) {
+    FileMetaData f;
+    f.smallest = InternalKey("a" + std::to_string(i), kBig + i, kTypeValue);
+    f.largest = InternalKey("b" + std::to_string(i), kBig + i, kTypeValue);
+    EncodeTableTag(&commit.tags["/db/00000" + std::to_string(i) + ".ldb"], i,
+                   f);
+  }
+  commit.tags["/db/000009.ldb"] = "";  // a cleared tag
+  commit.removes = {"/db/000007.log", "/db/000008.log"};
+  PutVarint64(&commit.engine_state, kBig + 1000);
+  std::string body;
+  fs::EncodeCommit(&body, commit);
+  fs::FileCommit parsed;
+  ASSERT_TRUE(fs::DecodeCommit(body, &parsed));
+  EXPECT_EQ(parsed.tags, commit.tags);
+  EXPECT_EQ(parsed.removes, commit.removes);
+  EXPECT_EQ(parsed.engine_state, commit.engine_state);
+  std::string again;
+  fs::EncodeCommit(&again, parsed);
+  EXPECT_EQ(again, body);
 }
 
-TEST(VersionEditTest, SetIdSurvivesRoundtrip) {
-  VersionEdit edit;
-  edit.AddFile(2, 7, 4096, InternalKey("a", 1, kTypeValue),
-               InternalKey("b", 2, kTypeValue), /*set_id=*/42);
-  std::string encoded;
-  edit.EncodeTo(&encoded);
-  VersionEdit parsed;
-  ASSERT_TRUE(parsed.DecodeFrom(encoded).ok());
-  std::string debug = parsed.DebugString();
-  EXPECT_NE(debug.find("set=42"), std::string::npos) << debug;
+// The set id is not in the tag: it is the table's FileStore region, and it
+// survives a store restart next to the tag a commit gave the table.
+TEST(TableTagTest, SetIdSurvivesRoundtrip) {
+  smr::Geometry geo;
+  geo.capacity_bytes = 64ull << 20;
+  geo.conventional_bytes = 8 << 20;
+  auto drive = smr::NewShingledDisk(geo, smr::LatencyParams::Smr());
+  auto make_allocator = [] {
+    return fs::NewExt4Allocator(8 << 20, 56ull << 20, 4096, fs::Ext4Options());
+  };
+  auto allocator = make_allocator();
+  auto store = std::make_unique<fs::FileStore>(drive.get(), allocator.get());
+  ASSERT_TRUE(store->Format().ok());
+  uint64_t region = 0;
+  ASSERT_TRUE(store->AllocateRegion(1 << 20, &region).ok());
+  ASSERT_NE(region, 0u);
+  std::unique_ptr<fs::WritableFile> file;
+  ASSERT_TRUE(store->NewWritableFileInRegion(region, "/db/000007.ldb", &file)
+                  .ok());
+  ASSERT_TRUE(file->Append(std::string(5000, 'x')).ok());
+  ASSERT_TRUE(file->Close().ok());
+  ASSERT_TRUE(store->SealRegion(region).ok());
+
+  FileMetaData f;
+  f.smallest = InternalKey("a", 1, kTypeValue);
+  f.largest = InternalKey("b", 2, kTypeValue);
+  fs::FileCommit commit;
+  EncodeTableTag(&commit.tags["/db/000007.ldb"], 2, f);
+  ASSERT_TRUE(store->Commit(commit).ok());
+
+  store.reset();
+  allocator = make_allocator();
+  store = std::make_unique<fs::FileStore>(drive.get(), allocator.get());
+  ASSERT_TRUE(store->Recover().ok());
+  const std::vector<fs::FileInfo> files = store->ListFiles();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].name, "/db/000007.ldb");
+  EXPECT_EQ(files[0].region_id, region);
+  EXPECT_EQ(files[0].size, 5000u);
+  int level = -1;
+  FileMetaData parsed;
+  ASSERT_TRUE(DecodeTableTag(files[0].tag, &level, &parsed));
+  EXPECT_EQ(level, 2);
+  EXPECT_EQ(parsed.largest.Encode(), f.largest.Encode());
 }
 
-TEST(VersionEditTest, CorruptInputRejected) {
-  VersionEdit parsed;
-  EXPECT_FALSE(parsed.DecodeFrom(Slice("\xff\xff garbage")).ok());
+TEST(TableTagTest, CorruptInputRejected) {
+  int level;
+  FileMetaData f;
+  EXPECT_FALSE(DecodeTableTag(Slice("\xff\xff garbage"), &level, &f));
+  EXPECT_FALSE(DecodeTableTag(Slice(), &level, &f));
+  FileMetaData good;
+  good.smallest = InternalKey("a", 1, kTypeValue);
+  good.largest = InternalKey("b", 2, kTypeValue);
+  std::string tag;
+  EncodeTableTag(&tag, 1, good);
+  EXPECT_FALSE(DecodeTableTag(Slice(tag.data(), tag.size() - 1), &level, &f));
+  EXPECT_FALSE(DecodeTableTag(tag + "x", &level, &f));
+
+  fs::FileCommit commit;
+  EXPECT_FALSE(fs::DecodeCommit(Slice("\xff\xff garbage"), &commit));
+  commit.tags["/db/000001.ldb"] = tag;
+  std::string body;
+  fs::EncodeCommit(&body, commit);
+  EXPECT_FALSE(fs::DecodeCommit(Slice(body.data(), body.size() - 1), &commit));
+  EXPECT_FALSE(fs::DecodeCommit(body + "x", &commit));
 }
 
 }  // namespace sealdb
