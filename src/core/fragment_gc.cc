@@ -36,18 +36,17 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
 
   // For every fragment, charge its size to the set region that starts
   // right after it (the set pinning the fragment in place), if retiring
-  // that set reclaims the fragment: the run it frees (the fragment, the
-  // region and any free space right after it) must outgrow the threshold.
-  // A region ending at the residual frontier does not un-band either: the
-  // compaction places its output set before it frees its inputs.
+  // that set reclaims the fragment: the fragment and the region together
+  // must outgrow the threshold. Free space after the region does not
+  // count, as the retiring compaction places its output set before it
+  // frees its inputs and may place it there. A region ending at the
+  // residual frontier does not un-band either, for the same reason.
   struct Pin {
     uint64_t bytes = 0;
     uint64_t fragment_offset = 0;
   };
   const std::vector<DynamicBandAllocator::FreeRegionInfo> free_regions =
       allocator_->FreeRegions();
-  std::map<uint64_t, uint64_t> free_at;  // offset -> length
-  for (const auto& fr : free_regions) free_at[fr.offset] = fr.length;
   std::map<uint64_t, Pin> pinned;  // set_id -> pin
   for (const auto& fr : free_regions) {
     if (fr.length > options_.fragment_threshold_bytes) continue;
@@ -56,9 +55,7 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
       continue;
     }
     const SetSpan& span = sets[it->second];
-    auto next = free_at.find(span.end);
-    const uint64_t run = fr.length + (span.end - span.begin) +
-                         (next != free_at.end() ? next->second : 0);
+    const uint64_t run = fr.length + (span.end - span.begin);
     if (run <= options_.fragment_threshold_bytes) continue;
     Pin& pin = pinned[it->second];
     pin.bytes += fr.length;
@@ -85,6 +82,14 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
   return candidates;
 }
 
+size_t FragmentGc::SetMembers(uint64_t set_id) {
+  size_t members = 0;
+  for (const LiveFileMeta& f : db_->GetLiveFilesMetadata()) {
+    if (f.set_id == set_id) members++;
+  }
+  return members;
+}
+
 FragmentGcResult FragmentGc::Run() {
   FragmentGcResult result;
   BandInspector inspector(allocator_);
@@ -101,11 +106,18 @@ FragmentGcResult FragmentGc::Run() {
   for (const Candidate& c : candidates) {
     if (result.sets_compacted >= options_.max_sets_per_run) break;
     // Retire exactly this set: compact its level's files over its range
-    // into the next level. When every member is gone the FileStore frees
-    // the region, and the allocator coalesces it with the fragment.
+    // into the next level. One compaction takes at most a file's worth of
+    // the level's inputs, so repeat while that retires members. When
+    // every member is gone the FileStore frees the region, and the
+    // allocator coalesces it with the fragment.
     const Slice begin(c.smallest_key);
     const Slice end(c.largest_key);
-    db_->CompactLevelRange(c.level, &begin, &end);
+    for (size_t members = SetMembers(c.set_id); members > 0;) {
+      db_->CompactLevelRange(c.level, &begin, &end);
+      const size_t left = SetMembers(c.set_id);
+      if (left >= members) break;
+      members = left;
+    }
     result.sets_compacted++;
     result.pinned_bytes_targeted += c.pinned_bytes;
     fragment_offsets.push_back(c.fragment_offset);

@@ -54,7 +54,8 @@ class StoreWritableFile final : public WritableFile {
     return Status::OK();
   }
 
-  Status Flush() override {
+  // Write the buffered complete blocks.
+  Status Flush() {
     const uint64_t block = store_->drive()->geometry().block_bytes;
     const uint64_t complete = RoundDown(buffer_.size(), block);
     if (complete == 0) return Status::OK();

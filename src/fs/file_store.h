@@ -73,20 +73,27 @@ class SequentialFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
+  // Read up to n bytes at offset; *result may point into scratch or, for
+  // a file that serves from its own memory, into that memory.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
+  // True when Read always returns a pointer into the file's own memory,
+  // live as long as the file, and never touches `scratch` (which may then
+  // be null).
+  virtual bool serves_from_memory() const { return false; }
 };
 
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
+  // Buffer data; every 256 KiB of complete blocks buffered goes to the
+  // drive in one write. A partial trailing block stays buffered (and is
+  // not durable) until more data arrives or Close().
   virtual Status Append(const Slice& data) = 0;
-  // Push complete blocks to the drive; a partial trailing block stays
-  // buffered (and is not durable) until more data arrives or Close().
-  virtual Status Flush() = 0;
-  // Flush + persist the file's metadata so flushed bytes survive a crash.
+  // Write the buffered complete blocks and persist the file's metadata so
+  // they survive a crash.
   virtual Status Sync() = 0;
-  // Flush everything (padding the final partial block) and persist.
+  // Write everything (padding the final partial block) and persist.
   virtual Status Close() = 0;
 };
 

@@ -354,24 +354,23 @@ static Status BuildTable(const std::string& dbname, fs::FileStore* store,
       return s;
     }
 
-    TableBuilder* builder = new TableBuilder(options, file.get());
+    TableBuilder builder(options, file.get());
     meta->smallest.DecodeFrom(iter->key());
     Slice key;
     for (; iter->Valid(); iter->Next()) {
       key = iter->key();
-      builder->Add(key, iter->value());
+      builder.Add(key, iter->value());
     }
     if (!key.empty()) {
       meta->largest.DecodeFrom(key);
     }
 
     // Finish and check for builder errors
-    s = builder->Finish();
+    s = builder.Finish();
     if (s.ok()) {
-      meta->file_size = builder->FileSize();
+      meta->file_size = builder.FileSize();
       assert(meta->file_size > 0);
     }
-    delete builder;
 
     // Finish and check for file errors
     if (s.ok()) {
@@ -380,11 +379,9 @@ static Status BuildTable(const std::string& dbname, fs::FileStore* store,
     file.reset();
 
     if (s.ok()) {
-      // Verify that the table is usable
-      Iterator* it = table_cache->NewIterator(ReadOptions(), meta->number,
-                                              meta->file_size);
-      s = it->status();
-      delete it;
+      // Verify that the table is usable, from the tail just written
+      s = table_cache->AddNewTable(meta->number, meta->file_size,
+                                   builder.tail());
     }
   }
 
@@ -814,8 +811,6 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
   const uint64_t current_bytes = compact->builder->FileSize();
   compact->current_output()->file_size = current_bytes;
   compact->total_bytes += current_bytes;
-  delete compact->builder;
-  compact->builder = nullptr;
 
   // Finish and check for file errors
   if (s.ok()) {
@@ -824,12 +819,12 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
   compact->outfile.reset();
 
   if (s.ok() && current_entries > 0) {
-    // Verify that the table is usable
-    Iterator* iter = table_cache_->NewIterator(ReadOptions(), output_number,
-                                               current_bytes);
-    s = iter->status();
-    delete iter;
+    // Verify that the table is usable, from the tail just written
+    s = table_cache_->AddNewTable(output_number, current_bytes,
+                                  compact->builder->tail());
   }
+  delete compact->builder;
+  compact->builder = nullptr;
   return s;
 }
 

@@ -1,5 +1,7 @@
 #include "lsm/format.h"
 
+#include <memory>
+
 #include "fs/file_store.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -67,18 +69,18 @@ Status ReadBlock(fs::RandomAccessFile* file, const ReadOptions& options,
   result->cachable = false;
   result->heap_allocated = false;
 
-  // Read the block contents as well as the type/crc footer.
+  // Read the block contents as well as the type/crc footer, into a scratch
+  // buffer unless the file serves from its own memory.
   const size_t n = static_cast<size_t>(handle.size());
-  char* buf = new char[n + kBlockTrailerSize];
+  std::unique_ptr<char[]> buf;
+  if (!file->serves_from_memory()) {
+    buf = std::make_unique_for_overwrite<char[]>(n + kBlockTrailerSize);
+  }
   Slice contents;
   Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
-  if (!s.ok()) {
-    delete[] buf;
-    return s;
-  }
+      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
+  if (!s.ok()) return s;
   if (contents.size() != n + kBlockTrailerSize) {
-    delete[] buf;
     return Status::Corruption("truncated block read");
   }
 
@@ -88,26 +90,23 @@ Status ReadBlock(fs::RandomAccessFile* file, const ReadOptions& options,
     const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
     const uint32_t actual = crc32c::Value(data, n + 1);
     if (actual != crc) {
-      delete[] buf;
       return Status::Corruption("block checksum mismatch");
     }
   }
 
   if (data[n] != kNoCompression) {
-    delete[] buf;
     return Status::Corruption("unsupported block compression type");
   }
 
-  if (data != buf) {
+  if (data != buf.get()) {
     // File implementation gave us pointer to some other data.
     // Use it directly under the assumption that it will be live
     // while the file is open.
-    delete[] buf;
     result->data = Slice(data, n);
     result->heap_allocated = false;
     result->cachable = false;  // Do not double-cache
   } else {
-    result->data = Slice(buf, n);
+    result->data = Slice(buf.release(), n);
     result->heap_allocated = true;
     result->cachable = true;
   }

@@ -82,7 +82,9 @@ struct BlockContents {
 };
 
 // Read the block identified by "handle" from "file".  On failure
-// return non-OK.  On success fill *result and return OK.
+// return non-OK.  On success fill *result and return OK. A file that
+// serves from its own memory yields a block pointing into that memory,
+// with no copy; any other file's block lands in a new heap buffer.
 Status ReadBlock(fs::RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result);
 

@@ -45,7 +45,7 @@ constexpr uint64_t kTailDivisor = 48;
 
 // Serves reads inside the tail span from memory, copied into the caller's
 // scratch so the blocks stay heap-allocated and poolable; a block the span
-// does not cover is read from the file.
+// does not cover is read from the file, or, without one, is corrupt.
 class TailFile final : public fs::RandomAccessFile {
  public:
   TailFile(fs::RandomAccessFile* file, uint64_t offset, Slice tail)
@@ -57,6 +57,9 @@ class TailFile final : public fs::RandomAccessFile {
       std::memcpy(scratch, tail_.data() + (offset - offset_), n);
       *result = Slice(scratch, n);
       return Status::OK();
+    }
+    if (file_ == nullptr) {
+      return Status::Corruption("table block outside its tail");
     }
     return file_->Read(offset, n, result, scratch);
   }
@@ -93,22 +96,30 @@ struct Table::Rep {
 
 Status Table::Open(const Options& options, fs::RandomAccessFile* file,
                    uint64_t size, Table** table,
-                   const buf::BufferClient& buffer, uint64_t file_number) {
+                   const buf::BufferClient& buffer, uint64_t file_number,
+                   const Slice& written_tail) {
   *table = nullptr;
   if (size < Footer::kEncodedLength) {
     return Status::Corruption("file is too short to be an sstable");
   }
 
-  const uint64_t span =
-      std::min(size, std::max(kMinTailBytes, size / kTailDivisor));
-  auto tail_space = std::make_unique_for_overwrite<char[]>(span);
-  Slice tail;
-  Status s = file->Read(size - span, span, &tail, tail_space.get());
-  if (!s.ok()) return s;
-  if (tail.size() != span) return Status::Corruption("truncated table tail");
-  TailFile meta_file(file, size - span, tail);
+  Slice tail = written_tail;
+  std::unique_ptr<char[]> tail_space;
+  Status s;
+  if (tail.empty()) {
+    const uint64_t span =
+        std::min(size, std::max(kMinTailBytes, size / kTailDivisor));
+    tail_space = std::make_unique_for_overwrite<char[]>(span);
+    s = file->Read(size - span, span, &tail, tail_space.get());
+    if (!s.ok()) return s;
+    if (tail.size() != span) return Status::Corruption("truncated table tail");
+  } else if (tail.size() < Footer::kEncodedLength || tail.size() > size) {
+    return Status::Corruption("bad table tail size");
+  }
+  TailFile meta_file(written_tail.empty() ? file : nullptr,
+                     size - tail.size(), tail);
 
-  Slice footer_input(tail.data() + span - Footer::kEncodedLength,
+  Slice footer_input(tail.data() + tail.size() - Footer::kEncodedLength,
                      Footer::kEncodedLength);
   Footer footer;
   s = footer.DecodeFrom(&footer_input);

@@ -36,10 +36,15 @@ class Table {
   // that pool, keyed by (buffer.owner, file_number, block offset); the
   // index and filter pages additionally stay pinned for the table's
   // lifetime. An empty `buffer` reads blocks privately with no caching.
+  //
+  // A non-empty `tail` holds the file's last tail.size() bytes, as its
+  // TableBuilder wrote them (TableBuilder::tail()): Open then reads
+  // nothing from "file", decodes the footer, index and filter from `tail`,
+  // and fails with Corruption when a handle points outside it.
   static Status Open(const Options& options, fs::RandomAccessFile* file,
                      uint64_t file_size, Table** table,
                      const buf::BufferClient& buffer = {},
-                     uint64_t file_number = 0);
+                     uint64_t file_number = 0, const Slice& tail = Slice());
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;

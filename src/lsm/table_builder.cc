@@ -41,6 +41,7 @@ struct TableBuilder::Rep {
   int64_t num_entries;
   bool closed;  // Either Finish() or Abandon() has been called.
   FilterBlockBuilder* filter_block;
+  std::string tail;  // what Finish() appended; see TableBuilder::tail()
 
   // We do not emit the index entry for a block until we have seen the
   // first key for the next data block.  This allows us to use shorter
@@ -102,7 +103,6 @@ void TableBuilder::Flush() {
   WriteBlock(&r->data_block, &r->pending_handle);
   if (ok()) {
     r->pending_index_entry = true;
-    r->status = r->file->Flush();
   }
   if (r->filter_block != nullptr) {
     r->filter_block->StartBlock(r->offset);
@@ -125,17 +125,22 @@ void TableBuilder::WriteRawBlock(const Slice& block_contents,
   Rep* r = rep_;
   handle->set_offset(r->offset);
   handle->set_size(block_contents.size());
-  r->status = r->file->Append(block_contents);
+  char trailer[kBlockTrailerSize];
+  trailer[0] = kNoCompression;
+  uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
+  crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  Append(block_contents);
+  Append(Slice(trailer, kBlockTrailerSize));
+}
+
+void TableBuilder::Append(const Slice& data) {
+  Rep* r = rep_;
+  if (!ok()) return;
+  r->status = r->file->Append(data);
   if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = kNoCompression;
-    uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) {
-      r->offset += block_contents.size() + kBlockTrailerSize;
-    }
+    r->offset += data.size();
+    if (r->closed) r->tail.append(data.data(), data.size());
   }
 }
 
@@ -187,10 +192,7 @@ Status TableBuilder::Finish() {
     footer.set_index_handle(index_block_handle);
     std::string footer_encoding;
     footer.EncodeTo(&footer_encoding);
-    r->status = r->file->Append(footer_encoding);
-    if (r->status.ok()) {
-      r->offset += footer_encoding.size();
-    }
+    Append(footer_encoding);
   }
   return r->status;
 }
@@ -204,5 +206,7 @@ void TableBuilder::Abandon() {
 uint64_t TableBuilder::NumEntries() const { return rep_->num_entries; }
 
 uint64_t TableBuilder::FileSize() const { return rep_->offset; }
+
+Slice TableBuilder::tail() const { return rep_->tail; }
 
 }  // namespace sealdb

@@ -1,5 +1,6 @@
 // TableBuilder: streams sorted key/value pairs into an SSTable file
-// (data blocks + filter block + metaindex + index + footer).
+// (data blocks + filter block + metaindex + index + footer). The bytes go
+// out through the file's own chunking; the builder never flushes it.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,6 @@ class TableBuilder {
   // REQUIRES: Finish(), Abandon() have not been called
   void Add(const Slice& key, const Slice& value);
 
-  // Advanced operation: flush any buffered key/value pairs to file.
-  void Flush();
-
   // Return non-ok iff some error has been detected.
   Status status() const;
 
@@ -52,10 +50,21 @@ class TableBuilder {
   // Size of the file generated so far.
   uint64_t FileSize() const;
 
+  // The bytes a successful Finish() appended after the last data block --
+  // filter, metaindex and index blocks and the footer -- which end the
+  // file at FileSize(). Table::Open takes them to open the new table
+  // without reading it back.
+  Slice tail() const;
+
  private:
   bool ok() const { return status().ok(); }
+  // Append the pending data block to the file.
+  void Flush();
   void WriteBlock(BlockBuilder* block, BlockHandle* handle);
   void WriteRawBlock(const Slice& data, BlockHandle* handle);
+  // Append to the file and advance the offset; Finish()'s bytes are kept
+  // in the tail too.
+  void Append(const Slice& data);
 
   struct Rep;
   Rep* rep_;

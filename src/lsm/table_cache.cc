@@ -50,7 +50,7 @@ TableCache::~TableCache() {
 }
 
 Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
-                             Cache::Handle** handle) {
+                             const Slice& tail, Cache::Handle** handle) {
   Status s;
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
@@ -63,7 +63,7 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
     s = store_->NewRandomAccessFile(fname, &file);
     if (s.ok()) {
       s = Table::Open(options_, file.get(), file_size, &table, buffer_,
-                      file_number);
+                      file_number, tail);
     }
 
     if (!s.ok()) {
@@ -80,13 +80,23 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
   return s;
 }
 
+Status TableCache::AddNewTable(uint64_t file_number, uint64_t file_size,
+                               const Slice& tail) {
+  Cache::Handle* handle = nullptr;
+  Status s = FindTable(file_number, file_size, tail, &handle);
+  if (s.ok()) cache_->Release(handle);
+  return s;
+}
+
 namespace {
 
 // A table image's bytes as a file. Reads return pointers into the image,
-// so ReadBlock decodes blocks in place (its `data != buf` path).
+// so ReadBlock decodes blocks in place, with no scratch buffer.
 class ImageFile final : public fs::RandomAccessFile {
  public:
   explicit ImageFile(Slice image) : image_(image) {}
+
+  bool serves_from_memory() const override { return true; }
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
@@ -160,7 +170,7 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   }
 
   Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
+  Status s = FindTable(file_number, file_size, Slice(), &handle);
   if (!s.ok()) {
     return NewErrorIterator(s);
   }
@@ -179,7 +189,7 @@ Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
                        void (*handle_result)(void*, const Slice&,
                                              const Slice&)) {
   Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
+  Status s = FindTable(file_number, file_size, Slice(), &handle);
   if (s.ok()) {
     Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
     s = t->InternalGet(options, k, arg, handle_result);

@@ -77,6 +77,14 @@ class TableCache {
                     const std::vector<FileMetaData*>& set,
                     TableImages* images);
 
+  // Open the table just written as "file_number" (a number not cached
+  // yet) from `tail`, the bytes its TableBuilder appended after the last
+  // data block (TableBuilder::tail()), and cache it. The open decodes the
+  // footer, index and filter and pools and pins the index as any open
+  // does, but reads nothing from the drive: the bytes were just written.
+  Status AddNewTable(uint64_t file_number, uint64_t file_size,
+                     const Slice& tail);
+
   // If a seek to internal key "k" in specified file finds an entry,
   // call (*handle_result)(arg, found_key, found_value).
   Status Get(const ReadOptions& options, uint64_t file_number,
@@ -91,8 +99,10 @@ class TableCache {
   void Evict(uint64_t file_number, bool ban = false);
 
  private:
+  // Look the table up, or open it (from `tail` when non-empty, see
+  // Table::Open) and cache it.
   Status FindTable(uint64_t file_number, uint64_t file_size,
-                   Cache::Handle**);
+                   const Slice& tail, Cache::Handle**);
 
   const std::string dbname_;
   const Options& options_;

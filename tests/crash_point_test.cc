@@ -316,10 +316,11 @@ TEST(ShardedCrashPointTest, EveryCrashPointRecoversPerShard) {
   }
 }
 
-// A power cut in the middle of a compaction, after some of its outputs
-// were written and closed but before its commit record: the outputs are
-// untagged tables in a set region nothing else uses. Open removes them,
-// which releases the region, and the doctor agrees.
+// A power cut in the middle of a compaction, in the middle of an output's
+// writes, after other outputs were written and closed but before the
+// commit record: the outputs are untagged tables in a set region nothing
+// else uses. Open removes them, which releases the region, and the doctor
+// agrees.
 TEST(UncommittedOutputTest, OpenRemovesOutputsAndTheirRegion) {
   const StackConfig config = SweepConfig(SystemKind::kSEALDB);
   auto load = [](DB* db) {
@@ -365,6 +366,20 @@ TEST(UncommittedOutputTest, OpenRemovesOutputsAndTheirRegion) {
   }
   ASSERT_FALSE(uncommitted.empty());
   ASSERT_FALSE(regions.empty());
+  // The cut fell inside an output's data write: the region space carved
+  // for that write outgrows the output's size, which never covered it.
+  const uint64_t block = store->drive()->geometry().block_bytes;
+  int cut_outputs = 0;
+  for (const std::string& name : uncommitted) {
+    std::vector<fs::Extent> extents;
+    uint64_t size = 0;
+    ASSERT_TRUE(store->GetFileExtents(name, &extents).ok());
+    ASSERT_TRUE(store->GetFileSize(name, &size).ok());
+    uint64_t carved = 0;
+    for (const fs::Extent& e : extents) carved += e.length;
+    if (carved > (size + block - 1) / block * block) cut_outputs++;
+  }
+  EXPECT_EQ(cut_outputs, 1);
 
   ASSERT_TRUE(stack->Reopen().ok());
   store = stack->store();

@@ -481,41 +481,118 @@ bool Overlaps(const RecordingDrive::Request& r, const fs::Extent& e) {
   return r.offset < e.offset + e.length && e.offset < r.offset + r.n;
 }
 
+// FileStore writes a file's buffered bytes in chunks of this size.
+constexpr uint64_t kWriteChunkBytes = 256 << 10;
+
+// A one-shard SEALDB store at TinyConfig scale over a RecordingDrive.
+class CompactionIoTest : public testing::Test {
+ protected:
+  CompactionIoTest() : config_(TinyConfig(SystemKind::kSEALDB)) {
+    geo_.capacity_bytes = config_.capacity_bytes;
+    geo_.track_bytes = config_.track_bytes;
+    geo_.shingle_overlap_tracks = config_.shingle_overlap_tracks;
+    geo_.conventional_bytes = config_.conventional_bytes;
+    drive_ = std::make_unique<RecordingDrive>(
+        smr::NewShingledDisk(geo_, smr::LatencyParams::Smr()));
+    core::DynamicBandOptions aopt;
+    aopt.base = geo_.conventional_bytes;
+    aopt.limit = geo_.capacity_bytes;
+    aopt.track_bytes = geo_.track_bytes;
+    aopt.guard_bytes = geo_.guard_bytes();
+    aopt.class_unit = config_.sstable_bytes;
+    allocator_ = std::make_unique<core::DynamicBandAllocator>(aopt);
+    store_ = std::make_unique<fs::FileStore>(drive_.get(), allocator_.get());
+    filter_.reset(NewBloomFilterPolicy(10));
+    options_.write_buffer_size = config_.write_buffer_bytes;
+    options_.max_file_size = config_.sstable_bytes;
+    options_.max_bytes_for_level_base = 10 * config_.sstable_bytes;
+    options_.filter_policy = filter_.get();
+    options_.compaction_unit = CompactionUnit::kSet;
+  }
+
+  void Open() {
+    ASSERT_TRUE(store_->Format().ok());
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options_, "/io", store_.get(), &raw).ok());
+    db_.reset(raw);
+  }
+
+  fs::Extent TableExtent(uint64_t number) {
+    std::vector<fs::Extent> extents;
+    EXPECT_TRUE(
+        store_->GetFileExtents(TableFileName("/io", number), &extents).ok());
+    EXPECT_EQ(extents.size(), 1u);
+    return extents.empty() ? fs::Extent{} : extents[0];
+  }
+
+  // A new table of `file_size` bytes at `e` reached the drive in at most
+  // one write per started 256 KiB chunk plus its padded tail, and the
+  // drive never read it: the "table is usable" open decodes the tail its
+  // builder kept.
+  void ExpectChunkedAndNeverRead(const fs::Extent& e, uint64_t file_size) {
+    uint64_t writes = 0, reads = 0;
+    for (const RecordingDrive::Request& r : drive_->log) {
+      if (Overlaps(r, e)) (r.write ? writes : reads)++;
+    }
+    EXPECT_GE(writes, 1u) << "table at " << e.offset;
+    EXPECT_LE(writes, file_size / kWriteChunkBytes + 1)
+        << "table at " << e.offset << " of " << file_size << " bytes";
+    EXPECT_EQ(reads, 0u) << "table at " << e.offset;
+  }
+
+  const StackConfig config_;
+  smr::Geometry geo_;
+  std::unique_ptr<RecordingDrive> drive_;
+  std::unique_ptr<core::DynamicBandAllocator> allocator_;
+  std::unique_ptr<fs::FileStore> store_;
+  std::unique_ptr<const FilterPolicy> filter_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
 }  // namespace
+
+// A memtable flush of a 1 MiB buffer: the new table reaches the drive in
+// 256 KiB chunks plus its tail, and the flush never reads it back.
+TEST_F(CompactionIoTest, FlushWritesInChunksAndNeverReadsTheTable) {
+  options_.write_buffer_size = 1 << 20;
+  options_.max_file_size = 2 << 20;
+  Open();
+  DB* db = db_.get();
+
+  std::map<std::string, std::string> model;
+  Random rnd(301);
+  std::vector<LiveFileMeta> live;
+  drive_->recording = true;
+  for (int i = 0; live.empty(); i++) {
+    ASSERT_LT(i, 20000) << "the memtable never flushed";
+    const std::string key = Key(rnd.Uniform(100000));
+    model[key] = Value(i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, Value(i)).ok());
+    live = db->GetLiveFilesMetadata();
+  }
+  drive_->recording = false;
+  ASSERT_EQ(live.size(), 1u);
+  ASSERT_GT(live[0].file_size, 2 * kWriteChunkBytes);
+  ExpectChunkedAndNeverRead(TableExtent(live[0].number), live[0].file_size);
+
+  std::string value;
+  for (const auto& [key, expected] : model) {
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &value).ok()) << key;
+    ASSERT_EQ(value, expected) << key;
+  }
+}
 
 // Set-at-once compaction I/O on a one-shard inline SEALDB store: an L1 file
 // over a one-set L2. The compaction reads each input table whole in one
 // drive request -- the victim first, then the set in physical order --
-// before its first output write, and the "table is usable" open of each
-// output costs one read.
-TEST(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
-  const StackConfig config = TinyConfig(SystemKind::kSEALDB);
-  smr::Geometry geo;
-  geo.capacity_bytes = config.capacity_bytes;
-  geo.track_bytes = config.track_bytes;
-  geo.shingle_overlap_tracks = config.shingle_overlap_tracks;
-  geo.conventional_bytes = config.conventional_bytes;
-  RecordingDrive drive(smr::NewShingledDisk(geo, smr::LatencyParams::Smr()));
-  core::DynamicBandOptions aopt;
-  aopt.base = geo.conventional_bytes;
-  aopt.limit = geo.capacity_bytes;
-  aopt.track_bytes = geo.track_bytes;
-  aopt.guard_bytes = geo.guard_bytes();
-  aopt.class_unit = config.sstable_bytes;
-  core::DynamicBandAllocator allocator(aopt);
-  fs::FileStore store(&drive, &allocator);
-  ASSERT_TRUE(store.Format().ok());
-
-  std::unique_ptr<const FilterPolicy> filter(NewBloomFilterPolicy(10));
-  Options options;
-  options.write_buffer_size = config.write_buffer_bytes;
-  options.max_file_size = config.sstable_bytes;
-  options.max_bytes_for_level_base = 10 * config.sstable_bytes;
-  options.filter_policy = filter.get();
-  options.compaction_unit = CompactionUnit::kSet;
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(options, "/io", &store, &raw).ok());
-  std::unique_ptr<DB> db(raw);
+// before its first output write; each output reaches the drive in whole
+// chunks and is never read back.
+TEST_F(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
+  Open();
+  DB* db = db_.get();
+  RecordingDrive& drive = *drive_;
+  const smr::Geometry& geo = geo_;
 
   // Even keys, in random order, compacted into one set at L2; then odd
   // keys across the same range until the memtable has flushed once, and
@@ -541,18 +618,11 @@ TEST(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
   ASSERT_TRUE(db->GetProperty("sealdb.num-files-at-level0", &prop));
   ASSERT_EQ(prop, "0");
 
-  auto table_extent = [&store](uint64_t number) {
-    std::vector<fs::Extent> extents;
-    EXPECT_TRUE(
-        store.GetFileExtents(TableFileName("/io", number), &extents).ok());
-    EXPECT_EQ(extents.size(), 1u);
-    return extents.empty() ? fs::Extent{} : extents[0];
-  };
   std::map<uint64_t, LiveFileMeta> before;
   std::map<uint64_t, fs::Extent> before_extent;
   for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
     before[f.number] = f;
-    before_extent[f.number] = table_extent(f.number);
+    before_extent[f.number] = TableExtent(f.number);
   }
 
   drive.recording = true;
@@ -569,8 +639,11 @@ TEST(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
     if (after.count(number) == 0) inputs.emplace_back(number, f.level);
   }
   std::vector<fs::Extent> outputs;
+  std::vector<uint64_t> output_sizes;
   for (const auto& [number, f] : after) {
-    if (before.count(number) == 0) outputs.push_back(table_extent(number));
+    if (before.count(number) > 0) continue;
+    outputs.push_back(TableExtent(number));
+    output_sizes.push_back(f.file_size);
   }
   ASSERT_GE(inputs.size(), 3u);
   ASSERT_GE(outputs.size(), 3u);
@@ -618,21 +691,8 @@ TEST(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
         << "input read out of order at request " << log_index;
   }
 
-  // The verification open of each output: one read, after its writes.
-  for (const fs::Extent& e : outputs) {
-    int count = 0;
-    bool written = false;
-    for (const RecordingDrive::Request& r : log) {
-      if (!Overlaps(r, e)) continue;
-      if (r.write) {
-        EXPECT_EQ(count, 0) << "output at " << e.offset << " read early";
-        written = true;
-      } else {
-        EXPECT_TRUE(written) << "output at " << e.offset << " read early";
-        count++;
-      }
-    }
-    EXPECT_EQ(count, 1) << "output at " << e.offset;
+  for (size_t i = 0; i < outputs.size(); i++) {
+    ExpectChunkedAndNeverRead(outputs[i], output_sizes[i]);
   }
 
   // Same keys and values as written.

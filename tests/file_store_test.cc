@@ -447,9 +447,9 @@ TEST_F(FileStoreTest, UnsyncedDataLostOnCrash) {
   f.reset();  // note: reset() calls Close() via dtor — use a fresh file
 
   ASSERT_TRUE(store_->NewWritableFile("/db/b", 1 << 20, &f).ok());
-  ASSERT_TRUE(f->Append(std::string(8192, 'x')).ok());
-  ASSERT_TRUE(f->Flush().ok());
-  // Flushed but not synced: metadata journal doesn't know the size yet.
+  // A full 256 KiB chunk goes to the drive on Append.
+  ASSERT_TRUE(f->Append(std::string(256 << 10, 'x')).ok());
+  // Written but not synced: metadata journal doesn't know the size yet.
   // Power cut: the destructor's Close hits a dead drive and persists
   // nothing; Reopen() restores power and recovers.
   drive_->PowerOff();

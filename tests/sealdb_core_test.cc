@@ -293,38 +293,44 @@ TEST(FragmentGc, NoTriggerWhenClean) {
   EXPECT_EQ(result.sets_compacted, 0);
 }
 
+// Random puts over 10,000 keys leave sets pinning fragments on every seed
+// below; the GC must retire at least one and reclaim most of what it
+// targets.
 TEST(FragmentGc, ReclaimsFragmentedSpace) {
-  std::unique_ptr<baselines::Stack> stack;
-  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
-  DB* db = stack->db();
-
-  // Heavy churn leaves faded-set fragments behind.
-  Random rnd(42);
-  for (int i = 0; i < 20000; i++) {
+  for (const uint32_t seed : {42u, 1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::unique_ptr<baselines::Stack> stack;
     ASSERT_TRUE(
-        db->Put(WriteOptions(), Key(rnd.Uniform(1200)), Value(i)).ok());
-  }
-  db->WaitForIdle();
+        baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
+    DB* db = stack->db();
 
-  core::FragmentGcOptions gc_opt;
-  gc_opt.fragment_share_trigger = 0.0;  // always run
-  gc_opt.fragment_threshold_bytes = 1 << 20;
-  gc_opt.max_sets_per_run = 8;
-  auto result = RunFragmentGc(stack.get(), gc_opt);
-  EXPECT_TRUE(result.triggered);
+    // Heavy churn leaves faded-set fragments behind.
+    Random rnd(seed);
+    for (int i = 0; i < 20000; i++) {
+      ASSERT_TRUE(
+          db->Put(WriteOptions(), Key(rnd.Uniform(10000)), Value(i)).ok());
+    }
+    db->WaitForIdle();
 
-  // GC must never corrupt data or the device invariants.
-  EXPECT_DOUBLE_EQ(stack->awa(), 1.0);
-  std::string value;
-  for (int i = 0; i < 1200; i += 13) {
-    Status s = db->Get(ReadOptions(), Key(i), &value);
-    EXPECT_TRUE(s.ok() || s.IsNotFound());
-  }
-  std::string why;
-  EXPECT_TRUE(stack->dynamic_allocator()->CheckInvariants(&why)) << why;
-  // The GC targets specific pinned fragments; most of them must be
-  // reclaimed (merged into large free space or un-banded).
-  if (result.sets_compacted > 0) {
+    core::FragmentGcOptions gc_opt;
+    gc_opt.fragment_share_trigger = 0.0;  // always run
+    gc_opt.fragment_threshold_bytes = 1 << 20;
+    gc_opt.max_sets_per_run = 8;
+    auto result = RunFragmentGc(stack.get(), gc_opt);
+    EXPECT_TRUE(result.triggered);
+    ASSERT_GE(result.sets_compacted, 1);
+
+    // GC must never corrupt data or the device invariants.
+    EXPECT_DOUBLE_EQ(stack->awa(), 1.0);
+    std::string value;
+    for (int i = 0; i < 10000; i += 13) {
+      Status s = db->Get(ReadOptions(), Key(i), &value);
+      EXPECT_TRUE(s.ok() || s.IsNotFound());
+    }
+    std::string why;
+    EXPECT_TRUE(stack->dynamic_allocator()->CheckInvariants(&why)) << why;
+    // The GC targets specific pinned fragments; most of them must be
+    // reclaimed (merged into large free space or un-banded).
     EXPECT_GT(result.pinned_bytes_targeted, 0u);
     EXPECT_GE(result.pinned_bytes_reclaimed,
               result.pinned_bytes_targeted / 2);

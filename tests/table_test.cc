@@ -2,6 +2,8 @@
 // build + seek + iterate, footer encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,7 +21,9 @@
 #include "lsm/table_cache.h"
 #include "lsm/version_edit.h"
 #include "smr/drive.h"
+#include "util/coding.h"
 #include "util/comparator.h"
+#include "util/crc32c.h"
 #include "util/filter_policy.h"
 #include "util/random.h"
 
@@ -203,6 +207,74 @@ TEST(FormatTest, BadMagicRejected) {
   EXPECT_TRUE(decoded.DecodeFrom(&input).IsCorruption());
 }
 
+// A file over bytes it holds: in memory it returns pointers into them,
+// otherwise it copies into the caller's scratch. Records each scratch.
+class BytesFile final : public fs::RandomAccessFile {
+ public:
+  BytesFile(Slice bytes, bool in_memory)
+      : bytes_(bytes), in_memory_(in_memory) {}
+
+  bool serves_from_memory() const override { return in_memory_; }
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    scratches.push_back(scratch);
+    n = std::min<uint64_t>(n, bytes_.size() - offset);
+    if (in_memory_) {
+      *result = Slice(bytes_.data() + offset, n);
+    } else {
+      std::memcpy(scratch, bytes_.data() + offset, n);
+      *result = Slice(scratch, n);
+    }
+    return Status::OK();
+  }
+
+  mutable std::vector<const char*> scratches;
+
+ private:
+  const Slice bytes_;
+  const bool in_memory_;
+};
+
+// ReadBlock decodes a block of an in-memory file in place, with no scratch
+// buffer; any other file's block lands in a heap buffer the caller owns.
+TEST(FormatTest, ReadBlockFromMemoryAllocatesNothing) {
+  Options options;
+  BlockBuilder builder(&options);
+  builder.Add("apple", "red");
+  builder.Add("banana", "yellow");
+  std::string bytes = builder.Finish().ToString();
+  const size_t n = bytes.size();
+  char trailer[kBlockTrailerSize];
+  trailer[0] = kNoCompression;
+  const uint32_t crc = crc32c::Extend(crc32c::Value(bytes.data(), n), trailer, 1);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  bytes.append(trailer, kBlockTrailerSize);
+  BlockHandle handle;
+  handle.set_offset(0);
+  handle.set_size(n);
+  ReadOptions verify;
+  verify.verify_checksums = true;
+
+  BytesFile memory(bytes, /*in_memory=*/true);
+  BlockContents contents;
+  ASSERT_TRUE(ReadBlock(&memory, verify, handle, &contents).ok());
+  EXPECT_FALSE(contents.heap_allocated);
+  EXPECT_FALSE(contents.cachable);
+  EXPECT_EQ(contents.data.data(), bytes.data());
+  EXPECT_EQ(contents.data.size(), n);
+  EXPECT_EQ(memory.scratches, std::vector<const char*>{nullptr});
+
+  BytesFile copying(bytes, /*in_memory=*/false);
+  ASSERT_TRUE(ReadBlock(&copying, verify, handle, &contents).ok());
+  ASSERT_TRUE(contents.heap_allocated);
+  EXPECT_TRUE(contents.cachable);
+  ASSERT_EQ(copying.scratches.size(), 1u);
+  EXPECT_EQ(contents.data.data(), copying.scratches[0]);
+  EXPECT_EQ(contents.data, Slice(bytes.data(), n));
+  delete[] contents.data.data();
+}
+
 // ------------------------------------------------------------- tables
 
 class TableTest : public ::testing::Test {
@@ -240,6 +312,7 @@ class TableTest : public ::testing::Test {
     }
     ASSERT_TRUE(builder.Finish().ok());
     file_size_ = builder.FileSize();
+    tail_ = builder.tail().ToString();
     ASSERT_TRUE(file->Close().ok());
 
     ASSERT_TRUE(store_->NewRandomAccessFile(fname, &raf_).ok());
@@ -258,6 +331,7 @@ class TableTest : public ::testing::Test {
   std::unique_ptr<Table> table_;
   Options options_;
   uint64_t file_size_ = 0;
+  std::string tail_;         // the builder's tail (TableBuilder::tail())
   uint64_t open_reads_ = 0;  // drive requests Table::Open sent
 };
 
@@ -400,6 +474,96 @@ TEST_F(TableTest, TailLargerThanOpenSpanFallsBackToBlockReads) {
       cache.Get(ReadOptions(), 7, file_size_, "k00000701", &absent, save)
           .ok());
   EXPECT_NE(absent.key, "k00000701");
+}
+
+// A table opened from its builder's tail costs no drive read and serves
+// the same entries and the same Get results as the table opened through a
+// file read.
+TEST_F(TableTest, OpenFromBuilderTailMatchesOpenFromFile) {
+  const auto model = MakeModel(3000);
+  const std::string fname = TableFileName("/new", 9);
+  BuildAndOpen(model, /*with_filter=*/true, /*block_size=*/4096, fname);
+  ASSERT_FALSE(tail_.empty());
+  ASSERT_LT(tail_.size(), file_size_);
+
+  TableCache from_tail("/new", options_, store_.get(), 10);
+  const uint64_t reads_before = drive_->metrics().read_ops->Value();
+  ASSERT_TRUE(from_tail.AddNewTable(9, file_size_, tail_).ok());
+  EXPECT_EQ(drive_->metrics().read_ops->Value(), reads_before);
+  TableCache from_file("/new", options_, store_.get(), 10);
+
+  std::unique_ptr<Iterator> a(
+      from_tail.NewIterator(ReadOptions(), 9, file_size_));
+  std::unique_ptr<Iterator> b(
+      from_file.NewIterator(ReadOptions(), 9, file_size_));
+  size_t entries = 0;
+  for (a->SeekToFirst(), b->SeekToFirst(); a->Valid(); a->Next(), b->Next()) {
+    ASSERT_TRUE(b->Valid());
+    ASSERT_EQ(a->key(), b->key());
+    ASSERT_EQ(a->value(), b->value());
+    entries++;
+  }
+  EXPECT_FALSE(b->Valid());
+  EXPECT_EQ(entries, model.size());
+  EXPECT_TRUE(a->status().ok());
+  EXPECT_TRUE(b->status().ok());
+
+  auto save = [](void* arg, const Slice& k, const Slice& v) {
+    *static_cast<std::string*>(arg) = k.ToString() + "=" + v.ToString();
+  };
+  Random rnd(7);
+  for (int i = 0; i < 2000; i++) {
+    char key[20];
+    std::snprintf(key, sizeof(key), "k%08d",
+                  static_cast<int>(rnd.Uniform(3000 * 7 + 10)));
+    std::string got_tail, got_file;
+    ASSERT_TRUE(
+        from_tail.Get(ReadOptions(), 9, file_size_, key, &got_tail, save)
+            .ok());
+    ASSERT_TRUE(
+        from_file.Get(ReadOptions(), 9, file_size_, key, &got_file, save)
+            .ok());
+    ASSERT_EQ(got_tail, got_file) << key;
+  }
+}
+
+// The open from a builder's tail still checks what it decodes: a bad
+// footer magic, or an index handle pointing outside the tail, is
+// Corruption, not a drive read.
+TEST_F(TableTest, OpenFromCorruptTailFails) {
+  BuildAndOpen(MakeModel(500), /*with_filter=*/true);
+  const size_t footer_at = tail_.size() - Footer::kEncodedLength;
+  Footer footer;
+  Slice footer_input(tail_.data() + footer_at, Footer::kEncodedLength);
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+
+  auto open = [this](const std::string& tail) {
+    Table* table = nullptr;
+    const uint64_t reads_before = drive_->metrics().read_ops->Value();
+    Status s = Table::Open(options_, raf_.get(), file_size_, &table, {}, 0,
+                           tail);
+    EXPECT_EQ(drive_->metrics().read_ops->Value(), reads_before);
+    EXPECT_EQ(table == nullptr, !s.ok());
+    delete table;
+    return s;
+  };
+  ASSERT_TRUE(open(tail_).ok());
+
+  std::string bad_magic = tail_;
+  bad_magic.back() ^= 0x01;
+  EXPECT_TRUE(open(bad_magic).IsCorruption());
+
+  for (uint64_t offset : {file_size_, uint64_t{0}}) {
+    SCOPED_TRACE("index handle at " + std::to_string(offset));
+    Footer moved = footer;
+    BlockHandle index = footer.index_handle();
+    index.set_offset(offset);
+    moved.set_index_handle(index);
+    std::string encoded;
+    moved.EncodeTo(&encoded);
+    std::string bad_index = tail_.substr(0, footer_at) + encoded;
+    EXPECT_TRUE(open(bad_index).IsCorruption());
+  }
 }
 
 // A compaction's inputs are read whole while their images fit in
