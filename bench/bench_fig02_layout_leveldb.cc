@@ -51,13 +51,12 @@ int main(int argc, char** argv) {
       hi = std::max(hi, offset + length);
     }
     max_pba = std::max(max_pba, hi);
-    total_outputs += ev.output_placement.size();
+    total_outputs += ev.num_outputs;
     total_span += (hi - lo) / mb;
     merges++;
     if (i % print_every == 0) {
-      std::printf("%8zu %8zu %14.1f %14.1f %12.1f\n", i,
-                  ev.output_placement.size(), lo / mb, hi / mb,
-                  (hi - lo) / mb);
+      std::printf("%8zu %8d %14.1f %14.1f %12.1f\n", i, ev.num_outputs,
+                  lo / mb, hi / mb, (hi - lo) / mb);
     }
   }
 

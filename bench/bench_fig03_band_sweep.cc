@@ -2,11 +2,13 @@
 // amplification, as a function of the band size.
 //
 // Paper (10 GB random load, bands 20-60 MB):
-//   (a) ~9.8 SSTables written per compaction, spread over ~5-7 bands
-//   (b) WA ~9.8x -> MWA ~40-75x (52.85x at 40 MB bands)
+//   (a) 9.83 SSTables written per compaction, spread over 6.22 bands at
+//       40 MB (~5-7 across the sweep)
+//   (b) WA 9.83x -> MWA ~40-75x (52.85x at 40 MB bands)
 //
 // We random-load LevelDB-on-fixed-band-SMR at each (scaled) band size and
-// report SSTables/compaction, bands touched/compaction, WA, AWA, and MWA.
+// report SSTables/compaction (output tables, not their extents), bands
+// touched/compaction, WA, AWA, and MWA.
 #include <algorithm>
 #include <set>
 
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
             (offset + length - 1 - conv) / config.band_bytes;
         for (uint64_t b = first; b <= last; b++) bands.insert(b);
       }
-      total_outputs += ev.output_placement.size();
+      total_outputs += ev.num_outputs;
       total_bands += bands.size();
       merges++;
     }

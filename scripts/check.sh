@@ -12,9 +12,9 @@
 # correctness checks run: sealbench's selftest, then one short untraced
 # round each of the ingest and range-scan workloads, which fail (non-zero
 # exit) on a wrong read-back, a wrong scan or a guard violation — there is
-# no timing gate — then two identical ingest rounds, whose
-# simulated-device figures (device_ops_per_s, mwa, space_amp) must match
-# byte for byte. After the default-config suite, a served smoke drives
+# no timing gate — then two identical rounds each of ingest and
+# range-scan, whose simulated-device figures (device_ops_per_s, mwa,
+# space_amp) must match byte for byte. After the default-config suite, a served smoke drives
 # the shipped binaries end to end: sealdb_server on an ephemeral port,
 # sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
 # print the shutdown summary and exit 0. It runs twice: with 4 shards, and
@@ -117,21 +117,23 @@ cmake --build build-perfbench -j "$JOBS" --target sealbench
 ./build-perfbench/sealbench --workload=ingest --seconds=1 --trace=0 >/dev/null
 ./build-perfbench/sealbench --workload=range-scan --seconds=1.4 --trace=0 \
   >/dev/null
-# A single-shard ingest with inline compactions counts simulated device
-# time, so its device figures depend on the workload and the code only:
-# two identical runs must print the same device_ops_per_s, mwa and
-# space_amp lines, byte for byte.
+# Ingest and range-scan load a single shard with inline compactions and
+# count simulated device time, so their device figures depend on the
+# workload and the code only: two identical runs must print the same
+# device_ops_per_s, mwa and space_amp lines, byte for byte.
 device_figures() {
-  ./build-perfbench/sealbench --workload=ingest --seconds=1 --seed=1 \
+  ./build-perfbench/sealbench --workload="$1" --seconds=1 --seed=1 \
     | grep -E '^(device_ops_per_s|mwa|space_amp) '
 }
-figures_a="$(device_figures)"
-figures_b="$(device_figures)"
-if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
-  echo "check.sh: ingest device figures missing or differing across identical runs:" >&2
-  diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
-  exit 1
-fi
+for workload in ingest range-scan; do
+  figures_a="$(device_figures "$workload")"
+  figures_b="$(device_figures "$workload")"
+  if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
+    echo "check.sh: $workload device figures missing or differing across identical runs:" >&2
+    diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
+    exit 1
+  fi
+done
 ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
 
 echo

@@ -72,11 +72,13 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
   opt.write_buffer_size = config.write_buffer_bytes;
   opt.max_file_size = config.sstable_bytes;
   opt.filter_policy = filter;
-  opt.inline_compactions = config.inline_compactions;
   opt.buffer_pool_bytes = config.buffer_pool_bytes;
   // Per-system executor width: set/band designs have naturally disjoint
-  // compaction units, so they profit most from extra workers.
-  if (config.max_background_compactions > 0) {
+  // compaction units, so they profit most from extra workers. Inline
+  // compactions are the zero-worker case.
+  if (config.inline_compactions) {
+    opt.max_background_compactions = 0;
+  } else if (config.max_background_compactions > 0) {
     opt.max_background_compactions = config.max_background_compactions;
   } else {
     opt.max_background_compactions =
@@ -257,9 +259,11 @@ Status Stack::OpenEngines(bool format) {
     // The read cache is NOT split: every shard uses the one shared pool
     // above. The executor stays a per-engine resource, so N full-size
     // copies would change the stack's footprint, not just its
-    // partitioning.
-    shard_opt.max_background_compactions =
-        std::max(1, options_.max_background_compactions / shards);
+    // partitioning. Inline stacks stay inline.
+    if (options_.max_background_compactions > 0) {
+      shard_opt.max_background_compactions =
+          std::max(1, options_.max_background_compactions / shards);
+    }
     // Only shard 0 folds the shared external counter into its memory
     // property; ShardedDb sums the shards, and N copies would count the
     // server's buffers N times.

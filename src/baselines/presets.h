@@ -56,6 +56,8 @@ struct StackConfig {
   // front half, WAL pool in the back half, like the conventional
   // zones of real HM-SMR drives.
   uint64_t conventional_bytes = 64ull << 20;
+  // Run flushes and compactions on the thread that triggers them: the
+  // engine's zero-worker case (Options::max_background_compactions = 0).
   bool inline_compactions = true;
 
   // Worker threads for the background compaction executor (only used when

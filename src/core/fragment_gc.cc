@@ -82,14 +82,6 @@ std::vector<FragmentGc::Candidate> FragmentGc::FindCandidates() {
   return candidates;
 }
 
-size_t FragmentGc::SetMembers(uint64_t set_id) {
-  size_t members = 0;
-  for (const LiveFileMeta& f : db_->GetLiveFilesMetadata()) {
-    if (f.set_id == set_id) members++;
-  }
-  return members;
-}
-
 FragmentGcResult FragmentGc::Run() {
   FragmentGcResult result;
   BandInspector inspector(allocator_);
@@ -106,18 +98,11 @@ FragmentGcResult FragmentGc::Run() {
   for (const Candidate& c : candidates) {
     if (result.sets_compacted >= options_.max_sets_per_run) break;
     // Retire exactly this set: compact its level's files over its range
-    // into the next level. One compaction takes at most a file's worth of
-    // the level's inputs, so repeat while that retires members. When
-    // every member is gone the FileStore frees the region, and the
-    // allocator coalesces it with the fragment.
+    // into the next level. When every member is gone the FileStore frees
+    // the region, and the allocator coalesces it with the fragment.
     const Slice begin(c.smallest_key);
     const Slice end(c.largest_key);
-    for (size_t members = SetMembers(c.set_id); members > 0;) {
-      db_->CompactLevelRange(c.level, &begin, &end);
-      const size_t left = SetMembers(c.set_id);
-      if (left >= members) break;
-      members = left;
-    }
+    db_->CompactLevelRange(c.level, &begin, &end);
     result.sets_compacted++;
     result.pinned_bytes_targeted += c.pinned_bytes;
     fragment_offsets.push_back(c.fragment_offset);

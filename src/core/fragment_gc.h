@@ -70,8 +70,6 @@ class FragmentGc {
     std::string largest_key;
   };
   std::vector<Candidate> FindCandidates();
-  // Live tables of the set.
-  size_t SetMembers(uint64_t set_id);
 
   DB* db_;
   fs::FileStore* store_;

@@ -3,27 +3,17 @@
 namespace sealdb::core {
 
 void SetManager::RegisterSet(uint64_t set_id,
-                             const std::vector<uint64_t>& files,
-                             uint64_t total_bytes, int level) {
+                             const std::vector<uint64_t>& files) {
   if (set_id == 0 || files.empty()) return;
-  SetInfo& info = sets_[set_id];
-  info.total += static_cast<int>(files.size());
-  info.bytes += total_bytes;
-  info.level = level;
+  sets_[set_id].total += static_cast<int>(files.size());
   for (uint64_t f : files) {
     file_to_set_[f] = set_id;
   }
-  sets_created_++;
-  total_set_bytes_ += total_bytes;
-  total_set_members_ += files.size();
 }
 
-void SetManager::RecoverSet(uint64_t set_id, uint64_t file_number,
-                            uint64_t file_size) {
+void SetManager::RecoverSet(uint64_t set_id, uint64_t file_number) {
   if (set_id == 0) return;
-  SetInfo& info = sets_[set_id];
-  info.total += 1;
-  info.bytes += file_size;
+  sets_[set_id].total += 1;
   file_to_set_[file_number] = set_id;
 }
 
@@ -44,11 +34,6 @@ void SetManager::OnFileDeleted(uint64_t file_number) {
 int SetManager::InvalidCount(uint64_t set_id) const {
   auto it = sets_.find(set_id);
   return it == sets_.end() ? 0 : it->second.invalid;
-}
-
-uint64_t SetManager::SetOf(uint64_t file_number) const {
-  auto it = file_to_set_.find(file_number);
-  return it == file_to_set_.end() ? 0 : it->second;
 }
 
 }  // namespace sealdb::core

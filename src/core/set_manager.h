@@ -9,7 +9,6 @@
 //     members ("SEALDB gives priority to compact the set with more invalid
 //     SSTables, hence fragments can be recycled implicitly"), and
 //   * set-granular space reclamation (enforced by FileStore regions).
-// It also accumulates the set-size statistics reported in Fig. 10(b).
 //
 // Thread safety: all calls are made under the owning DB's mutex.
 #pragma once
@@ -32,14 +31,13 @@ class SetManager : public SetInfoProvider {
   SetManager& operator=(const SetManager&) = delete;
 
   // Register a freshly written set: the region id doubles as the set id.
-  void RegisterSet(uint64_t set_id, const std::vector<uint64_t>& files,
-                   uint64_t total_bytes, int level);
+  void RegisterSet(uint64_t set_id, const std::vector<uint64_t>& files);
 
   // Rebuild after recovery from the surviving files of a version. Invalid
   // counts restart at zero (the information is reconstructible only from
   // future compactions; space safety is unaffected because FileStore
   // regions track occupancy independently).
-  void RecoverSet(uint64_t set_id, uint64_t file_number, uint64_t file_size);
+  void RecoverSet(uint64_t set_id, uint64_t file_number);
 
   // A member table died (its data was merged away). Removes the set once
   // every member is gone.
@@ -48,37 +46,16 @@ class SetManager : public SetInfoProvider {
   // SetInfoProvider: invalid members recorded in a set.
   int InvalidCount(uint64_t set_id) const override;
 
-  // Set the file belongs to, or 0.
-  uint64_t SetOf(uint64_t file_number) const;
-
-  // ---- statistics (Fig. 10b) ----
-  uint64_t sets_created() const { return sets_created_; }
-  double average_set_bytes() const {
-    return sets_created_ == 0
-               ? 0.0
-               : static_cast<double>(total_set_bytes_) / sets_created_;
-  }
-  double average_set_members() const {
-    return sets_created_ == 0
-               ? 0.0
-               : static_cast<double>(total_set_members_) / sets_created_;
-  }
   size_t live_sets() const { return sets_.size(); }
 
  private:
   struct SetInfo {
     int total = 0;
     int invalid = 0;
-    uint64_t bytes = 0;
-    int level = 0;
   };
 
   std::map<uint64_t, SetInfo> sets_;
   std::unordered_map<uint64_t, uint64_t> file_to_set_;
-
-  uint64_t sets_created_ = 0;
-  uint64_t total_set_bytes_ = 0;
-  uint64_t total_set_members_ = 0;
 };
 
 }  // namespace sealdb::core

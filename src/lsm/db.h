@@ -93,17 +93,22 @@ class DB {
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
 
   // Compact the underlying storage for the key range [*begin,*end]
-  // (nullptr meaning open-ended).
+  // (nullptr meaning open-ended): flush the memtable, then compact the
+  // whole range of every level above the deepest one holding part of it,
+  // one level after the other. Runs on the calling thread and returns when
+  // the range is done (or a compaction failed).
   virtual void CompactRange(const Slice* begin, const Slice* end) = 0;
 
-  // Compact only the files of `level` overlapping [*begin,*end] into the
-  // next level. Used by maintenance tooling (fragment GC) that wants to
-  // retire specific sets without cascading through every level.
+  // Compact every file of `level` overlapping [*begin,*end] into the next
+  // level, as many compactions as that takes; an overlapping last level
+  // (SMRDB) merges them in place instead. Used by maintenance tooling
+  // (fragment GC) that wants to retire specific sets without cascading
+  // through every level.
   virtual void CompactLevelRange(int level, const Slice* begin,
                                  const Slice* end) = 0;
 
-  // Wait until no compaction work is pending (flushes the compaction
-  // pipeline; no-op with inline compactions).
+  // Wait until no flush or compaction is pending or running (with inline
+  // compactions, runs what is pending on the calling thread).
   virtual void WaitForIdle() = 0;
 
   // Live write-stall state, cheap enough to poll per request (one atomic

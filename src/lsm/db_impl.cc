@@ -85,6 +85,17 @@ struct DBImpl::CompactionState {
   uint64_t region_id;
 };
 
+// A manual compaction of the files of `level` overlapping [*begin,*end]
+// (nullptr meaning open-ended), fed to CompactionStep one compaction at a
+// time until done.
+struct DBImpl::ManualCompaction {
+  int level = 0;
+  bool done = false;
+  const InternalKey* begin = nullptr;
+  const InternalKey* end = nullptr;
+  InternalKey begin_storage, end_storage;
+};
+
 // Fix user-supplied options to be reasonable
 template <class T, class V>
 static void ClipToRange(T* ptr, V minvalue, V maxvalue) {
@@ -103,7 +114,7 @@ static Options SanitizeOptions(const std::string& dbname,
   ClipToRange(&result.write_buffer_size, 16 << 10, 1 << 30);
   ClipToRange(&result.max_file_size, 16 << 10, 1 << 30);
   ClipToRange(&result.block_size, 1 << 10, 4 << 20);
-  ClipToRange(&result.max_background_compactions, 1, 8);
+  ClipToRange(&result.max_background_compactions, 0, 8);
   if (result.num_levels < 2) result.num_levels = 2;
   if (result.num_levels > 16) result.num_levels = 16;
   if (result.buffer_pool == nullptr && result.buffer_pool_bytes > 0) {
@@ -246,7 +257,7 @@ Status DBImpl::Recover(VersionEdit* edit) {
     Version* v = versions_->current();
     for (int level = 0; level < versions_->NumLevels(); level++) {
       for (const FileMetaData* f : v->files(level)) {
-        set_manager_->RecoverSet(f->set_id, f->number, f->file_size);
+        set_manager_->RecoverSet(f->set_id, f->number);
       }
     }
   }
@@ -438,8 +449,9 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   return s;
 }
 
-void DBImpl::CompactMemTable() {
-  assert(imm_ != nullptr);
+bool DBImpl::CompactMemTable() {
+  if (imm_ == nullptr || imm_flush_in_flight_) return false;
+  imm_flush_in_flight_ = true;
 
   // Save the contents of the memtable as a new Table
   VersionEdit edit;
@@ -466,6 +478,11 @@ void DBImpl::CompactMemTable() {
   } else {
     RecordBackgroundError(s);
   }
+  imm_flush_in_flight_ = false;
+  // Wake writers waiting in MakeRoomForWrite, and idle workers.
+  background_work_finished_signal_.notify_all();
+  background_wakeup_.notify_all();
+  return true;
 }
 
 void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
@@ -482,93 +499,55 @@ void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   }
   // Could skip the flush when the memtable does not overlap the range;
   // correctness does not require it.
-  TEST_CompactMemTable();
+  FlushMemTable();
   for (int level = 0; level < max_level_with_files; level++) {
-    TEST_CompactRange(level, begin, end);
+    RunManualCompaction(level, begin, end);
   }
 }
 
 void DBImpl::CompactLevelRange(int level, const Slice* begin,
                                const Slice* end) {
-  if (level < 0 || level >= options_.num_levels - 1) return;
-  TEST_CompactRange(level, begin, end);
+  if (level < 0 || level >= options_.num_levels) return;
+  RunManualCompaction(level, begin, end);
 }
 
-void DBImpl::TEST_CompactRange(int level, const Slice* begin,
-                               const Slice* end) {
-  assert(level >= 0);
-  assert(level + 1 < versions_->NumLevels() ||
-         options_.allow_overlap_last_level);
-
-  InternalKey begin_storage, end_storage;
-  InternalKey* begin_key = nullptr;
-  InternalKey* end_key = nullptr;
+void DBImpl::RunManualCompaction(int level, const Slice* begin,
+                                 const Slice* end) {
+  ManualCompaction manual;
+  manual.level = level;
   if (begin != nullptr) {
-    begin_storage = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
-    begin_key = &begin_storage;
+    manual.begin_storage =
+        InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
+    manual.begin = &manual.begin_storage;
   }
   if (end != nullptr) {
-    end_storage = InternalKey(*end, 0, static_cast<ValueType>(0));
-    end_key = &end_storage;
+    manual.end_storage = InternalKey(*end, 0, static_cast<ValueType>(0));
+    manual.end = &manual.end_storage;
   }
 
   mutex_.lock();
-  while (bg_error_.ok() && !shutting_down_.load(std::memory_order_acquire)) {
-    Compaction* c = versions_->CompactRange(level, begin_key, end_key);
-    if (c == nullptr) break;
-    // Serialize against background workers: if a running compaction
-    // overlaps this range, drop the pick, wait for it to finish, and
-    // re-pick against the updated version.
-    const uint64_t ticket = reservations_.TryReserve(c);
-    if (ticket == 0) {
-      c->ReleaseInputs();
-      delete c;
+  while (!manual.done && bg_error_.ok() &&
+         !shutting_down_.load(std::memory_order_acquire)) {
+    if (!CompactionStep(&manual) && !manual.done) {
+      // The range conflicts with a running compaction: wait for work to
+      // finish, then re-pick against the updated version.
       background_work_finished_signal_.wait(mutex_);
-      continue;
     }
-    CompactionState* compact = new CompactionState(c);
-    compact->smallest_snapshot = snapshots_.empty()
-                                     ? versions_->LastSequence()
-                                     : snapshots_.oldest()->sequence_number();
-    Status s = DoCompactionWork(compact);
-    if (!s.ok()) {
-      RecordBackgroundError(s);
-    }
-    CleanupCompaction(compact);
-    c->ReleaseInputs();
-    delete c;
-    reservations_.Release(ticket);
-    pick_exhausted_ = false;
-    background_work_finished_signal_.notify_all();
-    background_wakeup_.notify_all();
-    RemoveObsoleteFiles();
-    break;
   }
   mutex_.unlock();
 }
 
-Status DBImpl::TEST_CompactMemTable() {
-  // nullptr batch means just wait for earlier writes to be done
-  Status s = Write(WriteOptions(), nullptr);
-  if (s.ok()) {
-    // Wait until the compaction completes
-    mutex_.lock();
-    if (imm_ != nullptr) {
-      if (options_.inline_compactions) {
-        CompactMemTable();
-      } else {
-        while (imm_ != nullptr && bg_error_.ok()) {
-          MaybeScheduleCompaction();
-          background_work_finished_signal_.wait(mutex_);
-        }
-      }
+void DBImpl::FlushMemTable() {
+  // A null batch waits for earlier writes, then switches the memtable.
+  if (!Write(WriteOptions(), nullptr).ok()) return;
+  mutex_.lock();
+  while (imm_ != nullptr && bg_error_.ok()) {
+    MaybeScheduleCompaction();
+    if (imm_ != nullptr && bg_error_.ok()) {
+      background_work_finished_signal_.wait(mutex_);
     }
-    if (imm_ != nullptr) {
-      s = bg_error_;
-    }
-    mutex_.unlock();
   }
-  return s;
+  mutex_.unlock();
 }
 
 // Enter read-only degraded mode: the first persistent I/O error (failed WAL
@@ -584,30 +563,15 @@ void DBImpl::RecordBackgroundError(const Status& s) {
   }
 }
 
-void DBImpl::RunInlineCompactions() {
-  if (in_inline_compaction_) return;  // Re-entrancy guard
-  in_inline_compaction_ = true;
-  while (bg_error_.ok() && !shutting_down_.load(std::memory_order_acquire)) {
-    if (imm_ != nullptr) {
-      CompactMemTable();
-    } else if (versions_->NeedsCompaction()) {
-      BackgroundCompaction();
-    } else {
-      break;
-    }
-  }
-  in_inline_compaction_ = false;
-}
-
 void DBImpl::MaybeScheduleCompaction() {
-  if (options_.inline_compactions) {
-    RunInlineCompactions();
+  if (options_.max_background_compactions == 0) {
+    while (CompactionStep(nullptr)) {
+    }
     return;
   }
   if (shutting_down_.load(std::memory_order_acquire)) return;
   if (!bg_error_.ok()) return;
   if (imm_ == nullptr && !versions_->NeedsCompaction()) return;
-  pick_exhausted_ = false;  // state changed; picks are worth retrying
   if (bg_threads_.empty()) {
     const int n = options_.max_background_compactions;
     bg_threads_.reserve(n);
@@ -618,95 +582,93 @@ void DBImpl::MaybeScheduleCompaction() {
   background_wakeup_.notify_all();
 }
 
-// Worker loop shared by the executor pool. Flushes take priority and run
-// one at a time; compaction picks are guarded by the reservation map, so
-// workers holding disjoint reservations merge concurrently.
 void DBImpl::BackgroundThreadMain() {
   mutex_.lock();
-  int reserve_failures = 0;
   while (!shutting_down_.load(std::memory_order_acquire)) {
-    if (!bg_error_.ok()) {
+    if (!CompactionStep(nullptr)) {
       background_wakeup_.wait(mutex_);
-      continue;
     }
-    if (imm_ != nullptr && !imm_flush_in_flight_) {
-      imm_flush_in_flight_ = true;
-      bg_active_++;
-      CompactMemTable();
-      bg_active_--;
-      imm_flush_in_flight_ = false;
-      reserve_failures = 0;
-      background_work_finished_signal_.notify_all();
-      background_wakeup_.notify_all();
-      continue;
-    }
-    if (!pick_exhausted_ && versions_->NeedsCompaction()) {
-      const uint64_t pick_start = NowNanos();
-      Compaction* c = versions_->PickCompaction(&reservations_);
-      const uint64_t ticket =
-          (c != nullptr) ? reservations_.TryReserve(c) : 0;
-      em_.pick_time->AddNanos(NowNanos() - pick_start);
-      if (c == nullptr) {
-        // Every candidate conflicts with a running compaction (or the
-        // trigger was stale). Cleared when state changes.
-        pick_exhausted_ = true;
-        background_work_finished_signal_.notify_all();
-        continue;
-      }
-      if (ticket == 0) {
-        // The expansion (overlap/grandparent growth) pulled in a conflict
-        // the victim-level skip could not see. The compact_pointer_ already
-        // rotated past this victim, so an immediate retry lands elsewhere;
-        // after a few failures wait for a running compaction to finish.
-        c->ReleaseInputs();
-        delete c;
-        if (++reserve_failures >= 8) {
-          reserve_failures = 0;
-          background_wakeup_.wait(mutex_);
-        }
-        continue;
-      }
-      reserve_failures = 0;
-      bg_active_++;
-      ExecuteCompaction(c);
-      reservations_.Release(ticket);
-      bg_active_--;
-      pick_exhausted_ = false;
-      background_work_finished_signal_.notify_all();
-      background_wakeup_.notify_all();
-      continue;
-    }
-    background_wakeup_.wait(mutex_);
   }
   mutex_.unlock();
 }
 
-// Inline-mode work unit (also exercised by RunInlineCompactions); the
-// threaded executor drives ExecuteCompaction from BackgroundThreadMain.
-void DBImpl::BackgroundCompaction() {
-  if (imm_ != nullptr) {
-    CompactMemTable();
-    return;
+// Flushes take priority and run one at a time; compaction picks are guarded
+// by the reservation map, so workers holding disjoint reservations merge
+// concurrently.
+bool DBImpl::CompactionStep(ManualCompaction* manual) {
+  if (shutting_down_.load(std::memory_order_acquire) || !bg_error_.ok()) {
+    return false;
+  }
+  // Inline mode runs one unit at a time, whichever thread calls: its set
+  // regions carry no trailing guard, so nothing may write behind one while
+  // it fills. The caller waits for the running unit instead.
+  if (options_.max_background_compactions == 0 &&
+      (imm_flush_in_flight_ || reservations_.active() > 0)) {
+    return false;
+  }
+  if (manual == nullptr) {
+    if (CompactMemTable()) return true;
+    if (pick_exhausted_ || !versions_->NeedsCompaction()) return false;
   }
 
   const uint64_t pick_start = NowNanos();
-  Compaction* c = versions_->PickCompaction();
+  Compaction* c = (manual != nullptr)
+                      ? versions_->CompactRange(manual->level, manual->begin,
+                                                manual->end)
+                      : versions_->PickCompaction(&reservations_);
+  const uint64_t ticket = (c != nullptr) ? reservations_.TryReserve(c) : 0;
   em_.pick_time->AddNanos(NowNanos() - pick_start);
-  if (c != nullptr) {
-    ExecuteCompaction(c);
+  if (c == nullptr) {
+    if (manual != nullptr) {
+      manual->done = true;  // nothing of the range is left at its level
+    } else {
+      // Every candidate conflicts with a running compaction (or the
+      // trigger was stale). Cleared when state changes.
+      pick_exhausted_ = true;
+      background_work_finished_signal_.notify_all();
+    }
+    return false;
   }
+  if (ticket == 0) {
+    // The inputs conflict with a running compaction: for a pick, through an
+    // expansion the victim-level skip could not see. The compact_pointer_
+    // already rotated past this victim, so the next pick lands elsewhere.
+    c->ReleaseInputs();
+    delete c;
+    return false;
+  }
+  if (manual != nullptr) {
+    // LevelDB's manual_end. A compaction from a sorted level took a prefix
+    // of the range's files and moves them out of the level, so the next
+    // one starts at the largest key this one took. One from an overlapping
+    // level (L0, or SMRDB's last level in place) took every file
+    // overlapping the range.
+    if (versions_->current()->LevelIsOverlapping(manual->level)) {
+      manual->done = true;
+    } else {
+      manual->begin_storage = c->inputs(0).back()->largest;
+      manual->begin = &manual->begin_storage;
+    }
+  }
+
+  // A manual compaction rewrites its inputs even where a move would do.
+  ExecuteCompaction(c, /*allow_trivial_move=*/manual == nullptr);
+  reservations_.Release(ticket);
+  pick_exhausted_ = false;
+  background_work_finished_signal_.notify_all();
+  background_wakeup_.notify_all();
+  return true;
 }
 
-void DBImpl::ExecuteCompaction(Compaction* c) {
-  Status status;
-  if (c->IsTrivialMove()) {
+void DBImpl::ExecuteCompaction(Compaction* c, bool allow_trivial_move) {
+  if (allow_trivial_move && c->IsTrivialMove()) {
     // Move file to next level
     assert(c->num_input_files(0) == 1);
     FileMetaData* f = c->input(0, 0);
     c->edit()->RemoveFile(c->level(), f->number);
     c->edit()->AddFile(c->output_level(), f->number, f->file_size, f->smallest,
                        f->largest, f->set_id);
-    status = versions_->LogAndApply(c->edit());
+    const Status status = versions_->LogAndApply(c->edit());
     if (!status.ok()) {
       RecordBackgroundError(status);
     }
@@ -725,24 +687,12 @@ void DBImpl::ExecuteCompaction(Compaction* c) {
     }
   } else {
     CompactionState* compact = new CompactionState(c);
-    compact->smallest_snapshot = snapshots_.empty()
-                                     ? versions_->LastSequence()
-                                     : snapshots_.oldest()->sequence_number();
-    status = DoCompactionWork(compact);
-    if (!status.ok()) {
-      RecordBackgroundError(status);
-    }
+    DoCompactionWork(compact);
     CleanupCompaction(compact);
     c->ReleaseInputs();
     RemoveObsoleteFiles();
   }
   delete c;
-
-  if (status.ok()) {
-    // Done
-  } else if (shutting_down_.load(std::memory_order_acquire)) {
-    // Ignore compaction errors found during shutting down
-  }
 }
 
 void DBImpl::CleanupCompaction(CompactionState* compact) {
@@ -831,9 +781,7 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
 Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   // Add compaction outputs
   compact->compaction->AddInputDeletions(compact->compaction->edit());
-  const int level = compact->compaction->level();
   const int out_level = compact->compaction->output_level();
-  (void)level;
   for (size_t i = 0; i < compact->outputs.size(); i++) {
     const CompactionState::Output& out = compact->outputs[i];
     compact->compaction->edit()->AddFile(out_level, out.number, out.file_size,
@@ -846,8 +794,7 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
     std::vector<uint64_t> files;
     files.reserve(compact->outputs.size());
     for (const auto& out : compact->outputs) files.push_back(out.number);
-    set_manager_->RegisterSet(compact->region_id, files, compact->total_bytes,
-                              out_level);
+    set_manager_->RegisterSet(compact->region_id, files);
   }
   return s;
 }
@@ -858,7 +805,7 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
 // block: it would always or never catch the Add that flushes one.
 static constexpr int kStageSampleOneIn = 64;
 
-Status DBImpl::DoCompactionWork(CompactionState* compact) {
+void DBImpl::DoCompactionWork(CompactionState* compact) {
   const obs::TimeCounter* device_busy = store_->drive()->metrics().busy;
   const double device_before = device_busy->Seconds();
 
@@ -914,10 +861,10 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     // overhead and is returned to the free list by SealRegion.
     const uint64_t region_size =
         input_bytes + input_bytes / 16 + 2 * options_.max_file_size;
-    // With background compactions, flushes may append behind the region
-    // while it is still being filled; reserve a trailing guard then.
+    // With workers, flushes and other compactions may append behind the
+    // region while it is still being filled; reserve a trailing guard then.
     Status rs = store_->AllocateRegion(region_size, &compact->region_id,
-                                       !options_.inline_compactions);
+                                       options_.max_background_compactions > 0);
     if (!rs.ok()) {
       // Fall back to per-file placement rather than failing the compaction.
       compact->region_id = 0;
@@ -944,20 +891,13 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
   while (input->Valid() && !shutting_down_.load(std::memory_order_acquire)) {
-    // Prioritize immutable compaction work
+    // Prioritize immutable compaction work (workers only: inline mode runs
+    // one unit at a time)
     if (has_imm_.load(std::memory_order_relaxed) &&
-        !options_.inline_compactions) {
+        options_.max_background_compactions > 0) {
       mutex_.lock();
-      if (imm_ != nullptr && !imm_flush_in_flight_) {
-        const uint64_t flush_start = NowNanos();
-        imm_flush_in_flight_ = true;
-        CompactMemTable();
-        imm_flush_in_flight_ = false;
-        flush_nanos += NowNanos() - flush_start;
-        // Wake up MakeRoomForWrite() if necessary.
-        background_work_finished_signal_.notify_all();
-        background_wakeup_.notify_all();
-      }
+      const uint64_t flush_start = NowNanos();
+      if (CompactMemTable()) flush_nanos += NowNanos() - flush_start;
       mutex_.unlock();
     }
 
@@ -1133,8 +1073,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     }
     events_.push_back(std::move(ev));
   }
-
-  return status;
 }
 
 namespace {
@@ -1190,29 +1128,6 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
   return internal_iter;
 }
 
-Iterator* DBImpl::TEST_NewInternalIterator() {
-  SequenceNumber ignored;
-  uint32_t ignored_seed;
-  return NewInternalIterator(ReadOptions(), &ignored, &ignored_seed);
-}
-
-int64_t DBImpl::TEST_MaxNextLevelOverlappingBytes() {
-  mutex_.lock();
-  int64_t result = 0;
-  Version* v = versions_->current();
-  for (int level = 1; level < versions_->NumLevels() - 1; level++) {
-    for (const FileMetaData* f : v->files(level)) {
-      std::vector<FileMetaData*> overlaps;
-      v->GetOverlappingInputs(level + 1, &f->smallest, &f->largest, &overlaps);
-      int64_t sum = 0;
-      for (const FileMetaData* o : overlaps) sum += o->file_size;
-      if (sum > result) result = sum;
-    }
-  }
-  mutex_.unlock();
-  return result;
-}
-
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
@@ -1252,6 +1167,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   }
 
   if (have_stat_update && current->UpdateStats(stats)) {
+    pick_exhausted_ = false;  // a seek compaction is now due
     MaybeScheduleCompaction();
   }
   mem->Unref();
@@ -1440,6 +1356,12 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
 Status DBImpl::MakeRoomForWrite(bool force) {
   assert(!writers_.empty());
   bool allow_delay = !force;
+  // The previous memtable is still being flushed, or there are too many
+  // level-0 files.
+  auto stopped = [this] {
+    return imm_ != nullptr || versions_->NumLevelFiles(0) >=
+                                  options_.level0_stop_writes_trigger;
+  };
   Status s;
   while (true) {
     UpdateStallLevel();
@@ -1450,39 +1372,23 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     } else if (allow_delay &&
                versions_->NumLevelFiles(0) >=
                    options_.level0_slowdown_writes_trigger) {
-      // We are getting close to hitting a hard limit on the number of
-      // L0 files.  Rather than delaying a single write by several
-      // seconds when we hit the hard limit, start compacting.
+      // Close to the hard limit on level-0 files. LevelDB delays a single
+      // write here; device time is simulated, so count the slowdown and go
+      // on. The work that lowers L0 is already running or scheduled, and
+      // waking the workers on every slowed write would only churn their
+      // picks.
       allow_delay = false;  // Do not delay a single write more than once
       em_.stall_slowdowns->Inc();
-      if (options_.inline_compactions) {
-        MaybeScheduleCompaction();
-      }
-      // (No wall-clock sleep: device time is simulated.)
     } else if (!force && (mem_->ApproximateMemoryUsage() <=
                           options_.write_buffer_size)) {
       // There is room in current memtable
       break;
-    } else if (imm_ != nullptr) {
-      // We have filled up the current memtable, but the previous
-      // one is still being compacted, so we wait.
+    } else if (stopped()) {
+      // No room (or a forced switch) and no switch possible yet: run or
+      // schedule the work, and wait while the stop holds.
       em_.stall_stops->Inc();
-      if (options_.inline_compactions) {
-        CompactMemTable();
-      } else {
-        MaybeScheduleCompaction();
-        const uint64_t stall_start = NowNanos();
-        background_work_finished_signal_.wait(mutex_);
-        em_.stall_time->AddNanos(NowNanos() - stall_start);
-      }
-    } else if (versions_->NumLevelFiles(0) >=
-               options_.level0_stop_writes_trigger) {
-      // There are too many level-0 files.
-      em_.stall_stops->Inc();
-      if (options_.inline_compactions) {
-        MaybeScheduleCompaction();
-      } else {
-        MaybeScheduleCompaction();
+      MaybeScheduleCompaction();
+      if (bg_error_.ok() && stopped()) {
         const uint64_t stall_start = NowNanos();
         background_work_finished_signal_.wait(mutex_);
         em_.stall_time->AddNanos(NowNanos() - stall_start);
@@ -1594,18 +1500,19 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
 
 void DBImpl::WaitForIdle() {
   mutex_.lock();
-  if (options_.inline_compactions) {
-    RunInlineCompactions();
-  } else {
-    // pick_exhausted_ breaks the NeedsCompaction() check when the trigger
-    // is stale (nothing is actually runnable); it is cleared whenever a
-    // flush or compaction installs new state.
-    while (bg_error_.ok() &&
-           (imm_ != nullptr || bg_active_ > 0 ||
-            (!pick_exhausted_ && versions_->NeedsCompaction()))) {
-      MaybeScheduleCompaction();
-      background_work_finished_signal_.wait(mutex_);
-    }
+  // Work is pending while a memtable waits for its flush, a compaction
+  // holds a reservation, or the trigger asks for a pick. pick_exhausted_
+  // breaks the trigger check when it is stale (nothing is actually
+  // runnable); it is cleared whenever a flush or compaction installs new
+  // state.
+  auto pending = [this] {
+    return bg_error_.ok() &&
+           (imm_ != nullptr || reservations_.active() > 0 ||
+            (!pick_exhausted_ && versions_->NeedsCompaction()));
+  };
+  while (pending()) {
+    MaybeScheduleCompaction();
+    if (pending()) background_work_finished_signal_.wait(mutex_);
   }
   mutex_.unlock();
 }

@@ -71,26 +71,10 @@ class DBImpl : public DB {
   void SetRecordCompactionEvents(bool enable) override;
   std::vector<CompactionEvent> TakeCompactionEvents() override;
 
-  // Extra methods (for testing and benches)
-
-  // Compact any files in the named level that overlap [*begin,*end]
-  void TEST_CompactRange(int level, const Slice* begin, const Slice* end);
-
-  // Force current memtable contents to be compacted.
-  Status TEST_CompactMemTable();
-
-  // Return an internal iterator over the current state of the database.
-  // The keys of this iterator are internal keys (see dbformat.h).
-  // The returned iterator should be deleted when no longer needed.
-  Iterator* TEST_NewInternalIterator();
-
-  // Return the maximum overlapping data (in bytes) at next level for any
-  // file at a level >= 1.
-  int64_t TEST_MaxNextLevelOverlappingBytes();
-
  private:
   friend class DB;
   struct CompactionState;
+  struct ManualCompaction;
   struct Writer;
 
   Iterator* NewInternalIterator(const ReadOptions&,
@@ -112,9 +96,13 @@ class DBImpl : public DB {
   // the outputs.
   void RemoveUncommittedOutputs(CompactionState* compact);
 
-  // Compact the in-memory write buffer to disk and commit it, retiring the
-  // WAL behind it. Errors are recorded in bg_error_.
-  void CompactMemTable() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Flush imm_ to a table and commit it, retiring the WAL behind it, unless
+  // another thread is already flushing it. Returns whether it flushed.
+  // Errors are recorded in bg_error_.
+  bool CompactMemTable() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Flush the current memtable and wait until the flush has committed.
+  void FlushMemTable();
 
   Status RecoverLogFile(uint64_t log_number, VersionEdit* edit,
                         SequenceNumber* max_sequence)
@@ -137,24 +125,35 @@ class DBImpl : public DB {
   // mutex_ on the read side.
   void UpdateStallLevel() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
+  // Inline mode (no workers): run the compaction step on this thread until
+  // it finds nothing to do. Otherwise: start the workers and wake them.
   void MaybeScheduleCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   void BackgroundThreadMain();
-  void BackgroundCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  // Run one picked compaction (trivial move or full merge) and clean up.
-  // Takes ownership of c.
-  void ExecuteCompaction(Compaction* c) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // The one compaction driver: does one unit of work and returns whether it
+  // did any. With manual == nullptr that is a flush of imm_ if none is in
+  // flight, else a compaction from PickCompaction; with a manual request,
+  // the next compaction of its range. Inline mode, the workers and manual
+  // compaction all call it.
+  bool CompactionStep(ManualCompaction* manual)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Compact [*begin,*end] of `level` on this thread, one step at a time,
+  // until the range is done.
+  void RunManualCompaction(int level, const Slice* begin, const Slice* end);
+  // Run one picked compaction (a trivial move if allowed and possible,
+  // otherwise a full merge) and clean up. Takes ownership of c.
+  void ExecuteCompaction(Compaction* c, bool allow_trivial_move)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   void CleanupCompaction(CompactionState* compact)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  Status DoCompactionWork(CompactionState* compact)
+  // Merge the inputs into new tables and install them; a failure is
+  // latched in bg_error_ and leaves no output behind.
+  void DoCompactionWork(CompactionState* compact)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   Status OpenCompactionOutputFile(CompactionState* compact);
   Status FinishCompactionOutputFile(CompactionState* compact, Iterator* input);
   Status InstallCompactionResults(CompactionState* compact)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  // Drain pending background work while holding mutex_.
-  void RunInlineCompactions() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   const Comparator* user_comparator() const {
     return internal_comparator_.user_comparator();
@@ -194,18 +193,16 @@ class DBImpl : public DB {
 
   SnapshotList snapshots_;
 
-  // Background executor (used when !options_.inline_compactions): a pool
-  // of options_.max_background_compactions workers shares one wakeup cv.
-  // Workers run flushes (one at a time) and compactions; compactions whose
-  // level spans and key-range hulls are disjoint run concurrently, with
-  // reservations_ serializing conflicting picks.
+  // Compaction executor: options_.max_background_compactions workers share
+  // one wakeup cv; with none, callers run the step inline. Flushes run one
+  // at a time; compactions whose level spans and key-range hulls are
+  // disjoint run concurrently, with reservations_ serializing conflicting
+  // picks.
   std::vector<std::thread> bg_threads_;
   std::condition_variable_any background_wakeup_;
-  int bg_active_ = 0;              // workers currently executing a work unit
   int compactions_in_flight_ = 0;  // concurrent DoCompactionWork calls
   bool imm_flush_in_flight_ = false;
   bool pick_exhausted_ = false;    // last pick found nothing runnable
-  bool in_inline_compaction_ = false;
   CompactionReservations reservations_;
 
   std::unique_ptr<VersionSet> versions_;

@@ -76,15 +76,13 @@ struct Options {
   // Sec. III-C "Delete", lsm/version_set.cc kInvalidSetPriorityThreshold).
   CompactionUnit compaction_unit = CompactionUnit::kSSTable;
 
-  // Run compactions inline on the writing thread (deterministic; used by
-  // tests and benches) instead of a background thread.
-  bool inline_compactions = true;
-
-  // Number of worker threads executing background compactions when
-  // inline_compactions is false. Compactions whose key ranges and levels do
-  // not overlap (disjoint sets at a level, paper Sec. III-A) run
-  // concurrently; conflicting picks are serialized by a reservation map.
-  int max_background_compactions = 1;
+  // Worker threads that run flushes and compactions in the background,
+  // 0 to 8. Compactions whose key ranges and levels do not overlap
+  // (disjoint sets at a level, paper Sec. III-A) run concurrently;
+  // conflicting picks are serialized by a reservation map. With 0 the same
+  // work runs inline on the thread that triggered it (deterministic on one
+  // thread; used by tests and benches).
+  int max_background_compactions = 0;
 
   // Bytes held by components outside the engine but inside the same
   // process budget (e.g. the network server's per-connection read/write

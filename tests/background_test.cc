@@ -1,15 +1,20 @@
 // Background-compaction mode: the engine's concurrent path (flushes and
 // compactions on a background thread, writers stalling on L0 triggers).
 // All presets default to deterministic inline compactions; these tests
-// exercise the threaded mode end to end.
+// exercise the threaded mode end to end, and inline mode under concurrent
+// callers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "baselines/presets.h"
 #include "lsm/db.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace sealdb {
@@ -154,6 +159,67 @@ TEST_P(BackgroundTest, DeviceSafetyHolds) {
   if (GetParam() == SystemKind::kSEALDB) {
     EXPECT_EQ(stack_->drive()->metrics().rmw_ops->Value(), 0u);
     EXPECT_DOUBLE_EQ(stack_->awa(), 1.0);
+  }
+}
+
+// Inline mode with several calling threads: writers, a reader and a
+// WaitForIdle caller all run the compaction step, which takes one unit at
+// a time, so the unguarded set regions stay shingle-safe and every write
+// is read back.
+TEST(InlineConcurrencyTest, ConcurrentCallersShareOneStep) {
+  StackConfig config = BackgroundConfig(SystemKind::kSEALDB);
+  config.inline_compactions = true;
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(config, "/db", &stack).ok());
+  ASSERT_EQ(stack->options().max_background_compactions, 0);
+  DB* db = stack->db();
+
+  constexpr int kWriters = 3;
+  constexpr int kKeysPerWriter = 2500;
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([db, w, &failures] {
+      for (int i = 0; i < kKeysPerWriter; i++) {
+        const int id = w * kKeysPerWriter + i;
+        if (!db->Put(WriteOptions(), Key(id), Value(id)).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  std::thread reader([db, &stop, &failures] {
+    Random rnd(21);
+    std::string value;
+    while (!stop.load(std::memory_order_acquire)) {
+      const int id = static_cast<int>(rnd.Uniform(kWriters * kKeysPerWriter));
+      const Status s = db->Get(ReadOptions(), Key(id), &value);
+      if ((s.ok() && value != Value(id)) || (!s.ok() && !s.IsNotFound())) {
+        failures.fetch_add(1);
+        return;
+      }
+      if (rnd.OneIn(256)) db->WaitForIdle();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  db->WaitForIdle();
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_compactions_total"), 0u);
+  EXPECT_EQ(reg.gauge_family_max("sealdb_engine_max_parallel_compactions"),
+            1.0);
+  EXPECT_EQ(stack->drive()->metrics().guard_violations->Value(), 0u);
+  EXPECT_EQ(stack->drive()->metrics().rmw_ops->Value(), 0u);
+  EXPECT_DOUBLE_EQ(stack->awa(), 1.0);
+  std::string value;
+  for (int id = 0; id < kWriters * kKeysPerWriter; id++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), Key(id), &value).ok()) << id;
+    ASSERT_EQ(value, Value(id)) << id;
   }
 }
 

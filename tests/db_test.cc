@@ -269,6 +269,57 @@ TEST_P(DBTest, CompactRange) {
   EXPECT_EQ("0", l0);
 }
 
+// One CompactRange(nullptr, nullptr) compacts every level above the
+// deepest populated one to its end: a multi-table L1 over a populated L2
+// ends with all of its tables merged into L2.
+TEST(CompactRangeTest, EmptiesEveryLevelAboveTheDeepest) {
+  for (const SystemKind kind :
+       {SystemKind::kLevelDB, SystemKind::kLevelDBWithSets,
+        SystemKind::kSEALDB}) {
+    SCOPED_TRACE(SystemName(kind));
+    std::unique_ptr<Stack> stack;
+    ASSERT_TRUE(BuildStack(TinyConfig(kind), "/range", &stack).ok());
+    DB* db = stack->db();
+    auto files_at = [db](int level) {
+      std::string prop;
+      EXPECT_TRUE(db->GetProperty(
+          "sealdb.num-files-at-level" + std::to_string(level), &prop));
+      return std::stoi(prop);
+    };
+
+    std::map<std::string, std::string> model;
+    Random rnd(17);
+    for (int i = 0; i < 12000; i++) {
+      const std::string key = Key(rnd.Uniform(8000));
+      model[key] = Value(i);
+      ASSERT_TRUE(db->Put(WriteOptions(), key, Value(i)).ok());
+    }
+    db->WaitForIdle();
+    ASSERT_GE(files_at(1), 2);
+    ASSERT_GE(files_at(2), 1);
+    int deepest = 0;
+    for (int level = 0; level < stack->options().num_levels; level++) {
+      if (files_at(level) > 0) deepest = level;
+    }
+
+    db->CompactRange(nullptr, nullptr);
+
+    for (int level = 0; level < deepest; level++) {
+      EXPECT_EQ(files_at(level), 0) << "L" << level;
+    }
+    EXPECT_GT(files_at(deepest), 0);
+    std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+    auto mit = model.begin();
+    for (it->SeekToFirst(); it->Valid(); it->Next(), ++mit) {
+      ASSERT_NE(mit, model.end());
+      ASSERT_EQ(it->key().ToString(), mit->first);
+      ASSERT_EQ(it->value().ToString(), mit->second);
+    }
+    EXPECT_EQ(mit, model.end());
+    EXPECT_TRUE(it->status().ok());
+  }
+}
+
 TEST_P(DBTest, GetProperty) {
   std::string value;
   EXPECT_TRUE(db_->GetProperty("sealdb.sstables", &value));
@@ -389,7 +440,7 @@ TEST(CompactionStageTest, SampledSplitSumsToCompactionTime) {
   std::unique_ptr<Stack> stack;
   ASSERT_TRUE(
       BuildStack(TinyConfig(SystemKind::kSEALDB), "/stages", &stack).ok());
-  ASSERT_TRUE(stack->options().inline_compactions);
+  ASSERT_EQ(stack->options().max_background_compactions, 0);
   DB* db = stack->db();
   const auto fill_start = std::chrono::steady_clock::now();
   Random rnd(301);
@@ -587,7 +638,8 @@ TEST_F(CompactionIoTest, FlushWritesInChunksAndNeverReadsTheTable) {
 // over a one-set L2. The compaction reads each input table whole in one
 // drive request -- the victim first, then the set in physical order --
 // before its first output write; each output reaches the drive in whole
-// chunks and is never read back.
+// chunks and is never read back. The recorded range is the first L1
+// table's, so the call runs exactly one compaction.
 TEST_F(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
   Open();
   DB* db = db_.get();
@@ -620,14 +672,26 @@ TEST_F(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
 
   std::map<uint64_t, LiveFileMeta> before;
   std::map<uint64_t, fs::Extent> before_extent;
+  const LiveFileMeta* victim = nullptr;
   for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
     before[f.number] = f;
     before_extent[f.number] = TableExtent(f.number);
   }
+  for (const auto& [number, f] : before) {
+    if (f.level == 1 && (victim == nullptr ||
+                         f.smallest_user_key < victim->smallest_user_key)) {
+      victim = &f;
+    }
+  }
+  ASSERT_NE(victim, nullptr);
+  const Slice range_begin(victim->smallest_user_key);
+  const Slice range_end(victim->largest_user_key);
 
+  db->SetRecordCompactionEvents(true);
   drive.recording = true;
-  db->CompactLevelRange(1, nullptr, nullptr);
+  db->CompactLevelRange(1, &range_begin, &range_end);
   drive.recording = false;
+  ASSERT_EQ(db->TakeCompactionEvents().size(), 1u);
 
   // Inputs are the tables the compaction retired; outputs the new ones.
   std::map<uint64_t, LiveFileMeta> after;

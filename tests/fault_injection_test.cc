@@ -374,6 +374,22 @@ void LoadL1OverL2Set(ShardedDb* db) {
   ASSERT_EQ(prop, "0");
 }
 
+// The L1 table with the smallest keys: a CompactLevelRange over its key
+// range is exactly one compaction, the one that takes it as its victim.
+LiveFileMeta FirstL1Table(DB* engine) {
+  LiveFileMeta first;
+  bool found = false;
+  for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
+    if (f.level == 1 &&
+        (!found || f.smallest_user_key < first.smallest_user_key)) {
+      first = f;
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  return first;
+}
+
 std::set<uint64_t> LiveTables(DB* engine) {
   std::set<uint64_t> live;
   for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
@@ -529,25 +545,20 @@ TEST(DbFaultTest, CompactionInputReadErrorInstallsNothing) {
   EXPECT_EQ(doctor_before.shards[0].orphaned_regions, 0u);
 
   // Make the first L1 table (the compaction's victim) unreadable.
-  std::set<uint64_t> live_before;
-  const LiveFileMeta* first = nullptr;
-  const std::vector<LiveFileMeta> live = engine->GetLiveFilesMetadata();
-  for (const LiveFileMeta& f : live) {
-    live_before.insert(f.number);
-    if (f.level == 1 &&
-        (first == nullptr || f.smallest_user_key < first->smallest_user_key)) {
-      first = &f;
-    }
-  }
-  ASSERT_NE(first, nullptr);
-  const std::string victim = TableFileName("/db", first->number);
+  const std::set<uint64_t> live_before = LiveTables(engine);
+  const LiveFileMeta first = FirstL1Table(engine);
+  if (HasFailure()) return;
+  const std::string victim = TableFileName("/db", first.number);
   std::vector<fs::Extent> extents;
   ASSERT_TRUE(stack->store()->GetFileExtents(victim, &extents).ok());
   stack->fault_drive()->InjectReadError(extents[0].offset + kBlock, kBlock);
   const std::vector<std::string> children = stack->store()->GetChildren();
   const uint64_t allocated = stack->dynamic_allocator()->allocated_bytes();
 
-  db->CompactLevelRange(1, nullptr, nullptr);
+  const Slice begin(first.smallest_user_key), end(first.largest_user_key);
+  engine->SetRecordCompactionEvents(true);
+  db->CompactLevelRange(1, &begin, &end);
+  EXPECT_EQ(engine->TakeCompactionEvents().size(), 1u);
 
   std::string bg;
   ASSERT_TRUE(engine->GetProperty("sealdb.background-error", &bg));
@@ -601,6 +612,9 @@ TEST(DbFaultTest, CompactionWriteErrorRemovesItsOutputs) {
   const std::set<uint64_t> live_before = LiveTables(engine);
   const std::vector<std::string> children = stack->store()->GetChildren();
   const uint64_t allocated = stack->dynamic_allocator()->allocated_bytes();
+  const LiveFileMeta first = FirstL1Table(engine);
+  if (HasFailure()) return;
+  const Slice begin(first.smallest_user_key), end(first.largest_user_key);
 
   // The compaction's set region is appended at the residual frontier. Its
   // first output (one 64 KiB table) fits below the faulted range; every
@@ -608,7 +622,7 @@ TEST(DbFaultTest, CompactionWriteErrorRemovesItsOutputs) {
   const uint64_t frontier = stack->dynamic_allocator()->frontier();
   stack->fault_drive()->SetWriteError(true, frontier + 96 * 1024);
   engine->SetRecordCompactionEvents(true);
-  db->CompactLevelRange(1, nullptr, nullptr);
+  db->CompactLevelRange(1, &begin, &end);
   stack->fault_drive()->SetWriteError(false);
 
   // A second output was opened, so the first one was finished and closed.

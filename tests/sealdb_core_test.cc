@@ -4,9 +4,12 @@
 // write amplification, and the band inspector's fragment accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "baselines/presets.h"
 #include "core/band_inspector.h"
@@ -49,9 +52,8 @@ baselines::StackConfig TinySealConfig() {
 
 TEST(SetManager, RegisterAndInvalidate) {
   core::SetManager mgr;
-  mgr.RegisterSet(1, {10, 11, 12}, 3000, 2);
+  mgr.RegisterSet(1, {10, 11, 12});
   EXPECT_EQ(mgr.InvalidCount(1), 0);
-  EXPECT_EQ(mgr.SetOf(11), 1u);
   EXPECT_EQ(mgr.live_sets(), 1u);
 
   mgr.OnFileDeleted(10);
@@ -64,29 +66,19 @@ TEST(SetManager, RegisterAndInvalidate) {
   EXPECT_EQ(mgr.InvalidCount(1), 0);
 }
 
-TEST(SetManager, Statistics) {
-  core::SetManager mgr;
-  mgr.RegisterSet(1, {1, 2}, 200, 2);
-  mgr.RegisterSet(2, {3, 4, 5, 6}, 400, 3);
-  EXPECT_EQ(mgr.sets_created(), 2u);
-  EXPECT_DOUBLE_EQ(mgr.average_set_bytes(), 300.0);
-  EXPECT_DOUBLE_EQ(mgr.average_set_members(), 3.0);
-}
-
 TEST(SetManager, UnknownFilesIgnored) {
   core::SetManager mgr;
   mgr.OnFileDeleted(999);  // no-op
   EXPECT_EQ(mgr.InvalidCount(7), 0);
-  EXPECT_EQ(mgr.SetOf(999), 0u);
 }
 
 TEST(SetManager, RecoverSets) {
   core::SetManager mgr;
-  mgr.RecoverSet(5, 100, 1000);
-  mgr.RecoverSet(5, 101, 1000);
-  EXPECT_EQ(mgr.SetOf(100), 5u);
+  mgr.RecoverSet(5, 100);
+  mgr.RecoverSet(5, 101);
   EXPECT_EQ(mgr.live_sets(), 1u);
   mgr.OnFileDeleted(100);
+  EXPECT_EQ(mgr.InvalidCount(5), 1);
   mgr.OnFileDeleted(101);
   EXPECT_EQ(mgr.live_sets(), 0u);
 }
@@ -126,6 +118,62 @@ TEST(SealStack, CrashAndReopen) {
   std::string v;
   ASSERT_TRUE(stack->db()->Get(ReadOptions(), "durable", &v).ok());
   EXPECT_EQ("yes", v);
+}
+
+// One CompactLevelRange over a set's key range compacts every table of the
+// range, not one table's worth, so a set with several live tables is
+// retired whole and the FileStore frees its region.
+TEST(SealStack, CompactLevelRangeRetiresAWholeSet) {
+  std::unique_ptr<baselines::Stack> stack;
+  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
+  DB* db = stack->db();
+  Random rnd(7);
+  for (int i = 0; i < 12000; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), Key(rnd.Uniform(6000)), Value(i)).ok());
+  }
+  db->WaitForIdle();
+
+  // The set with the most live tables, all at one level above the last.
+  std::map<uint64_t, std::vector<LiveFileMeta>> sets;
+  for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
+    if (f.set_id != 0) sets[f.set_id].push_back(f);
+  }
+  uint64_t set_id = 0;
+  const std::vector<LiveFileMeta>* members = nullptr;
+  for (const auto& [id, files] : sets) {
+    bool one_level = files[0].level + 1 < stack->options().num_levels;
+    for (const LiveFileMeta& f : files) {
+      one_level = one_level && f.level == files[0].level;
+    }
+    if (one_level && (members == nullptr || files.size() > members->size())) {
+      set_id = id;
+      members = &files;
+    }
+  }
+  ASSERT_NE(members, nullptr);
+  ASSERT_GE(members->size(), 2u);
+  std::string smallest = (*members)[0].smallest_user_key;
+  std::string largest = (*members)[0].largest_user_key;
+  for (const LiveFileMeta& f : *members) {
+    smallest = std::min(smallest, f.smallest_user_key);
+    largest = std::max(largest, f.largest_user_key);
+  }
+  fs::Extent region;
+  ASSERT_TRUE(stack->store()->GetRegionExtent(set_id, &region).ok());
+
+  const Slice begin(smallest), end(largest);
+  db->CompactLevelRange((*members)[0].level, &begin, &end);
+
+  for (const LiveFileMeta& f : db->GetLiveFilesMetadata()) {
+    EXPECT_NE(f.set_id, set_id) << "table " << f.number << " at L" << f.level;
+  }
+  EXPECT_FALSE(stack->store()->GetRegionExtent(set_id, &region).ok());
+  std::string value;
+  for (int i = 0; i < 6000; i += 7) {
+    const Status s = db->Get(ReadOptions(), Key(i), &value);
+    EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  }
 }
 
 // -------------------------------------------------- SEALDB guarantees

@@ -3,8 +3,10 @@
 // intra-level merges bounding overlap depth.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/presets.h"
 #include "lsm/db.h"
@@ -142,6 +144,50 @@ TEST_F(SmrdbTest, OverlapDepthBounded) {
   // remain correct (spot check).
   for (int i = 0; i < 2000; i += 131) {
     ASSERT_NE("", Get(Key(i)));
+  }
+}
+
+TEST_F(SmrdbTest, CompactLevelRangeMergesTheLastLevelInPlace) {
+  // A manual compaction of the overlapping last level is one intra-level
+  // merge of every table in the range: the call ends, and its outputs
+  // stay in L1 as disjoint tables.
+  Random rnd(13);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 15000; i++) {
+    const std::string k = Key(rnd.Uniform(3000));
+    const std::string v = Value(i);
+    ASSERT_TRUE(db_->Put(WriteOptions(), k, v).ok());
+    model[k] = v;
+  }
+  db_->WaitForIdle();
+  auto l1_tables = [this] {
+    std::vector<LiveFileMeta> l1;
+    for (const LiveFileMeta& f : db_->GetLiveFilesMetadata()) {
+      if (f.level == 1) l1.push_back(f);
+    }
+    return l1;
+  };
+  const size_t before = l1_tables().size();
+  ASSERT_GE(before, 2u);
+
+  db_->SetRecordCompactionEvents(true);
+  db_->CompactLevelRange(1, nullptr, nullptr);
+  const std::vector<CompactionEvent> events = db_->TakeCompactionEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].level, 1);
+  EXPECT_EQ(events[0].output_level, 1);
+  EXPECT_EQ(events[0].num_inputs_base, static_cast<int>(before));
+  const std::vector<LiveFileMeta> after = l1_tables();
+  ASSERT_EQ(after.size(), static_cast<size_t>(events[0].num_outputs));
+  for (size_t i = 0; i < after.size(); i++) {
+    for (size_t j = i + 1; j < after.size(); j++) {
+      EXPECT_TRUE(after[i].largest_user_key < after[j].smallest_user_key ||
+                  after[j].largest_user_key < after[i].smallest_user_key)
+          << "tables " << after[i].number << " and " << after[j].number;
+    }
+  }
+  for (const auto& [k, v] : model) {
+    ASSERT_EQ(v, Get(k)) << k;
   }
 }
 
