@@ -31,7 +31,7 @@ void SequentialTransfer(benchmark::State& state, const std::string& device,
   const uint64_t chunk = 1 << 20;
   uint64_t offset = 0;
   for (auto _ : state) {
-    const double seconds = model.Access(offset, chunk, is_write);
+    const double seconds = model.Access(offset, chunk, is_write).total;
     offset += chunk;
     if (offset + chunk > kSpan) offset = 0;
     state.SetIterationTime(seconds);
@@ -49,7 +49,7 @@ void RandomAccess4K(benchmark::State& state, const std::string& device,
     pos ^= pos >> 7;
     pos ^= pos << 17;
     const uint64_t offset = (pos % (kSpan - 4096)) / 4096 * 4096;
-    const double seconds = model.Access(offset, 4096, is_write);
+    const double seconds = model.Access(offset, 4096, is_write).total;
     state.SetIterationTime(seconds);
   }
   state.SetItemsProcessed(state.iterations());
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       LatencyModel m(ParamsFor(dev), kSpan);
       double t = 0;
       for (uint64_t off = 0; off < (256ull << 20); off += 1 << 20) {
-        t += m.Access(off, 1 << 20, is_write);
+        t += m.Access(off, 1 << 20, is_write).total;
       }
       vals[i++] = 256.0 * 1048576.0 / 1e6 / t;  // decimal MB/s
     }
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       for (int op = 0; op < kOps; op++) {
         pos = pos * 6364136223846793005ull + 1442695040888963407ull;
         const uint64_t offset = (pos % (kSpan - 4096)) / 4096 * 4096;
-        t += m.Access(offset, 4096, is_write);
+        t += m.Access(offset, 4096, is_write).total;
       }
       vals[i++] = kOps / t;
     }

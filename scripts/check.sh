@@ -14,7 +14,10 @@
 # exit) on a wrong read-back, a wrong scan or a guard violation — there is
 # no timing gate — then two identical rounds each of ingest and
 # range-scan, whose simulated-device figures (device_ops_per_s, mwa,
-# space_amp) must match byte for byte. After the default-config suite, a served smoke drives
+# space_amp) must match byte for byte. Then the four self-contained
+# examples (quickstart, web_index, smr_inspector, ycsb_tour) run and must
+# exit 0; smr_inspector is the one program that drives all three drive
+# models. After the default-config suite, a served smoke drives
 # the shipped binaries end to end: sealdb_server on an ephemeral port,
 # sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
 # print the shutdown summary and exit 0. It runs twice: with 4 shards, and
@@ -131,6 +134,13 @@ for workload in ingest range-scan; do
   if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
     echo "check.sh: $workload device figures missing or differing across identical runs:" >&2
     diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
+    exit 1
+  fi
+done
+echo "== examples =="
+for example in quickstart web_index smr_inspector ycsb_tour; do
+  if ! ./build/examples/"$example" >/dev/null; then
+    echo "check.sh: example $example failed" >&2
     exit 1
   fi
 done

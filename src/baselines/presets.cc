@@ -117,14 +117,13 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
 }
 
 std::unique_ptr<smr::Drive> MakeDrive(
-    const StackConfig& config, smr::ShingledDisk** shingled_out,
+    const StackConfig& config,
     const std::shared_ptr<obs::MetricsRegistry>& registry) {
   const smr::Geometry geo = MakeGeometry(config);
   const smr::LatencyParams hdd =
       smr::LatencyParams::Hdd().TimeScaled(config.time_scale);
   const smr::LatencyParams smr_params =
       smr::LatencyParams::Smr().TimeScaled(config.time_scale);
-  *shingled_out = nullptr;
   switch (config.kind) {
     case SystemKind::kLevelDBOnHdd:
       return smr::NewHddDrive(geo, hdd, registry);
@@ -135,11 +134,8 @@ std::unique_ptr<smr::Drive> MakeDrive(
       fb.band_bytes = config.band_bytes;
       return smr::NewFixedBandDrive(geo, smr_params, fb, registry);
     }
-    case SystemKind::kSEALDB: {
-      auto disk = smr::NewShingledDisk(geo, smr_params, registry);
-      *shingled_out = disk.get();
-      return disk;
-    }
+    case SystemKind::kSEALDB:
+      return smr::NewShingledDisk(geo, smr_params, registry);
   }
   return nullptr;
 }
@@ -327,7 +323,7 @@ Status BuildStack(const StackConfig& config, const std::string& name,
   auto registry = std::make_shared<obs::MetricsRegistry>();
   stack->options_ = MakeOptions(config, stack->filter_.get(), registry);
 
-  stack->drive_ = MakeDrive(config, &stack->shingled_, registry);
+  stack->drive_ = MakeDrive(config, registry);
   if (stack->drive_ == nullptr) {
     return Status::InvalidArgument("unknown system kind");
   }

@@ -128,8 +128,6 @@ class Stack {
   int num_shards() const { return static_cast<int>(stores_.size()); }
   fs::FileStore* shard_store(int i) { return stores_[i].get(); }
   smr::Drive* drive() { return drive_.get(); }
-  // Non-null only for kSEALDB.
-  smr::ShingledDisk* shingled_disk() { return shingled_; }
   // Non-null only when config.fault_injection is set (drive() then returns
   // the wrapper itself).
   smr::FaultInjectionDrive* fault_drive() { return fault_; }
@@ -188,7 +186,6 @@ class Stack {
   // before the pool dies.
   std::unique_ptr<buf::BufferPool> buffer_pool_;
   std::unique_ptr<smr::Drive> drive_;
-  smr::ShingledDisk* shingled_ = nullptr;
   smr::FaultInjectionDrive* fault_ = nullptr;
   // One allocator + store per shard (index == shard id); destruction order
   // (db before stores before drive) follows member order.

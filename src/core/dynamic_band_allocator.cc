@@ -2,13 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-
-static bool DynDebug() {
-  static bool on = getenv("SEALDB_DEBUG_ALLOC") != nullptr;
-  return on;
-}
 
 namespace sealdb::core {
 
@@ -175,10 +168,6 @@ Status DynamicBandAllocator::AllocateImpl(uint64_t size, bool force_guard,
     }
     allocated_ += need;
     inserts_++;
-    if (DynDebug())
-      fprintf(stderr, "[alloc] insert  [%llu, +%llu, g%llu]\n",
-              (unsigned long long)out->offset, (unsigned long long)out->length,
-              (unsigned long long)out->guard);
     return Status::OK();
   }
 
@@ -197,10 +186,6 @@ Status DynamicBandAllocator::AllocateImpl(uint64_t size, bool force_guard,
   frontier_ += need + tail_guard;
   allocated_ += need;
   appends_++;
-  if (DynDebug())
-    fprintf(stderr, "[alloc] append  [%llu, +%llu, g%llu]\n",
-            (unsigned long long)out->offset, (unsigned long long)out->length,
-            (unsigned long long)out->guard);
   return Status::OK();
 }
 
@@ -256,10 +241,6 @@ Status DynamicBandAllocator::Free(const fs::Extent& e) {
   if (next != by_offset_.end() && e.offset + total > next->first) {
     return Status::InvalidArgument("double free: range already free");
   }
-  if (DynDebug())
-    fprintf(stderr, "[alloc] free    [%llu, +%llu, g%llu]\n",
-            (unsigned long long)e.offset, (unsigned long long)e.length,
-            (unsigned long long)e.guard);
   allocated_ -= e.length;
   guard_attached_ -= e.guard;
   ReleaseRange(e.offset, total);
@@ -269,10 +250,6 @@ Status DynamicBandAllocator::Free(const fs::Extent& e) {
 
 void DynamicBandAllocator::Shrink(fs::Extent* e, uint64_t new_length) {
   if (!finalized_) FinalizeReserves();
-  if (DynDebug())
-    fprintf(stderr, "[alloc] shrink  [%llu, +%llu, g%llu] -> %llu\n",
-            (unsigned long long)e->offset, (unsigned long long)e->length,
-            (unsigned long long)e->guard, (unsigned long long)new_length);
   const uint64_t keep = RoundToTrack(new_length);
   assert(keep <= e->length);
   if (keep == e->length) {

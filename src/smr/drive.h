@@ -1,13 +1,21 @@
 // Drive: the simulated block device interface all storage backends sit on.
 //
-// Three implementations reproduce the paper's device matrix:
-//  - HddDrive        conventional drive (Fig. 2 baseline, Table II "HDD")
-//  - FixedBandDrive  drive-managed-style SMR with fixed bands; in-place
-//                    writes trigger a band read-modify-write, producing the
-//                    auxiliary write amplification of Figs. 3 and 12
-//  - ShingledDisk    raw host-managed SMR (no fixed bands) that faults any
-//                    write damaging valid data; SEALDB's dynamic bands run
-//                    on this model
+// Three models reproduce the paper's device matrix. They share one core,
+// DriveCore: it owns the media image, the head (LatencyModel), the traffic
+// counters and the one mutex that serializes requests like a single
+// spindle; it checks ranges, serves reads and trims, and turns every media
+// access into device time through exactly two charge functions. A model
+// adds only its write policy:
+//  - NewHddDrive      DriveCore itself: a conventional drive that takes any
+//                     aligned write in place (Fig. 2 baseline, Table II
+//                     "HDD")
+//  - FixedBandDrive   drive-managed-style SMR with fixed bands; in-place
+//                     writes trigger a band read-modify-write, producing the
+//                     auxiliary write amplification of Figs. 3 and 12
+//  - NewShingledDisk  raw host-managed SMR (no fixed bands) that rejects any
+//                     write damaging valid data; SEALDB's dynamic bands run
+//                     on this model
+// FaultInjectionDrive wraps any Drive.
 //
 // All offsets/lengths are bytes and must be block-aligned. Time is simulated
 // (see LatencyModel); metrics() exposes logical vs physical traffic.
@@ -15,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -61,11 +70,6 @@ class MediaStore {
   void MarkInvalid(uint64_t offset, uint64_t n);
   bool AllValid(uint64_t offset, uint64_t n) const;
   bool AnyValid(uint64_t offset, uint64_t n) const;
-  uint64_t CountValidBytes(uint64_t offset, uint64_t n) const;
-
-  // Highest exclusive end offset of any valid block in [offset, offset+n),
-  // or `offset` if none.
-  uint64_t ValidFrontier(uint64_t offset, uint64_t n) const;
 
  private:
   static constexpr uint64_t kChunkBytes = 256 * 1024;
@@ -73,6 +77,56 @@ class MediaStore {
   Geometry geo_;
   mutable std::unordered_map<uint64_t, std::vector<char>> chunks_;
   std::vector<uint64_t> valid_bits_;  // one bit per block
+};
+
+// The shared core of the drive models, and by itself the conventional
+// drive: any aligned write lands in place, no amplification.
+class DriveCore : public Drive {
+ public:
+  DriveCore(const Geometry& geo, const LatencyParams& lat,
+            std::shared_ptr<obs::MetricsRegistry> registry);
+
+  Status Read(uint64_t offset, uint64_t n, char* scratch) final;
+  // Counts the request (write_ops, logical bytes) iff WriteLocked succeeds.
+  Status Write(uint64_t offset, const Slice& data) final;
+  Status Trim(uint64_t offset, uint64_t n) final;
+
+  const Geometry& geometry() const final { return geo_; }
+  const DeviceMetrics& metrics() const final { return met_; }
+  bool IsValid(uint64_t offset, uint64_t n) const final;
+
+ protected:
+  // A model's policy. Each runs with mu_ held, after the range check. A
+  // rejected write must charge and count nothing.
+  virtual Status WriteLocked(uint64_t offset, const Slice& data);
+  virtual void BeforeReadLocked(uint64_t /*offset*/, uint64_t /*n*/) {}
+  virtual void TrimLocked(uint64_t offset, uint64_t n);
+
+  // Puts `data` on the media in one access and counts its physical bytes:
+  // through the write cache when it lies in the conventional region, as a
+  // head access otherwise.
+  void WritePlain(uint64_t offset, const Slice& data);
+  // Puts `data` on the media image without touching the head or any counter.
+  void Place(uint64_t offset, const Slice& data);
+
+  // The only two places device time is charged.
+  // An access that moves the head to `offset`: adds its busy time, and
+  // counts a seek iff positioning was charged.
+  void ChargeAccess(uint64_t offset, uint64_t n, bool is_write);
+  // A write absorbed by the conventional region's write cache: command
+  // overhead and transfer only; the head stays where it is.
+  void ChargeCachedWrite(uint64_t n);
+
+  const Geometry geo_;
+  // With the sharded engine, N FileStores issue I/O to one drive
+  // concurrently; a real spindle serializes requests too, so one mutex over
+  // media, head and model state is the honest model, not a bottleneck.
+  mutable std::mutex mu_;
+  MediaStore media_;
+  DeviceMetrics met_;
+
+ private:
+  LatencyModel latency_;
 };
 
 // All factories take an optional metrics registry; traffic counters are
@@ -85,18 +139,44 @@ struct FixedBandOptions {
   uint64_t band_bytes = 40ull * 1024 * 1024;  // paper default 40 MB
 };
 
-// Fixed-band drive also reports zone state (a minimal ZBC-like interface).
-class FixedBandDrive : public Drive {
+// Fixed-band SMR drive. Bands start after the conventional region; each
+// band has a write pointer. Appending at the pointer is a plain write; any
+// write that would shingle over valid data later in the band triggers a
+// band read-modify-write, which is exactly the auxiliary write
+// amplification (AWA) the paper measures in Figs. 3 and 12. It also
+// reports zone state (a minimal ZBC-like interface).
+class FixedBandDrive final : public DriveCore {
  public:
-  ~FixedBandDrive() override = default;
+  FixedBandDrive(const Geometry& geo, const LatencyParams& lat,
+                 const FixedBandOptions& opt,
+                 std::shared_ptr<obs::MetricsRegistry> registry);
 
   struct ZoneInfo {
     uint64_t start = 0;
     uint64_t length = 0;
     uint64_t write_pointer = 0;  // relative to start
   };
-  virtual uint64_t num_zones() const = 0;
-  virtual ZoneInfo Zone(uint64_t index) const = 0;
+  uint64_t num_zones() const { return write_pointers_.size(); }
+  // Writes back a staged band first, so the pointer is the media's.
+  ZoneInfo Zone(uint64_t index);
+
+ private:
+  Status WriteLocked(uint64_t offset, const Slice& data) override;
+  void BeforeReadLocked(uint64_t offset, uint64_t n) override;
+  void TrimLocked(uint64_t offset, uint64_t n) override;
+
+  uint64_t BandOf(uint64_t offset) const;
+  uint64_t BandStart(uint64_t band) const;
+  uint64_t BandLength(uint64_t band) const;
+  void WriteBand(uint64_t band, uint64_t offset, const Slice& data);
+  void FlushOpenBand();
+
+  const uint64_t band_bytes_;
+  std::vector<uint64_t> write_pointers_;  // relative, one per band
+
+  // The band with a staged read-modify-write, or -1 (see FlushOpenBand).
+  int64_t open_band_ = -1;
+  uint64_t open_salvage_ = 0;
 };
 
 std::unique_ptr<FixedBandDrive> NewFixedBandDrive(
@@ -104,16 +184,7 @@ std::unique_ptr<FixedBandDrive> NewFixedBandDrive(
     std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
 
 // Raw write-anywhere HM-SMR drive (shingled tracks only).
-class ShingledDisk : public Drive {
- public:
-  ~ShingledDisk() override = default;
-
-  // Inspection hooks used by layout benches (Figs. 11/13).
-  virtual uint64_t valid_bytes() const = 0;
-  virtual uint64_t ValidFrontier() const = 0;  // end of last valid block
-};
-
-std::unique_ptr<ShingledDisk> NewShingledDisk(
+std::unique_ptr<Drive> NewShingledDisk(
     const Geometry& geo, const LatencyParams& lat,
     std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
 

@@ -28,7 +28,9 @@ struct Geometry {
 
   // Reserved conventional (non-shingled) region at the front of the drive
   // for host metadata, like the conventional zones of real HM-SMR drives.
-  // Writes there behave like a normal HDD.
+  // Writes there are absorbed by the drive's write cache: they are charged
+  // command overhead and transfer only, and the head does not move (the
+  // cache is unbounded for now, ROADMAP item 12).
   uint64_t conventional_bytes = 8ull * 1024 * 1024;
 
   uint64_t num_blocks() const { return capacity_bytes / block_bytes; }

@@ -45,16 +45,16 @@ double LatencyModel::AccessCached(uint64_t nbytes, bool is_write) const {
   return params_.command_overhead_s + static_cast<double>(nbytes) / bw;
 }
 
-double LatencyModel::Access(uint64_t offset, uint64_t nbytes, bool is_write) {
+LatencyModel::AccessTime LatencyModel::Access(uint64_t offset,
+                                              uint64_t nbytes, bool is_write) {
   double t = params_.command_overhead_s;
 
-  last_position_s_ = 0.0;
+  double position = 0.0;
   if (offset != head_pos_) {
     // Non-sequential: pay seek plus average (half-revolution) rotational
     // latency to reach the target sector.
-    double position = SeekTime(head_pos_, offset) + params_.rotation_s / 2.0;
+    position = SeekTime(head_pos_, offset) + params_.rotation_s / 2.0;
     if (is_write) position *= params_.write_position_factor;
-    last_position_s_ = position;
     t += position;
   }
 
@@ -63,7 +63,7 @@ double LatencyModel::Access(uint64_t offset, uint64_t nbytes, bool is_write) {
   t += static_cast<double>(nbytes) / bw;
 
   head_pos_ = offset + nbytes;
-  return t;
+  return {t, position};
 }
 
 }  // namespace sealdb::smr

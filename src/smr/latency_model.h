@@ -47,21 +47,21 @@ class LatencyModel {
   LatencyModel(LatencyParams params, uint64_t capacity_bytes)
       : params_(params), capacity_(capacity_bytes) {}
 
-  // Time to perform an access of `nbytes` at byte offset `offset`, given the
-  // head currently sits at head_pos_. Advances head position.
-  double Access(uint64_t offset, uint64_t nbytes, bool is_write);
+  // Simulated seconds one access takes: `total` is command overhead, then
+  // positioning, then transfer, summed in that order; `position` is the
+  // seek + rotation share, 0 when the access starts where the head is.
+  struct AccessTime {
+    double total;
+    double position;
+  };
+
+  // An access of `nbytes` at byte offset `offset` from the current head
+  // position. Advances the head to the end of the access.
+  AccessTime Access(uint64_t offset, uint64_t nbytes, bool is_write);
 
   // Access absorbed by the on-drive write cache (metadata writes to the
   // conventional region): transfer cost only, head position untouched.
   double AccessCached(uint64_t nbytes, bool is_write) const;
-
-  uint64_t head_position() const { return head_pos_; }
-  void set_head_position(uint64_t pos) { head_pos_ = pos; }
-
-  // Positioning (seek + rotation) share of the most recent Access() call;
-  // 0 for sequential accesses and for AccessCached(). Lets drives split
-  // busy time into seek vs transfer components.
-  double last_position_seconds() const { return last_position_s_; }
 
   const LatencyParams& params() const { return params_; }
 
@@ -71,7 +71,6 @@ class LatencyModel {
   LatencyParams params_;
   uint64_t capacity_;
   uint64_t head_pos_ = 0;
-  double last_position_s_ = 0.0;
 };
 
 }  // namespace sealdb::smr

@@ -1,4 +1,4 @@
-#include <bit>
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -95,31 +95,6 @@ bool MediaStore::AnyValid(uint64_t offset, uint64_t n) const {
     if (valid_bits_[w] & RangeMask(w, first, last)) return true;
   }
   return false;
-}
-
-uint64_t MediaStore::CountValidBytes(uint64_t offset, uint64_t n) const {
-  if (n == 0) return 0;
-  const uint64_t first = geo_.block_of(offset);
-  const uint64_t last = geo_.block_of(offset + n - 1);
-  uint64_t count = 0;
-  for (uint64_t w = first >> 6; w <= last >> 6; w++) {
-    count += std::popcount(valid_bits_[w] & RangeMask(w, first, last));
-  }
-  return count * geo_.block_bytes;
-}
-
-uint64_t MediaStore::ValidFrontier(uint64_t offset, uint64_t n) const {
-  if (n == 0) return offset;
-  const uint64_t first = geo_.block_of(offset);
-  const uint64_t last = geo_.block_of(offset + n - 1);
-  for (uint64_t w = (last >> 6) + 1; w > first >> 6; w--) {
-    const uint64_t bits = valid_bits_[w - 1] & RangeMask(w - 1, first, last);
-    if (bits != 0) {
-      const uint64_t block = ((w - 1) << 6) + 63 - std::countl_zero(bits);
-      return (block + 1) * geo_.block_bytes;
-    }
-  }
-  return offset;
 }
 
 }  // namespace sealdb::smr
