@@ -5,7 +5,6 @@
 // (27.48 MB), fragments total 1.7 GB = 9.32% of the occupied space.
 #include "bench_common.h"
 #include "core/band_inspector.h"
-#include "core/fragment_gc.h"
 
 using namespace sealdb;
 using namespace sealdb::bench;
@@ -62,25 +61,5 @@ int main(int argc, char** argv) {
                 bands[i].following_gap / 1048576.0);
   }
 
-  // Extension: the fragment GC the paper leaves as future work. Compact
-  // the sets pinning fragments and report the layout afterwards.
-  PrintHeader("future-work extension: fragment garbage collection");
-  core::FragmentGcOptions gc_opt;
-  gc_opt.fragment_share_trigger = 0.02;
-  gc_opt.fragment_threshold_bytes = avg_set;
-  gc_opt.max_sets_per_run = 8;
-  core::FragmentGc gc(stack->db(), stack->store(),
-                      stack->dynamic_allocator(), gc_opt);
-  const auto gc_result = gc.Run();
-  PrintKV("triggered", gc_result.triggered ? "yes" : "no");
-  PrintKV("sets compacted", std::to_string(gc_result.sets_compacted));
-  PrintKV("pinned fragment bytes targeted",
-          FormatMB(gc_result.pinned_bytes_targeted));
-  PrintKV("pinned fragment bytes reclaimed",
-          FormatMB(gc_result.pinned_bytes_reclaimed));
-  PrintKV("fragment share before", 100.0 * gc_result.fragment_share_before,
-          "%");
-  PrintKV("fragment share after", 100.0 * gc_result.fragment_share_after,
-          "%");
   return 0;
 }

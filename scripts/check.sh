@@ -17,7 +17,9 @@
 # space_amp) must match byte for byte. Then the four self-contained
 # examples (quickstart, web_index, smr_inspector, ycsb_tour) run and must
 # exit 0; smr_inspector is the one program that drives all three drive
-# models. After the default-config suite, a served smoke drives
+# models. So must the two set-layout benches (bench_fig11_layout_sealdb
+# and bench_fig13_fragments, at --mb=4), which read set placement back
+# from the allocator and the compaction events. After the default-config suite, a served smoke drives
 # the shipped binaries end to end: sealdb_server on an ephemeral port,
 # sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
 # print the shutdown summary and exit 0. It runs twice: with 4 shards, and
@@ -141,6 +143,13 @@ echo "== examples =="
 for example in quickstart web_index smr_inspector ycsb_tour; do
   if ! ./build/examples/"$example" >/dev/null; then
     echo "check.sh: example $example failed" >&2
+    exit 1
+  fi
+done
+echo "== set-layout benches =="
+for bench in bench_fig11_layout_sealdb bench_fig13_fragments; do
+  if ! ./build/bench/"$bench" --mb=4 >/dev/null; then
+    echo "check.sh: $bench --mb=4 failed" >&2
     exit 1
   fi
 done

@@ -72,7 +72,6 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
   opt.write_buffer_size = config.write_buffer_bytes;
   opt.max_file_size = config.sstable_bytes;
   opt.filter_policy = filter;
-  opt.buffer_pool_bytes = config.buffer_pool_bytes;
   // Per-system executor width: set/band designs have naturally disjoint
   // compaction units, so they profit most from extra workers. Inline
   // compactions are the zero-worker case.
@@ -226,9 +225,9 @@ Status Stack::OpenEngines(bool format) {
   // the same frames, so the read-cache budget is a process-wide resource
   // and an idle shard's share isn't stranded. Created once; Reopen()
   // reuses it (the per-owner purge in ~TableCache keeps it consistent).
-  if (buffer_pool_ == nullptr && options_.buffer_pool_bytes > 0) {
+  if (buffer_pool_ == nullptr && config_.buffer_pool_bytes > 0) {
     buf::BufferPool::Config pool_config;
-    pool_config.capacity_bytes = options_.buffer_pool_bytes;
+    pool_config.capacity_bytes = config_.buffer_pool_bytes;
     pool_config.metrics_registry = options_.metrics_registry;
     buffer_pool_ = std::make_unique<buf::BufferPool>(pool_config);
   }

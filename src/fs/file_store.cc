@@ -473,9 +473,12 @@ Status FileStore::Recover() {
   }
   log_head_ = pos;
 
-  // 3. Rebuild region occupancy from the surviving files.
+  // 3. Rebuild region occupancy from the surviving files. Dead-member
+  // counts restart at zero: they only steer victim picking, and the
+  // journal does not keep them.
   for (auto& [id, region] : regions_) {
     region.live_files = 0;
+    region.dead_files = 0;
     region.cursor = 0;
   }
   for (const auto& [name, meta] : files_) {
@@ -726,44 +729,6 @@ std::vector<uint64_t> FileStore::QuarantinedBlocks() const {
   return {bad_blocks_.begin(), bad_blocks_.end()};
 }
 
-Status FileStore::Scrub(ScrubReport* report) {
-  std::lock_guard<std::mutex> l(mu_);
-  *report = ScrubReport();
-  const uint64_t block = drive_->geometry().block_bytes;
-  std::vector<char> buf(kReadaheadBytes);
-  for (const auto& [name, meta] : files_) {
-    report->files_scanned++;
-    bool damaged = false;
-    // Walk the logical bytes (rounded up to blocks) through the extent
-    // chain; over-allocated tail space beyond the file size never held
-    // data and is not scanned.
-    uint64_t remaining = RoundUp(meta.size, block);
-    for (const Extent& e : meta.extents) {
-      if (remaining == 0) break;
-      const uint64_t span = std::min(remaining, e.length);
-      for (uint64_t off = 0; off < span; off += buf.size()) {
-        const uint64_t m = std::min<uint64_t>(buf.size(), span - off);
-        Status s = DriveRead(e.offset + off, m, buf.data());
-        report->bytes_scanned += m;
-        if (!s.ok()) {
-          damaged = true;
-          // Count every quarantined block in this range, including blocks
-          // quarantined by earlier reads — extents are exclusively owned,
-          // so no block is counted twice per scrub.
-          const uint64_t begin = RoundDown(e.offset + off, block);
-          for (auto it = bad_blocks_.lower_bound(begin);
-               it != bad_blocks_.end() && *it < e.offset + off + m; ++it) {
-            report->bad_blocks++;
-          }
-        }
-      }
-      remaining -= span;
-    }
-    if (damaged) report->damaged_files.push_back(name);
-  }
-  return Status::OK();
-}
-
 Status FileStore::ScrubStep(ScrubCursor* cursor, uint64_t max_bytes,
                             ScrubStepResult* out) {
   std::lock_guard<std::mutex> l(mu_);
@@ -787,9 +752,9 @@ Status FileStore::ScrubStep(ScrubCursor* cursor, uint64_t max_bytes,
     const FileMeta& meta = it->second;
     const uint64_t scan_end = RoundUp(meta.size, block);
     bool damaged = false;
-    // Logical walk from cursor->offset through the extent chain, mirroring
-    // the offline Scrub: over-allocated tail space beyond the file size
-    // never held data and is not scanned.
+    // Logical walk from cursor->offset through the extent chain:
+    // over-allocated tail space beyond the file size never held data and
+    // is not scanned.
     uint64_t extent_begin = 0;
     for (const Extent& e : meta.extents) {
       const uint64_t extent_end = std::min(extent_begin + e.length, scan_end);
@@ -1167,9 +1132,13 @@ void FileStore::EraseFile(std::map<std::string, FileMeta>::iterator it,
     // Set-granular reclamation: the region's space is recycled only when
     // its last SSTable dies (paper Sec. III-C "Delete").
     auto rit = regions_.find(meta.region_id);
-    if (rit != regions_.end() && --rit->second.live_files == 0) {
-      if (free_space) FreeAllocatorExtent(rit->second.extent);
-      regions_.erase(rit);
+    if (rit != regions_.end()) {
+      if (--rit->second.live_files == 0) {
+        if (free_space) FreeAllocatorExtent(rit->second.extent);
+        regions_.erase(rit);
+      } else {
+        rit->second.dead_files++;
+      }
     }
   }
   files_.erase(it);
@@ -1355,6 +1324,12 @@ Status FileStore::GetRegionExtent(uint64_t region_id, Extent* extent) {
   }
   *extent = rit->second.extent;
   return Status::OK();
+}
+
+uint64_t FileStore::RegionDeadFiles(uint64_t region_id) const {
+  std::lock_guard<std::mutex> l(mu_);
+  auto rit = regions_.find(region_id);
+  return rit == regions_.end() ? 0 : rit->second.dead_files;
 }
 
 Status FileStore::GetFileExtents(const std::string& name,

@@ -97,14 +97,6 @@ class WritableFile {
   virtual Status Close() = 0;
 };
 
-// Result of a media scrub: which live files overlap unreadable blocks.
-struct ScrubReport {
-  uint64_t files_scanned = 0;
-  uint64_t bytes_scanned = 0;
-  uint64_t bad_blocks = 0;                 // unreadable blocks found
-  std::vector<std::string> damaged_files;  // sorted by name
-};
-
 // Cursor for the incremental online scrub (ScrubStep): resumes at the
 // first live file whose name is >= `file`, at logical byte `offset`. A
 // default-constructed cursor starts a fresh pass.
@@ -213,6 +205,10 @@ class FileStore {
   Status SealRegion(uint64_t region_id);
   // Physical extent currently covered by the region.
   Status GetRegionExtent(uint64_t region_id, Extent* extent);
+  // Members of the region (set) removed since it was written or since the
+  // store was last recovered, whichever is later; 0 once the region is
+  // gone. The SEALDB picker prefers a victim whose set has many.
+  uint64_t RegionDeadFiles(uint64_t region_id) const;
 
   // ---- observability ----
   // Publish this store's counters into `registry` as sealdb_fs_* series;
@@ -226,16 +222,11 @@ class FileStore {
   uint64_t free_errors() const;
 
   // ---- health / fault handling ----
-  // Walk every live file's extents verifying readability. Damaged files are
-  // reported (and their unreadable blocks quarantined); the walk itself
-  // always completes, so the Status is non-OK only for internal errors.
-  // Holds the store mutex for the whole walk — offline use only.
-  Status Scrub(ScrubReport* report);
-
-  // Online variant: verify up to `max_bytes` of live file data starting at
-  // *cursor, then release the mutex; foreground I/O interleaves between
-  // steps. The step ends early (wrapped = true, cursor reset) when the end
-  // of the namespace is reached, so one full pass = steps until wrapped.
+  // Media scrub: verify up to `max_bytes` of live file data (each file's
+  // logical bytes rounded up to blocks) starting at *cursor, then release
+  // the mutex; foreground I/O interleaves between steps. The step ends
+  // early (wrapped = true, cursor reset) when the end of the namespace is
+  // reached, so one full pass = steps until wrapped.
   // Blocks that fail their bounded retries are quarantined exactly like
   // the foreground read path; a quarantined block that reads clean again
   // (probe after a rewrite) counts as repaired.
@@ -283,6 +274,7 @@ class FileStore {
     Extent extent;
     uint64_t cursor = 0;        // bytes carved for files so far
     uint64_t live_files = 0;
+    uint64_t dead_files = 0;    // in memory only; Recover restarts it at 0
     bool sealed = false;
   };
 
@@ -306,7 +298,8 @@ class FileStore {
   // Release over-allocated space beyond the file's logical size.
   void ShrinkToFit(FileMeta* meta);
   void DropFileData(const FileMeta& meta);
-  // Unlink a file; the region whose last file it was is released. Live
+  // Unlink a file; the region whose last file it was is released, and a
+  // region that survives counts the file among its dead members. Live
   // removals (`free_space`) also trim the data and return its space;
   // journal replay only rebuilds the maps (the allocators are seeded
   // after it).

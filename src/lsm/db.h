@@ -47,8 +47,8 @@ struct CompactionEvent {
   std::vector<std::pair<uint64_t, uint64_t>> output_placement;
 };
 
-// Metadata for one live table file, for tooling (band inspection,
-// fragment GC).
+// Metadata for one live table file, for tooling and tests that check the
+// LSM shape and set layout. `set_id` is the table's FileStore region.
 struct LiveFileMeta {
   uint64_t number = 0;
   int level = 0;
@@ -101,9 +101,8 @@ class DB {
 
   // Compact every file of `level` overlapping [*begin,*end] into the next
   // level, as many compactions as that takes; an overlapping last level
-  // (SMRDB) merges them in place instead. Used by maintenance tooling
-  // (fragment GC) that wants to retire specific sets without cascading
-  // through every level.
+  // (SMRDB) merges them in place instead. Retires specific sets without
+  // cascading through every level.
   virtual void CompactLevelRange(int level, const Slice* begin,
                                  const Slice* end) = 0;
 

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/set_manager.h"
+#include "buf/buffer_pool.h"
 #include "fs/file_store.h"
 #include "lsm/db_iter.h"
 #include "lsm/filename.h"
@@ -105,8 +105,7 @@ static void ClipToRange(T* ptr, V minvalue, V maxvalue) {
 static Options SanitizeOptions(const std::string& dbname,
                                const InternalKeyComparator* icmp,
                                const InternalFilterPolicy* ipolicy,
-                               const Options& src,
-                               std::unique_ptr<buf::BufferPool>* owned_pool) {
+                               const Options& src) {
   (void)dbname;
   Options result = src;
   result.comparator = icmp;
@@ -117,13 +116,6 @@ static Options SanitizeOptions(const std::string& dbname,
   ClipToRange(&result.max_background_compactions, 0, 8);
   if (result.num_levels < 2) result.num_levels = 2;
   if (result.num_levels > 16) result.num_levels = 16;
-  if (result.buffer_pool == nullptr && result.buffer_pool_bytes > 0) {
-    buf::BufferPool::Config pool_config;
-    pool_config.capacity_bytes = result.buffer_pool_bytes;
-    pool_config.metrics_registry = result.metrics_registry;
-    *owned_pool = std::make_unique<buf::BufferPool>(pool_config);
-    result.buffer_pool = owned_pool->get();
-  }
   return result;
 }
 
@@ -132,8 +124,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
     : internal_comparator_(raw_options.comparator),
       internal_filter_policy_(raw_options.filter_policy),
       options_(SanitizeOptions(dbname, &internal_comparator_,
-                               &internal_filter_policy_, raw_options,
-                               &owned_buffer_pool_)),
+                               &internal_filter_policy_, raw_options)),
       dbname_(dbname),
       store_(store),
       table_cache_(std::make_unique<TableCache>(dbname_, options_, store_,
@@ -151,12 +142,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
       versions_(std::make_unique<VersionSet>(dbname_, &options_, store_,
                                              table_cache_.get(),
                                              &internal_comparator_)),
-      em_(options_.metrics_registry, options_.metrics_shard_label) {
-  if (options_.compaction_unit == CompactionUnit::kSet) {
-    set_manager_ = std::make_unique<core::SetManager>();
-    versions_->SetSetInfoProvider(set_manager_.get());
-  }
-}
+      em_(options_.metrics_registry, options_.metrics_shard_label) {}
 
 DBImpl::~DBImpl() {
   // Wake every worker; in-flight compactions notice shutting_down_ at their
@@ -198,9 +184,6 @@ void DBImpl::RemoveObsoleteFiles() {
     store_->RemoveFile(TableFileName(dbname_, number));
   }
   mutex_.lock();
-  if (set_manager_ != nullptr) {
-    for (uint64_t number : dead) set_manager_->OnFileDeleted(number);
-  }
 }
 
 void DBImpl::RemoveUncommittedOutputs(CompactionState* compact) {
@@ -250,16 +233,6 @@ Status DBImpl::Recover(VersionEdit* edit) {
 
   if (versions_->LastSequence() < max_sequence) {
     versions_->SetLastSequence(max_sequence);
-  }
-
-  // Rebuild the set manager from the recovered version.
-  if (set_manager_ != nullptr) {
-    Version* v = versions_->current();
-    for (int level = 0; level < versions_->NumLevels(); level++) {
-      for (const FileMetaData* f : v->files(level)) {
-        set_manager_->RecoverSet(f->set_id, f->number);
-      }
-    }
   }
 
   return Status::OK();
@@ -790,12 +763,6 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   }
   Status s = versions_->LogAndApply(compact->compaction->edit());
   if (s.ok()) UpdateStallLevel();
-  if (s.ok() && set_manager_ != nullptr && compact->region_id != 0) {
-    std::vector<uint64_t> files;
-    files.reserve(compact->outputs.size());
-    for (const auto& out : compact->outputs) files.push_back(out.number);
-    set_manager_->RegisterSet(compact->region_id, files);
-  }
   return s;
 }
 
@@ -1471,8 +1438,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
         // A shared pool's bytes belong to the whole stack; count them once
         // (in the unlabeled or shard-0 engine) so a sharded stack summing
         // per-shard properties doesn't multiply the pool.
-        if (owned_buffer_pool_ != nullptr ||
-            options_.metrics_shard_label.empty() ||
+        if (options_.metrics_shard_label.empty() ||
             options_.metrics_shard_label == "0") {
           total_usage += options_.buffer_pool->usage_bytes();
         }

@@ -6,12 +6,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "buf/buffer_pool.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
 #include "lsm/engine_metrics.h"
@@ -25,10 +25,6 @@
 #define EXCLUSIVE_LOCKS_REQUIRED(...)
 
 namespace sealdb {
-
-namespace core {
-class SetManager;
-}
 
 class MemTable;
 class TableCache;
@@ -88,7 +84,8 @@ class DBImpl : public DB {
   void MaybeIgnoreError(Status* s) const;
 
   // Remove the tables no version references any more (and drop them from
-  // the table cache and the set manager).
+  // the table cache); each removal counts toward its set region's dead
+  // members in the FileStore.
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Remove the tables of a compaction that failed before its commit, and
@@ -162,11 +159,6 @@ class DBImpl : public DB {
   // Constant after construction
   const InternalKeyComparator internal_comparator_;
   const InternalFilterPolicy internal_filter_policy_;
-  // Default buffer pool owned by this DB (options_.buffer_pool points here
-  // when the caller supplied none and the effective pool size > 0).
-  // Declared before options_/table_cache_/versions_ so it outlives every
-  // Table that holds pinned pages.
-  std::unique_ptr<buf::BufferPool> owned_buffer_pool_;
   const Options options_;  // options_.comparator == &internal_comparator_
   const std::string dbname_;
   fs::FileStore* const store_;
@@ -213,9 +205,6 @@ class DBImpl : public DB {
   // Published copy of the write-stall state (see DB::WriteStallLevel);
   // written under mutex_ by UpdateStallLevel, read lock-free by anyone.
   std::atomic<int> stall_level_{0};
-
-  // SEALDB set bookkeeping (null unless compaction_unit == kSet).
-  std::unique_ptr<core::SetManager> set_manager_;
 
   // Engine counters (the sealdb_engine_* metrics).
   EngineMetrics em_;

@@ -32,7 +32,7 @@ static const int kMaxOverlapRuns = 2;
 // this many of its members are invalidated. Lower values override the
 // fair rotation too often and inflate write amplification by
 // re-compacting the same range.
-static const int kInvalidSetPriorityThreshold = 5;
+static const uint64_t kInvalidSetPriorityThreshold = 5;
 
 static size_t TargetFileSize(const Options* options) {
   return options->max_file_size;
@@ -1221,20 +1221,21 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
     if (intra_level) {
       // Overlapping last level (SMRDB): merge the deepest overlap cluster.
       PickOverlapCluster(level, c);
-    } else if (level > 0 && options_->compaction_unit == CompactionUnit::kSet &&
-               set_info_ != nullptr) {
+    } else if (level > 0 &&
+               options_->compaction_unit == CompactionUnit::kSet) {
       // SEALDB policy (Sec. III-C "Delete"): prefer a victim whose set has
       // accumulated many invalidated SSTables, so the remaining members
       // drain and the whole region is reclaimed — implicit fragment
-      // recycling. The threshold keeps the policy from overriding the
+      // recycling. A set is its FileStore region, which counts the dead
+      // members. The threshold keeps the policy from overriding the
       // normal rotation on barely-fragmented sets, which would inflate WA
       // by hammering the same key range.
       FileMetaData* best = nullptr;
-      int best_invalid = kInvalidSetPriorityThreshold - 1;
+      uint64_t best_invalid = kInvalidSetPriorityThreshold - 1;
       for (FileMetaData* f : current_->files_[level]) {
         if (VictimReserved(reserved, level, f)) continue;
-        const int invalid =
-            f->set_id != 0 ? set_info_->InvalidCount(f->set_id) : 0;
+        const uint64_t invalid =
+            f->set_id != 0 ? store_->RegionDeadFiles(f->set_id) : 0;
         if (invalid > best_invalid) {
           best_invalid = invalid;
           best = f;

@@ -43,14 +43,6 @@ class Version;
 class VersionSet;
 class WritableFile;
 
-// Callback used for SEALDB's compact-most-invalid-set-first policy.
-class SetInfoProvider {
- public:
-  virtual ~SetInfoProvider() = default;
-  // Number of already-invalidated SSTables recorded in the given set.
-  virtual int InvalidCount(uint64_t set_id) const = 0;
-};
-
 // Return the smallest index i such that files[i]->largest >= key.
 // Return files.size() if there is no such file.
 // REQUIRES: "files" contains a sorted list of non-overlapping files.
@@ -309,11 +301,6 @@ class VersionSet {
   // "key" as of version "v".
   uint64_t ApproximateOffsetOf(Version* v, const InternalKey& key);
 
-  // Provider consulted for SEALDB's victim-selection policy; may be null.
-  void SetSetInfoProvider(const SetInfoProvider* provider) {
-    set_info_ = provider;
-  }
-
   const Options* options() const { return options_; }
   const InternalKeyComparator* icmp() const { return &icmp_; }
 
@@ -357,8 +344,6 @@ class VersionSet {
   std::vector<uint64_t> obsolete_files_;  // see TakeObsoleteFiles
   Version dummy_versions_;  // Head of circular doubly-linked list of versions.
   Version* current_;        // == dummy_versions_.prev_
-
-  const SetInfoProvider* set_info_ = nullptr;
 
   // Per-level key at which the next compaction at that level should start.
   // Either an empty string, or a valid InternalKey. In memory only: it

@@ -63,7 +63,9 @@ struct RetryPolicy {
   uint32_t jitter_seed = 0;
 };
 
-// Snapshot of the client's sealdb_client_* registry counters.
+// Snapshot of the client's sealdb_client_* registry counters. Only the
+// benchmark harness (perfbench/) reads it; everything else reads
+// metrics_registry().
 struct ClientStats {
   uint64_t retries = 0;          // attempts after the first
   uint64_t reconnects = 0;       // successful automatic reconnects

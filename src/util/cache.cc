@@ -118,10 +118,6 @@ class LRUCache {
   Cache::Handle* Lookup(const Slice& key, uint32_t hash);
   void Release(Cache::Handle* handle);
   void Erase(const Slice& key, uint32_t hash);
-  size_t TotalCharge() const {
-    std::lock_guard<std::mutex> l(mutex_);
-    return usage_;
-  }
 
  private:
   void LRU_Remove(LRUHandle* e);
@@ -132,7 +128,7 @@ class LRUCache {
 
   size_t capacity_{0};
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   size_t usage_{0};
 
   // lru.prev is newest entry, lru.next is oldest entry.
@@ -276,8 +272,6 @@ static const int kNumShards = 1 << kNumShardBits;
 class ShardedLRUCache : public Cache {
  private:
   LRUCache shard_[kNumShards];
-  std::mutex id_mutex_;
-  uint64_t last_id_;
 
   static inline uint32_t HashSlice(const Slice& s) {
     return Hash(s.data(), s.size(), 0);
@@ -286,7 +280,7 @@ class ShardedLRUCache : public Cache {
   static uint32_t Shard(uint32_t hash) { return hash >> (32 - kNumShardBits); }
 
  public:
-  explicit ShardedLRUCache(size_t capacity) : last_id_(0) {
+  explicit ShardedLRUCache(size_t capacity) {
     const size_t per_shard = (capacity + (kNumShards - 1)) / kNumShards;
     for (int s = 0; s < kNumShards; s++) {
       shard_[s].SetCapacity(per_shard);
@@ -312,17 +306,6 @@ class ShardedLRUCache : public Cache {
   }
   void* Value(Handle* handle) override {
     return reinterpret_cast<LRUHandle*>(handle)->value;
-  }
-  uint64_t NewId() override {
-    std::lock_guard<std::mutex> l(id_mutex_);
-    return ++(last_id_);
-  }
-  size_t TotalCharge() const override {
-    size_t total = 0;
-    for (int s = 0; s < kNumShards; s++) {
-      total += shard_[s].TotalCharge();
-    }
-    return total;
   }
 };
 

@@ -1,5 +1,6 @@
-// Sharded LRU cache with reference counting, used for the table cache and
-// optional block cache. Entries are pinned while handles are outstanding.
+// Sharded LRU cache with reference counting, used for the table cache
+// (block caching is the BufferPool's, src/buf/). Entries are pinned while
+// handles are outstanding.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +36,6 @@ class Cache {
 
   // Drop the mapping if present; the entry dies once unreferenced.
   virtual void Erase(const Slice& key) = 0;
-
-  // A new numeric id, for partitioning the key space between clients.
-  virtual uint64_t NewId() = 0;
-
-  virtual size_t TotalCharge() const = 0;
 };
 
 // Create a cache with a fixed size capacity (in charge units).

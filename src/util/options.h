@@ -48,13 +48,10 @@ struct Options {
   // If non-null, use this filter policy (e.g. bloom) for table reads.
   const FilterPolicy* filter_policy = nullptr;
   // If non-null, all SSTable block reads go through this page-based buffer
-  // manager (src/buf/, DESIGN.md §14). Not owned; shared stacks pass one
-  // pool so every shard column caches into the same frames.
+  // manager (src/buf/, DESIGN.md §14); null disables block caching. Not
+  // owned: the Stack builds one pool from StackConfig::buffer_pool_bytes
+  // and every shard column caches into the same frames.
   buf::BufferPool* buffer_pool = nullptr;
-  // When buffer_pool is null and this is nonzero, the DB creates (and
-  // owns) a private BufferPool of that many bytes; zero disables block
-  // caching entirely.
-  size_t buffer_pool_bytes = 8 * 1024 * 1024;
 
   // -------- LSM shape --------
   int num_levels = 7;

@@ -154,7 +154,7 @@ TEST_P(ChaosTest, AckedWritesSurviveChaosAndRecovery) {
   struct ClientOutcome {
     std::vector<std::pair<std::string, std::string>> acked;
     uint64_t worst_op_millis = 0;
-    net::ClientStats stats;
+    uint64_t retries = 0;  // the client's sealdb_client_retries_total
   };
   std::vector<ClientOutcome> outcomes(kClients);
 
@@ -203,7 +203,8 @@ TEST_P(ChaosTest, AckedWritesSurviveChaosAndRecovery) {
           }
         }
       }
-      outcomes[c].stats = client.stats();
+      outcomes[c].retries = client.metrics_registry()->counter_value(
+          "sealdb_client_retries_total");
     });
   }
   for (auto& t : threads) t.join();
@@ -215,7 +216,7 @@ TEST_P(ChaosTest, AckedWritesSurviveChaosAndRecovery) {
   for (const ClientOutcome& o : outcomes) {
     EXPECT_LE(o.worst_op_millis, kMaxOpMillis);
     total_acked += o.acked.size();
-    total_retries += o.stats.retries;
+    total_retries += o.retries;
   }
   // Chaos actually happened, and clients still made forward progress.
   EXPECT_GT(proxy_->stats().faults(), 0u) << "seed " << seed;

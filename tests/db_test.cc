@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/presets.h"
+#include "buf/buffer_pool.h"
 #include "core/dynamic_band_allocator.h"
 #include "fs/file_store.h"
 #include "lsm/db.h"
@@ -559,6 +560,7 @@ class CompactionIoTest : public testing::Test {
     options_.max_bytes_for_level_base = 10 * config_.sstable_bytes;
     options_.filter_policy = filter_.get();
     options_.compaction_unit = CompactionUnit::kSet;
+    options_.buffer_pool = &pool_;
   }
 
   void Open() {
@@ -597,6 +599,7 @@ class CompactionIoTest : public testing::Test {
   std::unique_ptr<core::DynamicBandAllocator> allocator_;
   std::unique_ptr<fs::FileStore> store_;
   std::unique_ptr<const FilterPolicy> filter_;
+  buf::BufferPool pool_{buf::BufferPool::Config{}};  // 8 MiB
   Options options_;
   std::unique_ptr<DB> db_;
 };

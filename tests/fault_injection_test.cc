@@ -217,6 +217,32 @@ class FileStoreFaultTest : public ::testing::Test {
     return s;
   }
 
+  // One whole ScrubStep pass in 16 KiB steps, the steps' findings summed
+  // (a file damaged in two adjacent steps is listed once).
+  struct ScrubPass {
+    uint64_t bytes_scanned = 0;
+    uint64_t bad_blocks = 0;
+    uint64_t repaired_blocks = 0;
+    std::vector<std::string> damaged_files;
+  };
+  ScrubPass FullScrubPass() {
+    ScrubPass pass;
+    fs::ScrubCursor cursor;
+    fs::ScrubStepResult step;
+    do {
+      EXPECT_TRUE(store_->ScrubStep(&cursor, 16 << 10, &step).ok());
+      pass.bytes_scanned += step.bytes_scanned;
+      pass.bad_blocks += step.bad_blocks;
+      pass.repaired_blocks += step.repaired_blocks;
+      for (const std::string& name : step.damaged_files) {
+        if (pass.damaged_files.empty() || pass.damaged_files.back() != name) {
+          pass.damaged_files.push_back(name);
+        }
+      }
+    } while (!step.wrapped);
+    return pass;
+  }
+
   uint64_t FirstDataBlock(const std::string& name) {
     std::vector<fs::Extent> extents;
     EXPECT_TRUE(store_->GetFileExtents(name, &extents).ok());
@@ -270,18 +296,26 @@ TEST_F(FileStoreFaultTest, ScrubReportsExactlyTheDamagedFiles) {
   fault_->InjectReadError(FirstDataBlock("/a") + kBlock, kBlock);
   fault_->InjectReadError(FirstDataBlock("/c") + 3 * kBlock, kBlock);
 
-  fs::ScrubReport report;
-  ASSERT_TRUE(store_->Scrub(&report).ok());
-  EXPECT_EQ(3u, report.files_scanned);
-  EXPECT_EQ(2u, report.bad_blocks);
-  EXPECT_EQ((std::vector<std::string>{"/a", "/c"}), report.damaged_files);
+  // Every file is scanned: its logical bytes rounded up to blocks.
+  const std::vector<fs::FileInfo> files = store_->ListFiles();
+  EXPECT_EQ(3u, files.size());
+  uint64_t live_bytes = 0;
+  for (const fs::FileInfo& info : files) {
+    live_bytes += (info.size + kBlock - 1) / kBlock * kBlock;
+  }
+
+  ScrubPass pass = FullScrubPass();
+  EXPECT_EQ(live_bytes, pass.bytes_scanned);
+  EXPECT_EQ(2u, pass.bad_blocks);
+  EXPECT_EQ((std::vector<std::string>{"/a", "/c"}), pass.damaged_files);
 
   // A clean store scrubs clean (the earlier faults still stand, so clear
   // them first; the probe pass lifts the quarantines).
   fault_->ClearReadError(0, 64ull << 20);
-  ASSERT_TRUE(store_->Scrub(&report).ok());
-  EXPECT_TRUE(report.damaged_files.empty());
-  EXPECT_EQ(0u, report.bad_blocks);
+  pass = FullScrubPass();
+  EXPECT_TRUE(pass.damaged_files.empty());
+  EXPECT_EQ(0u, pass.bad_blocks);
+  EXPECT_EQ(2u, pass.repaired_blocks);
   EXPECT_TRUE(store_->QuarantinedBlocks().empty());
 }
 

@@ -175,7 +175,9 @@ TEST(FaultIsolationTest, ShardDegradedSurfacesThroughServerAndClient) {
   // not after burning the retry budget (ShardDegraded is not retryable).
   Status s = client.Put(keys[victim][0], "after");
   EXPECT_TRUE(s.IsShardDegraded()) << s.ToString();
-  EXPECT_EQ(client.stats().retries, 0u);
+  EXPECT_EQ(client.metrics_registry()->counter_value(
+                "sealdb_client_retries_total"),
+            0u);
 
   // Reads on a degraded shard are still attempted (best-effort): data that
   // is readable keeps answering. Healthy shards are untouched.

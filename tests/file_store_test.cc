@@ -422,6 +422,42 @@ TEST_F(FileStoreTest, RegionsReleasedOnReplay) {
   EXPECT_EQ(allocator_->allocated_bytes(), 0u);
 }
 
+// A region is a set: it counts its members that died while it lived, the
+// count restarts at zero on recovery (it is not journaled), and the region
+// goes away with its last member.
+TEST_F(FileStoreTest, RegionCountsDeadMembers) {
+  uint64_t region = 0;
+  ASSERT_TRUE(store_->AllocateRegion(8 << 20, &region).ok());
+  for (int i = 0; i < 4; i++) {
+    std::unique_ptr<WritableFile> f;
+    ASSERT_TRUE(store_->NewWritableFileInRegion(
+                    region, "/db/m" + std::to_string(i), &f)
+                    .ok());
+    ASSERT_TRUE(f->Append(RandomPayload(100000, 60 + i)).ok());
+    ASSERT_TRUE(f->Close().ok());
+  }
+  ASSERT_TRUE(store_->SealRegion(region).ok());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 0u);
+  ASSERT_TRUE(store_->RemoveFile("/db/m0").ok());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 1u);
+  // Removing a name that is not a member changes nothing.
+  EXPECT_FALSE(store_->RemoveFile("/db/absent").ok());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 1u);
+  ASSERT_TRUE(store_->RemoveFile("/db/m1").ok());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 2u);
+
+  Reopen();
+  EXPECT_EQ(store_->RegionDeadFiles(region), 0u);
+  ASSERT_TRUE(store_->RemoveFile("/db/m2").ok());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 1u);
+  Extent extent;
+  ASSERT_TRUE(store_->GetRegionExtent(region, &extent).ok());
+  ASSERT_TRUE(store_->RemoveFile("/db/m3").ok());
+  EXPECT_TRUE(store_->GetRegionExtent(region, &extent).IsNotFound());
+  EXPECT_EQ(store_->RegionDeadFiles(region), 0u);
+  EXPECT_EQ(allocator_->allocated_bytes(), 0u);
+}
+
 TEST_F(FileStoreTest, RecoverRegions) {
   uint64_t region;
   ASSERT_TRUE(store_->AllocateRegion(16 << 20, &region).ok());

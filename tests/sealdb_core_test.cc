@@ -1,7 +1,7 @@
 // SEALDB-specific tests: a SEALDB stack's KV round trip and crash
-// recovery, set manager semantics, set contiguity on disk, dynamic-band
-// safety (the shingled disk never sees an unsafe write), zero auxiliary
-// write amplification, and the band inspector's fragment accounting.
+// recovery, set contiguity on disk, dynamic-band safety (the shingled disk
+// never sees an unsafe write), zero auxiliary write amplification, and the
+// band inspector's fragment accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 
 #include "baselines/presets.h"
 #include "core/band_inspector.h"
-#include "core/fragment_gc.h"
-#include "core/set_manager.h"
 #include "lsm/db.h"
 #include "util/random.h"
 
@@ -47,41 +45,6 @@ baselines::StackConfig TinySealConfig() {
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ SetManager
-
-TEST(SetManager, RegisterAndInvalidate) {
-  core::SetManager mgr;
-  mgr.RegisterSet(1, {10, 11, 12});
-  EXPECT_EQ(mgr.InvalidCount(1), 0);
-  EXPECT_EQ(mgr.live_sets(), 1u);
-
-  mgr.OnFileDeleted(10);
-  EXPECT_EQ(mgr.InvalidCount(1), 1);
-  mgr.OnFileDeleted(11);
-  EXPECT_EQ(mgr.InvalidCount(1), 2);
-  // Last member dies -> the whole set fades away.
-  mgr.OnFileDeleted(12);
-  EXPECT_EQ(mgr.live_sets(), 0u);
-  EXPECT_EQ(mgr.InvalidCount(1), 0);
-}
-
-TEST(SetManager, UnknownFilesIgnored) {
-  core::SetManager mgr;
-  mgr.OnFileDeleted(999);  // no-op
-  EXPECT_EQ(mgr.InvalidCount(7), 0);
-}
-
-TEST(SetManager, RecoverSets) {
-  core::SetManager mgr;
-  mgr.RecoverSet(5, 100);
-  mgr.RecoverSet(5, 101);
-  EXPECT_EQ(mgr.live_sets(), 1u);
-  mgr.OnFileDeleted(100);
-  EXPECT_EQ(mgr.InvalidCount(5), 1);
-  mgr.OnFileDeleted(101);
-  EXPECT_EQ(mgr.live_sets(), 0u);
-}
 
 // ------------------------------------------------------------ KV stack
 
@@ -313,76 +276,6 @@ TEST_F(SealDbBehaviorTest, InvalidSetPriorityDrainsSets) {
   const uint64_t occupied = alloc->frontier() - alloc->base();
   EXPECT_LT(alloc->allocated_bytes(), occupied + 1);
   EXPECT_LT(occupied, 64ull << 20);
-}
-
-// ----------------------------------------------- fragment GC (future work)
-
-namespace {
-
-core::FragmentGcResult RunFragmentGc(baselines::Stack* stack,
-                                     const core::FragmentGcOptions& options) {
-  core::FragmentGc gc(stack->db(), stack->store(), stack->dynamic_allocator(),
-                      options);
-  return gc.Run();
-}
-
-}  // namespace
-
-TEST(FragmentGc, NoTriggerWhenClean) {
-  std::unique_ptr<baselines::Stack> stack;
-  ASSERT_TRUE(baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
-  for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(stack->db()->Put(WriteOptions(), Key(i), Value(i)).ok());
-  }
-  core::FragmentGcOptions gc_opt;
-  gc_opt.fragment_share_trigger = 0.99;  // never trigger
-  auto result = RunFragmentGc(stack.get(), gc_opt);
-  EXPECT_FALSE(result.triggered);
-  EXPECT_EQ(result.sets_compacted, 0);
-}
-
-// Random puts over 10,000 keys leave sets pinning fragments on every seed
-// below; the GC must retire at least one and reclaim most of what it
-// targets.
-TEST(FragmentGc, ReclaimsFragmentedSpace) {
-  for (const uint32_t seed : {42u, 1u, 2u, 3u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::unique_ptr<baselines::Stack> stack;
-    ASSERT_TRUE(
-        baselines::BuildStack(TinySealConfig(), "/sealdb", &stack).ok());
-    DB* db = stack->db();
-
-    // Heavy churn leaves faded-set fragments behind.
-    Random rnd(seed);
-    for (int i = 0; i < 20000; i++) {
-      ASSERT_TRUE(
-          db->Put(WriteOptions(), Key(rnd.Uniform(10000)), Value(i)).ok());
-    }
-    db->WaitForIdle();
-
-    core::FragmentGcOptions gc_opt;
-    gc_opt.fragment_share_trigger = 0.0;  // always run
-    gc_opt.fragment_threshold_bytes = 1 << 20;
-    gc_opt.max_sets_per_run = 8;
-    auto result = RunFragmentGc(stack.get(), gc_opt);
-    EXPECT_TRUE(result.triggered);
-    ASSERT_GE(result.sets_compacted, 1);
-
-    // GC must never corrupt data or the device invariants.
-    EXPECT_DOUBLE_EQ(stack->awa(), 1.0);
-    std::string value;
-    for (int i = 0; i < 10000; i += 13) {
-      Status s = db->Get(ReadOptions(), Key(i), &value);
-      EXPECT_TRUE(s.ok() || s.IsNotFound());
-    }
-    std::string why;
-    EXPECT_TRUE(stack->dynamic_allocator()->CheckInvariants(&why)) << why;
-    // The GC targets specific pinned fragments; most of them must be
-    // reclaimed (merged into large free space or un-banded).
-    EXPECT_GT(result.pinned_bytes_targeted, 0u);
-    EXPECT_GE(result.pinned_bytes_reclaimed,
-              result.pinned_bytes_targeted / 2);
-  }
 }
 
 }  // namespace sealdb

@@ -618,12 +618,6 @@ TEST_F(CacheTest, EvictionPolicy) {
   cache_->Release(h);
 }
 
-TEST_F(CacheTest, NewId) {
-  uint64_t a = cache_->NewId();
-  uint64_t b = cache_->NewId();
-  EXPECT_NE(a, b);
-}
-
 // ---------------------------------------------------------------- misc
 
 TEST(Histogram, Basics) {

@@ -1,5 +1,6 @@
-// Version machinery tests: FindFile / SomeFileOverlapsRange, and the table
-// tag and commit record round trips (including the SEALDB set id).
+// Version machinery tests: FindFile / SomeFileOverlapsRange, the table tag
+// and commit record round trips (including the SEALDB set id), and the
+// SEALDB picker's invalid-set rule.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,7 @@
 
 #include "fs/ext4_allocator.h"
 #include "fs/file_store.h"
+#include "lsm/filename.h"
 #include "lsm/version_edit.h"
 #include "lsm/version_set.h"
 #include "smr/drive.h"
@@ -290,6 +292,89 @@ TEST(TableTagTest, CorruptInputRejected) {
   fs::EncodeCommit(&body, commit);
   EXPECT_FALSE(fs::DecodeCommit(Slice(body.data(), body.size() - 1), &commit));
   EXPECT_FALSE(fs::DecodeCommit(body + "x", &commit));
+}
+
+// The SEALDB picker prefers, over the key-order rotation, a level-1 victim
+// whose set (FileStore region) holds at least kInvalidSetPriorityThreshold
+// (5) dead members, and only with compaction_unit == kSet.
+TEST(InvalidSetRuleTest, SetWithManyDeadMembersBeatsTheRotation) {
+  smr::Geometry geo;
+  geo.capacity_bytes = 64ull << 20;
+  geo.conventional_bytes = 8 << 20;
+  auto drive = smr::NewHddDrive(geo, smr::LatencyParams::Hdd());
+  auto allocator =
+      fs::NewExt4Allocator(8 << 20, 56ull << 20, 4096, fs::Ext4Options());
+  fs::FileStore store(drive.get(), allocator.get());
+  ASSERT_TRUE(store.Format().ok());
+
+  // Tables hold 5 bytes each, so L1 is over a 1-byte budget.
+  Options options;
+  options.compaction_unit = CompactionUnit::kSet;
+  options.max_bytes_for_level_base = 1;
+  const InternalKeyComparator icmp(BytewiseComparator());
+  VersionSet versions("/db", &options, &store, nullptr, &icmp);
+  std::vector<uint64_t> logs;
+  ASSERT_TRUE(versions.Recover(&logs).ok());
+
+  auto write = [&](uint64_t region, uint64_t number) {
+    std::unique_ptr<fs::WritableFile> file;
+    const std::string name = TableFileName("/db", number);
+    Status s = region == 0 ? store.NewWritableFile(name, 4096, &file)
+                           : store.NewWritableFileInRegion(region, name, &file);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(file->Append("table").ok());
+    ASSERT_TRUE(file->Close().ok());
+  };
+  auto key = [](char c, int i) {
+    return InternalKey(std::string(1, c) + std::to_string(i), 1, kTypeValue);
+  };
+
+  // Table 1 ("a") stands alone and comes first in key order, so the
+  // rotation picks it. Tables 2..8 ("c".."i") are one set.
+  uint64_t region = 0;
+  ASSERT_TRUE(store.AllocateRegion(1 << 20, &region).ok());
+  VersionEdit edit;
+  write(0, 1);
+  edit.AddFile(1, 1, 5, key('a', 0), key('a', 1), 0);
+  for (uint64_t number = 2; number <= 8; number++) {
+    write(region, number);
+    const char c = static_cast<char>('a' + number);
+    edit.AddFile(1, number, 5, key(c, 0), key(c, 1), region);
+  }
+  ASSERT_TRUE(store.SealRegion(region).ok());
+  ASSERT_TRUE(versions.LogAndApply(&edit).ok());
+
+  auto kill = [&](uint64_t number) {
+    VersionEdit e;
+    e.RemoveFile(1, number);
+    ASSERT_TRUE(versions.LogAndApply(&e).ok());
+    for (uint64_t dead : versions.TakeObsoleteFiles()) {
+      ASSERT_TRUE(store.RemoveFile(TableFileName("/db", dead)).ok());
+    }
+  };
+  // The first victim a freshly opened engine picks: the rotation starts
+  // at the beginning of the key space on open.
+  auto victim = [&](CompactionUnit unit) -> uint64_t {
+    Options opened = options;
+    opened.compaction_unit = unit;
+    VersionSet fresh("/db", &opened, &store, nullptr, &icmp);
+    std::vector<uint64_t> wals;
+    EXPECT_TRUE(fresh.Recover(&wals).ok());
+    std::unique_ptr<Compaction> c(fresh.PickCompaction());
+    if (c == nullptr || c->num_input_files(0) == 0) return 0;
+    EXPECT_EQ(c->level(), 1);
+    return c->input(0, 0)->number;
+  };
+
+  for (uint64_t number = 2; number <= 5; number++) kill(number);
+  ASSERT_EQ(store.RegionDeadFiles(region), 4u);
+  EXPECT_EQ(victim(CompactionUnit::kSet), 1u);  // below the threshold
+
+  kill(6);
+  ASSERT_EQ(store.RegionDeadFiles(region), 5u);
+  EXPECT_EQ(victim(CompactionUnit::kSet), 7u);  // the set's first member
+  // Per-table compaction never consults sets.
+  EXPECT_EQ(victim(CompactionUnit::kSSTable), 1u);
 }
 
 }  // namespace sealdb
