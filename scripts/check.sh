@@ -13,8 +13,9 @@
 # round each of the ingest and range-scan workloads, which fail (non-zero
 # exit) on a wrong read-back, a wrong scan or a guard violation — there is
 # no timing gate — then two identical rounds each of ingest and
-# range-scan, whose simulated-device figures (device_ops_per_s, mwa,
-# space_amp) must match byte for byte. Then the four self-contained
+# range-scan on seed 1 and on the held-out seed 20181016, whose
+# simulated-device figures (device_ops_per_s, mwa, space_amp) must match
+# byte for byte. Then the four self-contained
 # examples (quickstart, web_index, smr_inspector, ycsb_tour) run and must
 # exit 0; smr_inspector is the one program that drives all three drive
 # models. So must the two set-layout benches (bench_fig11_layout_sealdb
@@ -125,19 +126,23 @@ cmake --build build-perfbench -j "$JOBS" --target sealbench
 # Ingest and range-scan load a single shard with inline compactions and
 # count simulated device time, so their device figures depend on the
 # workload and the code only: two identical runs must print the same
-# device_ops_per_s, mwa and space_amp lines, byte for byte.
+# device_ops_per_s, mwa and space_amp lines, byte for byte. Both the
+# default seed and the held-out seed run, so an order or tie dependence
+# (say, in the compaction victim score) that one input hides still fails.
 device_figures() {
-  ./build-perfbench/sealbench --workload="$1" --seconds=1 --seed=1 \
+  ./build-perfbench/sealbench --workload="$1" --seconds=1 --seed="$2" \
     | grep -E '^(device_ops_per_s|mwa|space_amp) '
 }
-for workload in ingest range-scan; do
-  figures_a="$(device_figures "$workload")"
-  figures_b="$(device_figures "$workload")"
-  if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
-    echo "check.sh: $workload device figures missing or differing across identical runs:" >&2
-    diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
-    exit 1
-  fi
+for seed in 1 20181016; do
+  for workload in ingest range-scan; do
+    figures_a="$(device_figures "$workload" "$seed")"
+    figures_b="$(device_figures "$workload" "$seed")"
+    if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
+      echo "check.sh: $workload seed $seed device figures missing or differing across identical runs:" >&2
+      diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
+      exit 1
+    fi
+  done
 done
 echo "== examples =="
 for example in quickstart web_index smr_inspector ycsb_tour; do

@@ -42,7 +42,13 @@ std::string Extent::ToString() const { return ExtentToString(*this); }
 class StoreWritableFile final : public WritableFile {
  public:
   StoreWritableFile(FileStore* store, std::string name, uint64_t size_hint)
-      : store_(store), name_(std::move(name)), size_hint_(size_hint) {}
+      : store_(store), name_(std::move(name)), size_hint_(size_hint) {
+    // Room for a chunk plus the table block that crosses into it (a block
+    // can pass its nominal size by its last entry), so the buffer is
+    // allocated once instead of grown by doubling for every table.
+    buffer_.reserve(kFlushChunkBytes +
+                    2 * store_->drive()->geometry().block_bytes);
+  }
 
   ~StoreWritableFile() override {
     if (!closed_) Close();
@@ -473,12 +479,9 @@ Status FileStore::Recover() {
   }
   log_head_ = pos;
 
-  // 3. Rebuild region occupancy from the surviving files. Dead-member
-  // counts restart at zero: they only steer victim picking, and the
-  // journal does not keep them.
+  // 3. Rebuild region occupancy from the surviving files.
   for (auto& [id, region] : regions_) {
     region.live_files = 0;
-    region.dead_files = 0;
     region.cursor = 0;
   }
   for (const auto& [name, meta] : files_) {
@@ -1136,8 +1139,6 @@ void FileStore::EraseFile(std::map<std::string, FileMeta>::iterator it,
       if (--rit->second.live_files == 0) {
         if (free_space) FreeAllocatorExtent(rit->second.extent);
         regions_.erase(rit);
-      } else {
-        rit->second.dead_files++;
       }
     }
   }
@@ -1324,12 +1325,6 @@ Status FileStore::GetRegionExtent(uint64_t region_id, Extent* extent) {
   }
   *extent = rit->second.extent;
   return Status::OK();
-}
-
-uint64_t FileStore::RegionDeadFiles(uint64_t region_id) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto rit = regions_.find(region_id);
-  return rit == regions_.end() ? 0 : rit->second.dead_files;
 }
 
 Status FileStore::GetFileExtents(const std::string& name,

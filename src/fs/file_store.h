@@ -203,12 +203,9 @@ class FileStore {
   // A region no file was carved from is released whole, and the release
   // is journaled.
   Status SealRegion(uint64_t region_id);
-  // Physical extent currently covered by the region.
+  // Physical extent currently covered by the region; NotFound once its
+  // last file is gone. The SEALDB picker's victim score reads the length.
   Status GetRegionExtent(uint64_t region_id, Extent* extent);
-  // Members of the region (set) removed since it was written or since the
-  // store was last recovered, whichever is later; 0 once the region is
-  // gone. The SEALDB picker prefers a victim whose set has many.
-  uint64_t RegionDeadFiles(uint64_t region_id) const;
 
   // ---- observability ----
   // Publish this store's counters into `registry` as sealdb_fs_* series;
@@ -274,7 +271,6 @@ class FileStore {
     Extent extent;
     uint64_t cursor = 0;        // bytes carved for files so far
     uint64_t live_files = 0;
-    uint64_t dead_files = 0;    // in memory only; Recover restarts it at 0
     bool sealed = false;
   };
 

@@ -33,10 +33,6 @@ struct ParsedInternalKey {
   std::string DebugString() const;
 };
 
-inline size_t InternalKeyEncodingLength(const ParsedInternalKey& key) {
-  return key.user_key.size() + 8;
-}
-
 inline uint64_t PackSequenceAndType(uint64_t seq, ValueType t) {
   return (seq << 8) | t;
 }
@@ -96,11 +92,6 @@ class InternalKey {
   Slice Encode() const { return rep_; }
 
   Slice user_key() const { return ExtractUserKey(rep_); }
-
-  void SetFrom(const ParsedInternalKey& p) {
-    rep_.clear();
-    AppendInternalKey(&rep_, p);
-  }
 
   void Clear() { rep_.clear(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 #include "fs/file_store.h"
 #include "lsm/filename.h"
@@ -28,11 +29,11 @@ static const int kL0CompactionTrigger = 4;
 // merges (paper Fig. 10: ~900 MB on average).
 static const int kMaxOverlapRuns = 2;
 
-// Set-aware picking (kSet): a set qualifies for priority compaction once
-// this many of its members are invalidated. Lower values override the
-// fair rotation too often and inflate write amplification by
-// re-compacting the same range.
-static const uint64_t kInvalidSetPriorityThreshold = 5;
+// Set-aware picking (kSet): the weight of the set-region bytes a compaction
+// frees against the bytes it rewrites, in ScoredVictim's score. 0 picks by
+// next-level overlap alone, which leaves many regions partly dead; 0.5 and
+// up free more space but rewrite more (DESIGN.md §7 has the sweep).
+static const double kFreedSetWeight = 0.25;
 
 static size_t TargetFileSize(const Options* options) {
   return options->max_file_size;
@@ -954,12 +955,6 @@ int VersionSet::NumLevelFiles(int level) const {
   return current_->files_[level].size();
 }
 
-int64_t VersionSet::NumLevelBytes(int level) const {
-  assert(level >= 0);
-  assert(level < NumLevels());
-  return TotalFileSize(current_->files_[level]);
-}
-
 uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
   uint64_t result = 0;
   for (int level = 0; level < NumLevels(); level++) {
@@ -990,14 +985,6 @@ uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
     }
   }
   return result;
-}
-
-int64_t VersionSet::MaxGrandParentOverlapBytes() const {
-  return MaxGrandParentOverlapBytesFor(options_);
-}
-
-double VersionSet::MaxBytesForLevel(int level) const {
-  return MaxBytesForLevelImpl(options_, level);
 }
 
 uint64_t VersionSet::MaxFileSizeForLevel(int level) const {
@@ -1223,57 +1210,30 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
       PickOverlapCluster(level, c);
     } else if (level > 0 &&
                options_->compaction_unit == CompactionUnit::kSet) {
-      // SEALDB policy (Sec. III-C "Delete"): prefer a victim whose set has
-      // accumulated many invalidated SSTables, so the remaining members
-      // drain and the whole region is reclaimed — implicit fragment
-      // recycling. A set is its FileStore region, which counts the dead
-      // members. The threshold keeps the policy from overriding the
-      // normal rotation on barely-fragmented sets, which would inflate WA
-      // by hammering the same key range.
-      FileMetaData* best = nullptr;
-      uint64_t best_invalid = kInvalidSetPriorityThreshold - 1;
+      FileMetaData* victim = ScoredVictim(level, reserved);
+      if (victim != nullptr) c->inputs_[0].push_back(victim);
+    } else {
+      // Level 0 and per-table compaction: LevelDB's rotation. Pick the
+      // first unreserved file that comes after compact_pointer_[level],
+      // wrapping to the first unreserved file of the level. Reserved files
+      // (or files whose spans overlap a running compaction) are skipped so
+      // concurrent workers pick disjoint victims.
+      FileMetaData* pick = nullptr;
       for (FileMetaData* f : current_->files_[level]) {
         if (VictimReserved(reserved, level, f)) continue;
-        const uint64_t invalid =
-            f->set_id != 0 ? store_->RegionDeadFiles(f->set_id) : 0;
-        if (invalid > best_invalid) {
-          best_invalid = invalid;
-          best = f;
-        }
+        const bool after =
+            compact_pointer_[level].empty() ||
+            icmp_.Compare(f->largest.Encode(), compact_pointer_[level]) > 0;
+        if (after || pick == nullptr) pick = f;
+        if (after) break;
       }
-      if (best != nullptr) {
-        c->inputs_[0].push_back(best);
-      }
+      if (pick != nullptr) c->inputs_[0].push_back(pick);
     }
-
-    if (c->inputs_[0].empty() && !intra_level) {
-      // Pick the first unreserved file that comes after
-      // compact_pointer_[level], wrapping to the beginning of the key space.
-      // Reserved files (or files whose spans overlap a running compaction)
-      // are skipped so concurrent workers pick disjoint victims.
-      for (size_t i = 0; i < current_->files_[level].size(); i++) {
-        FileMetaData* f = current_->files_[level][i];
-        if (VictimReserved(reserved, level, f)) continue;
-        if (compact_pointer_[level].empty() ||
-            icmp_.Compare(f->largest.Encode(), compact_pointer_[level]) > 0) {
-          c->inputs_[0].push_back(f);
-          break;
-        }
-      }
-      if (c->inputs_[0].empty()) {
-        for (size_t i = 0; i < current_->files_[level].size(); i++) {
-          FileMetaData* f = current_->files_[level][i];
-          if (VictimReserved(reserved, level, f)) continue;
-          c->inputs_[0].push_back(f);
-          break;
-        }
-      }
-      if (c->inputs_[0].empty()) {
-        // Every candidate at this level conflicts with a running
-        // compaction; the level will be revisited when one finishes.
-        delete c;
-        return nullptr;
-      }
+    if (c->inputs_[0].empty()) {
+      // Every candidate at this level conflicts with a running
+      // compaction; the level will be revisited when one finishes.
+      delete c;
+      return nullptr;
     }
   } else if (seek_compaction) {
     level = current_->file_to_compact_level_;
@@ -1313,6 +1273,60 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
   SetupOtherInputs(c);
 
   return c;
+}
+
+FileMetaData* VersionSet::ScoredVictim(
+    int level, const CompactionReservations* reserved) {
+  // SEALDB policy: the victim f with the lowest
+  //   score(f) = (size(f) + overlap(f) - kFreedSetWeight * freed(f)) / size(f)
+  // where overlap(f) is the bytes of the level+1 tables f overlaps, and
+  // freed(f) the region bytes of every set whose live members are all among
+  // f and those tables: the regions the compaction releases (paper
+  // Sec. III-C "Delete", sets are reclaimed whole). Ties go to the first
+  // table in key order.
+  std::unordered_map<uint64_t, uint64_t> live;  // set id -> live members
+  for (int l = 0; l < NumLevels(); l++) {
+    for (const FileMetaData* f : current_->files_[l]) live[f->set_id]++;
+  }
+  const Comparator* ucmp = icmp_.user_comparator();
+  const std::vector<FileMetaData*>& next = current_->files_[level + 1];
+  size_t first = 0;  // the first level+1 table that does not end before f
+  std::unordered_map<uint64_t, uint64_t> taken;  // set id -> inputs
+  FileMetaData* best = nullptr;
+  double best_score = 0;
+  for (FileMetaData* f : current_->files_[level]) {
+    while (first < next.size() &&
+           ucmp->Compare(next[first]->largest.user_key(),
+                         f->smallest.user_key()) < 0) {
+      first++;
+    }
+    if (VictimReserved(reserved, level, f)) continue;
+    taken.clear();
+    taken[f->set_id]++;
+    uint64_t overlap = 0;
+    for (size_t i = first; i < next.size() &&
+                           ucmp->Compare(next[i]->smallest.user_key(),
+                                         f->largest.user_key()) <= 0;
+         i++) {
+      overlap += next[i]->file_size;
+      taken[next[i]->set_id]++;
+    }
+    uint64_t freed = 0;
+    fs::Extent region;
+    for (const auto& [id, n] : taken) {
+      if (id != 0 && n == live[id] &&
+          store_->GetRegionExtent(id, &region).ok()) {
+        freed += region.length;
+      }
+    }
+    const double size = std::max<uint64_t>(f->file_size, 1);
+    const double score = (size + overlap - kFreedSetWeight * freed) / size;
+    if (best == nullptr || score < best_score) {
+      best = f;
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 void VersionSet::PickOverlapCluster(int level, Compaction* c) {

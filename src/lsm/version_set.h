@@ -154,8 +154,6 @@ class Version {
   int PickLevelForMemTableOutput(const Slice& smallest_user_key,
                                  const Slice& largest_user_key);
 
-  int NumFiles(int level) const { return files_[level].size(); }
-
   // True iff key ranges inside this level may overlap (level 0, or the
   // last level in SMRDB mode).
   bool LevelIsOverlapping(int level) const;
@@ -244,9 +242,6 @@ class VersionSet {
   // Return the number of Table files at the specified level.
   int NumLevelFiles(int level) const;
 
-  // Return the combined file size of all files at the specified level.
-  int64_t NumLevelBytes(int level) const;
-
   // Return the last sequence number.
   uint64_t LastSequence() const { return last_sequence_; }
 
@@ -276,13 +271,6 @@ class VersionSet {
   // level that overlaps the specified range.
   Compaction* CompactRange(int level, const InternalKey* begin,
                            const InternalKey* end);
-
-  // Maximum total overlapping bytes at the grandparent level for any
-  // compaction from level.
-  int64_t MaxGrandParentOverlapBytes() const;
-
-  // Size budget for a level.
-  double MaxBytesForLevel(int level) const;
 
   uint64_t MaxFileSizeForLevel(int level) const;
 
@@ -318,6 +306,11 @@ class VersionSet {
   // cluster at the given (overlapping) level.
   void PickOverlapCluster(int level, Compaction* c);
 
+  // kSet, sorted level >= 1: the unreserved level-`level` table with the
+  // lowest victim score (see version_set.cc), nullptr if all are reserved.
+  FileMetaData* ScoredVictim(int level,
+                             const CompactionReservations* reserved);
+
   // True iff picking `f` as the level-`level` victim would collide with an
   // active reservation (never true when reserved == nullptr).
   bool VictimReserved(const CompactionReservations* reserved, int level,
@@ -345,9 +338,10 @@ class VersionSet {
   Version dummy_versions_;  // Head of circular doubly-linked list of versions.
   Version* current_;        // == dummy_versions_.prev_
 
-  // Per-level key at which the next compaction at that level should start.
-  // Either an empty string, or a valid InternalKey. In memory only: it
-  // restarts from the beginning of the key space on reopen.
+  // Per-level key at which the next compaction at that level should start
+  // (the rotation of level 0 and of kSSTable; kSet scores its sorted-level
+  // victims instead). Either an empty string, or a valid InternalKey. In
+  // memory only: it restarts from the beginning of the key space on reopen.
   std::vector<std::string> compact_pointer_;
 };
 

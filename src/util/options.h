@@ -69,8 +69,9 @@ struct Options {
   bool allow_overlap_last_level = false;
 
   // SEALDB set-aware compaction (paper Sec. III-A). With kSet the picker
-  // also prefers a victim whose set holds many invalidated SSTables (paper
-  // Sec. III-C "Delete", lsm/version_set.cc kInvalidSetPriorityThreshold).
+  // scores each level >= 1 victim by the bytes it rewrites against the set
+  // regions it frees (paper Sec. III-C "Delete", lsm/version_set.cc
+  // ScoredVictim).
   CompactionUnit compaction_unit = CompactionUnit::kSSTable;
 
   // Worker threads that run flushes and compactions in the background,

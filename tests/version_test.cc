@@ -1,6 +1,6 @@
 // Version machinery tests: FindFile / SomeFileOverlapsRange, the table tag
 // and commit record round trips (including the SEALDB set id), and the
-// SEALDB picker's invalid-set rule.
+// SEALDB picker's victim score.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -294,87 +294,130 @@ TEST(TableTagTest, CorruptInputRejected) {
   EXPECT_FALSE(fs::DecodeCommit(body + "x", &commit));
 }
 
-// The SEALDB picker prefers, over the key-order rotation, a level-1 victim
-// whose set (FileStore region) holds at least kInvalidSetPriorityThreshold
-// (5) dead members, and only with compaction_unit == kSet.
-TEST(InvalidSetRuleTest, SetWithManyDeadMembersBeatsTheRotation) {
-  smr::Geometry geo;
-  geo.capacity_bytes = 64ull << 20;
-  geo.conventional_bytes = 8 << 20;
-  auto drive = smr::NewHddDrive(geo, smr::LatencyParams::Hdd());
-  auto allocator =
-      fs::NewExt4Allocator(8 << 20, 56ull << 20, 4096, fs::Ext4Options());
-  fs::FileStore store(drive.get(), allocator.get());
-  ASSERT_TRUE(store.Format().ok());
+// The SEALDB picker (compaction_unit == kSet, level >= 1) takes the victim
+// with the lowest score: the bytes its compaction rewrites per victim byte,
+// less kFreedSetWeight times the set-region bytes it frees per victim byte.
+// kSSTable keeps LevelDB's key-order rotation. Each case builds its tables
+// in a FileStore, commits them, and asks a freshly opened picker.
+class VictimScoreTest : public ::testing::Test {
+ public:
+  VictimScoreTest()
+      : drive_(smr::NewHddDrive(Geometry(), smr::LatencyParams::Hdd())),
+        allocator_(fs::NewExt4Allocator(8 << 20, 56ull << 20, 4096,
+                                        fs::Ext4Options())),
+        store_(drive_.get(), allocator_.get()),
+        icmp_(BytewiseComparator()) {
+    EXPECT_TRUE(store_.Format().ok());
+    // L1 is far over its 1-byte budget, so level 1 is the one compacted.
+    options_.max_bytes_for_level_base = 1;
+    versions_ = std::make_unique<VersionSet>("/db", &options_, &store_,
+                                             nullptr, &icmp_);
+    std::vector<uint64_t> logs;
+    EXPECT_TRUE(versions_->Recover(&logs).ok());
+  }
 
-  // Tables hold 5 bytes each, so L1 is over a 1-byte budget.
-  Options options;
-  options.compaction_unit = CompactionUnit::kSet;
-  options.max_bytes_for_level_base = 1;
-  const InternalKeyComparator icmp(BytewiseComparator());
-  VersionSet versions("/db", &options, &store, nullptr, &icmp);
-  std::vector<uint64_t> logs;
-  ASSERT_TRUE(versions.Recover(&logs).ok());
+  // A set: one region that holds the tables written into it until Seal.
+  uint64_t NewSet() {
+    uint64_t region = 0;
+    EXPECT_TRUE(store_.AllocateRegion(1 << 20, &region).ok());
+    return region;
+  }
+  void Seal(uint64_t region) { ASSERT_TRUE(store_.SealRegion(region).ok()); }
 
-  auto write = [&](uint64_t region, uint64_t number) {
+  // Table `number` of `bytes` bytes at `level`, holding keys c0..c1, in
+  // `region` (0 = standalone).
+  void AddTable(int level, uint64_t number, char c, size_t bytes,
+                uint64_t region = 0) {
     std::unique_ptr<fs::WritableFile> file;
     const std::string name = TableFileName("/db", number);
-    Status s = region == 0 ? store.NewWritableFile(name, 4096, &file)
-                           : store.NewWritableFileInRegion(region, name, &file);
+    Status s = region == 0 ? store_.NewWritableFile(name, 4096, &file)
+                           : store_.NewWritableFileInRegion(region, name, &file);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_TRUE(file->Append("table").ok());
+    ASSERT_TRUE(file->Append(std::string(bytes, 'x')).ok());
     ASSERT_TRUE(file->Close().ok());
-  };
-  auto key = [](char c, int i) {
-    return InternalKey(std::string(1, c) + std::to_string(i), 1, kTypeValue);
-  };
-
-  // Table 1 ("a") stands alone and comes first in key order, so the
-  // rotation picks it. Tables 2..8 ("c".."i") are one set.
-  uint64_t region = 0;
-  ASSERT_TRUE(store.AllocateRegion(1 << 20, &region).ok());
-  VersionEdit edit;
-  write(0, 1);
-  edit.AddFile(1, 1, 5, key('a', 0), key('a', 1), 0);
-  for (uint64_t number = 2; number <= 8; number++) {
-    write(region, number);
-    const char c = static_cast<char>('a' + number);
-    edit.AddFile(1, number, 5, key(c, 0), key(c, 1), region);
+    VersionEdit edit;
+    edit.AddFile(level, number, bytes, Key(c, 0), Key(c, 1), region);
+    ASSERT_TRUE(versions_->LogAndApply(&edit).ok());
   }
-  ASSERT_TRUE(store.SealRegion(region).ok());
-  ASSERT_TRUE(versions.LogAndApply(&edit).ok());
 
-  auto kill = [&](uint64_t number) {
-    VersionEdit e;
-    e.RemoveFile(1, number);
-    ASSERT_TRUE(versions.LogAndApply(&e).ok());
-    for (uint64_t dead : versions.TakeObsoleteFiles()) {
-      ASSERT_TRUE(store.RemoveFile(TableFileName("/db", dead)).ok());
+  void Kill(int level, uint64_t number) {
+    VersionEdit edit;
+    edit.RemoveFile(level, number);
+    ASSERT_TRUE(versions_->LogAndApply(&edit).ok());
+    for (uint64_t dead : versions_->TakeObsoleteFiles()) {
+      ASSERT_TRUE(store_.RemoveFile(TableFileName("/db", dead)).ok());
     }
-  };
-  // The first victim a freshly opened engine picks: the rotation starts
-  // at the beginning of the key space on open.
-  auto victim = [&](CompactionUnit unit) -> uint64_t {
-    Options opened = options;
+  }
+
+  // The level-1 victim a freshly opened engine picks (the rotation starts
+  // at the beginning of the key space on open).
+  uint64_t Victim(CompactionUnit unit) {
+    Options opened = options_;
     opened.compaction_unit = unit;
-    VersionSet fresh("/db", &opened, &store, nullptr, &icmp);
-    std::vector<uint64_t> wals;
-    EXPECT_TRUE(fresh.Recover(&wals).ok());
+    VersionSet fresh("/db", &opened, &store_, nullptr, &icmp_);
+    std::vector<uint64_t> logs;
+    EXPECT_TRUE(fresh.Recover(&logs).ok());
     std::unique_ptr<Compaction> c(fresh.PickCompaction());
     if (c == nullptr || c->num_input_files(0) == 0) return 0;
     EXPECT_EQ(c->level(), 1);
     return c->input(0, 0)->number;
-  };
+  }
 
-  for (uint64_t number = 2; number <= 5; number++) kill(number);
-  ASSERT_EQ(store.RegionDeadFiles(region), 4u);
-  EXPECT_EQ(victim(CompactionUnit::kSet), 1u);  // below the threshold
+ private:
+  static smr::Geometry Geometry() {
+    smr::Geometry geo;
+    geo.capacity_bytes = 64ull << 20;
+    geo.conventional_bytes = 8 << 20;
+    return geo;
+  }
+  static InternalKey Key(char c, int i) {
+    return InternalKey(std::string(1, c) + std::to_string(i), 1, kTypeValue);
+  }
 
-  kill(6);
-  ASSERT_EQ(store.RegionDeadFiles(region), 5u);
-  EXPECT_EQ(victim(CompactionUnit::kSet), 7u);  // the set's first member
-  // Per-table compaction never consults sets.
-  EXPECT_EQ(victim(CompactionUnit::kSSTable), 1u);
+  std::unique_ptr<smr::Drive> drive_;
+  std::unique_ptr<fs::ExtentAllocator> allocator_;
+  fs::FileStore store_;
+  const InternalKeyComparator icmp_;
+  Options options_;
+  std::unique_ptr<VersionSet> versions_;
+};
+
+// (a) With no set to free, the least next-level overlap per victim byte
+// wins: table 2 rewrites 30 level-2 bytes for its 20 (2.5 per byte), table
+// 1 only 20 for its 5 (5 per byte). The rotation takes table 1.
+TEST_F(VictimScoreTest, LeastOverlapPerByteWins) {
+  AddTable(1, 1, 'a', 5);
+  AddTable(2, 11, 'a', 20);
+  AddTable(1, 2, 'c', 20);
+  AddTable(2, 12, 'c', 30);
+  EXPECT_EQ(Victim(CompactionUnit::kSet), 2u);
+  // (c) Per-table compaction keeps the rotation's table.
+  EXPECT_EQ(Victim(CompactionUnit::kSSTable), 1u);
+}
+
+// (b) Two victims of equal size and overlap. Table 1 comes first in key
+// order, but its set still has table 3 live elsewhere. Table 2 is the last
+// live member of its set together with the level-2 table it overlaps, so
+// its compaction releases that region: it wins.
+TEST_F(VictimScoreTest, VictimThatFreesItsSetWins) {
+  const uint64_t live_set = NewSet();
+  AddTable(1, 1, 'a', 5, live_set);
+  AddTable(1, 3, 'e', 5, live_set);
+  Seal(live_set);
+  AddTable(2, 11, 'a', 10);
+  AddTable(2, 13, 'e', 50);  // keeps table 3 out of the running
+
+  const uint64_t draining_set = NewSet();
+  AddTable(1, 2, 'c', 5, draining_set);
+  AddTable(2, 12, 'c', 10, draining_set);
+  for (uint64_t number = 4; number <= 6; number++) {
+    AddTable(1, number, static_cast<char>('f' + number), 5, draining_set);
+  }
+  Seal(draining_set);
+  for (uint64_t number = 4; number <= 6; number++) Kill(1, number);
+
+  EXPECT_EQ(Victim(CompactionUnit::kSet), 2u);
+  EXPECT_EQ(Victim(CompactionUnit::kSSTable), 1u);
 }
 
 }  // namespace sealdb
