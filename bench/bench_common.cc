@@ -24,11 +24,6 @@ uint64_t Flags::GetInt(const std::string& name, uint64_t def) const {
   return it == values_.end() ? def : strtoull(it->second.c_str(), nullptr, 10);
 }
 
-double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : strtod(it->second.c_str(), nullptr);
-}
-
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
   auto it = values_.find(name);
@@ -119,8 +114,6 @@ LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
   result.device_seconds = DeviceBusySeconds(stack) - device_before;
   if (result.device_seconds > 0) {
     result.ops_per_second = result.entries / result.device_seconds;
-    result.mb_per_second =
-        result.user_bytes / 1048576.0 / result.device_seconds;
   }
   return result;
 }
@@ -146,18 +139,15 @@ ReadResult RandomRead(baselines::Stack* stack, uint64_t entries, uint64_t ops,
   return result;
 }
 
-ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
-                          uint64_t ops, const BenchParams& params) {
+ReadResult SequentialRead(baselines::Stack* stack) {
   ReadResult result;
   DB* db = stack->db();
-  (void)entries;
-  (void)params;
   ReadOptions ro;
   const double device_before = DeviceBusySeconds(stack);
   std::unique_ptr<Iterator> iter(db->NewIterator(ro));
   iter->SeekToFirst();
   std::string value;
-  for (uint64_t i = 0; i < ops && iter->Valid(); i++, iter->Next()) {
+  for (; iter->Valid(); iter->Next()) {
     value.assign(iter->value().data(), iter->value().size());
     result.ops++;
   }

@@ -1,4 +1,4 @@
-// Shared machinery for the paper-reproduction benches: flag parsing, a
+// Shared machinery for the benches (sealfig, bench_smoke): flag parsing, a
 // scale-aware default configuration, workload loaders and row printers.
 //
 // All benches run at a reduced scale by default (the simulated drive keeps
@@ -27,7 +27,6 @@ class Flags {
   Flags(int argc, char** argv);
 
   uint64_t GetInt(const std::string& name, uint64_t def) const;
-  double GetDouble(const std::string& name, double def) const;
   std::string GetString(const std::string& name,
                         const std::string& def) const;
   bool GetBool(const std::string& name, bool def) const;
@@ -68,7 +67,6 @@ struct LoadResult {
   uint64_t user_bytes = 0;
   double device_seconds = 0.0;
   double ops_per_second = 0.0;
-  double mb_per_second = 0.0;
 };
 
 // Load `entries` records in sequential or uniformly random key order.
@@ -91,9 +89,8 @@ struct ReadResult {
 ReadResult RandomRead(baselines::Stack* stack, uint64_t entries, uint64_t ops,
                       const BenchParams& params, uint32_t seed = 401);
 
-// Sequentially scan `ops` entries starting at random positions.
-ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
-                          uint64_t ops, const BenchParams& params);
+// Scan the whole store from its first key, as db_bench's readseq does.
+ReadResult SequentialRead(baselines::Stack* stack);
 
 // ------------------------------ reporting ------------------------------
 

@@ -18,9 +18,14 @@
 # byte for byte. Then the four self-contained
 # examples (quickstart, web_index, smr_inspector, ycsb_tour) run and must
 # exit 0; smr_inspector is the one program that drives all three drive
-# models. So must the two set-layout benches (bench_fig11_layout_sealdb
-# and bench_fig13_fragments, at --mb=4), which read set placement back
-# from the allocator and the compaction events. After the default-config suite, a served smoke drives
+# models. Then the paper figures: figures.py's selftest proves its check
+# fails on an edited table, a missing row and a changed value; `sealfig
+# all --mb=4` regenerates every table and figure; and figures.py --check
+# compares those rows with the committed --mb=4 rows at the precision the
+# tables render (the 4-shard Fig. 9 column is not repeatable and is left
+# out) and fails when a rendered table in README.md or EXPERIMENTS.md
+# differs from what the committed 48 MB rows render. After the
+# default-config suite, a served smoke drives
 # the shipped binaries end to end: sealdb_server on an ephemeral port,
 # sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
 # print the shutdown summary and exit 0. It runs twice: with 4 shards, and
@@ -151,13 +156,10 @@ for example in quickstart web_index smr_inspector ycsb_tour; do
     exit 1
   fi
 done
-echo "== set-layout benches =="
-for bench in bench_fig11_layout_sealdb bench_fig13_fragments; do
-  if ! ./build/bench/"$bench" --mb=4 >/dev/null; then
-    echo "check.sh: $bench --mb=4 failed" >&2
-    exit 1
-  fi
-done
+echo "== paper figures (sealfig all --mb=4) =="
+python3 scripts/figures.py --selftest
+./build/bench/sealfig all --mb=4 >build/sealfig-4mb.jsonl
+python3 scripts/figures.py --check build/sealfig-4mb.jsonl
 ctest --test-dir build "${CTEST_ARGS[@]}" "${STRICT_ARGS[@]}" -j "$JOBS"
 
 echo
