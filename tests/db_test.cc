@@ -488,8 +488,16 @@ TEST(CompactionStageTest, SampledSplitSumsToCompactionTime) {
 
 namespace {
 
-// Logs every drive request, in the order it reaches the drive, while
-// `recording` is set.
+// FNV-1a over `n` bytes, continuing from `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; i++) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// Logs every drive request, in the order it reaches the drive, and digests
+// the bytes written, while `recording` is set.
 class RecordingDrive final : public smr::Drive {
  public:
   struct Request {
@@ -506,7 +514,10 @@ class RecordingDrive final : public smr::Drive {
     return target_->Read(offset, n, scratch);
   }
   Status Write(uint64_t offset, const Slice& data) override {
-    if (recording) log.push_back({true, offset, data.size()});
+    if (recording) {
+      log.push_back({true, offset, data.size()});
+      written = Fnv1a(written, data.data(), data.size());
+    }
     return target_->Write(offset, data);
   }
   Status Trim(uint64_t offset, uint64_t n) override {
@@ -524,6 +535,7 @@ class RecordingDrive final : public smr::Drive {
 
   bool recording = false;
   std::vector<Request> log;
+  uint64_t written = kFnvBasis;  // FNV-1a of every recorded write's bytes
 
  private:
   std::unique_ptr<smr::Drive> target_;
@@ -772,6 +784,47 @@ TEST_F(CompactionIoTest, OneReadPerInputBeforeTheFirstOutputWrite) {
   }
   EXPECT_EQ(mit, model.end());
   EXPECT_TRUE(it->status().ok());
+}
+
+// Pins the drive request sequence of a fixed one-shard inline SEALDB load
+// that runs several set compactions: the count and a digest of every
+// request as (write, offset, n), in drive order, and a digest of the bytes
+// written, which hold every flush and compaction output table as it reached
+// the drive. How the merge loop executes may change; what reaches the
+// drive, and when, may not.
+TEST_F(CompactionIoTest, SetCompactionDriveSequenceIsPinned) {
+  // Small levels, so L2 -> L3 runs and L1 -> L2 outputs cut at their
+  // grandparents.
+  options_.max_bytes_for_level_base = 2 * config_.sstable_bytes;
+  Open();
+  DB* db = db_.get();
+  db->SetRecordCompactionEvents(true);
+  drive_->recording = true;
+  // Overwrites and deletions give the merge versions and markers to drop.
+  Random rnd(2018);
+  for (int i = 0; i < 40000; i++) {
+    const std::string key = Key(rnd.Uniform(30000));
+    ASSERT_TRUE((i % 8 == 7 ? db->Delete(WriteOptions(), key)
+                            : db->Put(WriteOptions(), key, Value(i)))
+                    .ok());
+  }
+  db->WaitForIdle();
+  drive_->recording = false;
+
+  int set_compactions = 0;
+  for (const CompactionEvent& ev : db->TakeCompactionEvents()) {
+    if (!ev.trivial_move && ev.set_id != 0) set_compactions++;
+  }
+  uint64_t requests = kFnvBasis;
+  for (const RecordingDrive::Request& r : drive_->log) {
+    const uint64_t fields[3] = {r.write ? 1u : 0u, r.offset, r.n};
+    requests = Fnv1a(requests, fields, sizeof(fields));
+  }
+
+  EXPECT_EQ(set_compactions, 105);
+  EXPECT_EQ(drive_->log.size(), 3451u);
+  EXPECT_EQ(requests, 3793026418735605606ull);
+  EXPECT_EQ(drive_->written, 3979588271869970618ull);
 }
 
 // Write stalls engage when a slowed device lets L0 files pile past the
