@@ -364,6 +364,9 @@ void Micro(const BenchParams& p, baselines::SystemKind kind, Plan* plan,
     rnd->Add(sys, "fill_random", l.load.ops_per_second);
     rnd->Add(sys, "read_random", r.random.ops_per_second);
     rnd->Add(sys, "read_random_compaction_s", r.random_compaction_seconds);
+    // The random load draws ids with replacement, so some reads miss.
+    rnd->Add(sys, "read_random_found_share",
+             1.0 - static_cast<double>(r.random.not_found) / r.random.ops);
     rnd->Add(sys, "read_seq", r.seq.ops_per_second);
   };
   plan->AfterReads(RandomLoad(p, kind), rnd_reader);

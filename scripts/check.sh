@@ -13,10 +13,11 @@
 # round each of the ingest and range-scan workloads, which fail (non-zero
 # exit) on a wrong read-back, a wrong scan or a guard violation — there is
 # no timing gate — then two identical rounds each of ingest and
-# range-scan on seed 1 and on the held-out seed 20181016, whose
-# simulated-device figures (device_ops_per_s, mwa, space_amp) must match
-# byte for byte. Then the four self-contained
-# examples (quickstart, web_index, smr_inspector, ycsb_tour) run and must
+# range-scan on seed 1 and on the held-out seed 20181016, plus a third
+# pinned to one core (taskset -c 0), whose simulated-device figures
+# (device_ops_per_s, mwa, space_amp) must match byte for byte. Then the
+# four self-contained examples (quickstart, web_index, smr_inspector,
+# ycsb_tour) run and must
 # exit 0; smr_inspector is the one program that drives all three drive
 # models. Then the paper figures: figures.py's selftest proves its check
 # fails on an edited table, a missing row and a changed value; `sealfig
@@ -130,21 +131,28 @@ cmake --build build-perfbench -j "$JOBS" --target sealbench
   >/dev/null
 # Ingest and range-scan load a single shard with inline compactions and
 # count simulated device time, so their device figures depend on the
-# workload and the code only: two identical runs must print the same
-# device_ops_per_s, mwa and space_amp lines, byte for byte. Both the
-# default seed and the held-out seed run, so an order or tie dependence
-# (say, in the compaction victim score) that one input hides still fails.
+# workload and the code only: two identical runs, and a third pinned to
+# one core with `taskset -c 0`, must print the same device_ops_per_s, mwa
+# and space_amp lines, byte for byte. The pinned run gives a compaction's
+# merge helper no core of its own, so the figures cannot depend on how
+# many cores the host has. Both the default seed and the held-out seed
+# run, so an order or tie dependence (say, in the compaction victim
+# score) that one input hides still fails.
+# Prints a run's device lines; arguments after the seed prefix the command.
 device_figures() {
-  ./build-perfbench/sealbench --workload="$1" --seconds=1 --seed="$2" \
-    | grep -E '^(device_ops_per_s|mwa|space_amp) '
+  "${@:3}" ./build-perfbench/sealbench --workload="$1" --seconds=1 \
+    --seed="$2" | grep -E '^(device_ops_per_s|mwa|space_amp) '
 }
 for seed in 1 20181016; do
   for workload in ingest range-scan; do
     figures_a="$(device_figures "$workload" "$seed")"
     figures_b="$(device_figures "$workload" "$seed")"
-    if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ]; then
-      echo "check.sh: $workload seed $seed device figures missing or differing across identical runs:" >&2
+    figures_c="$(device_figures "$workload" "$seed" taskset -c 0)"
+    if [ "$(wc -l <<<"$figures_a")" != 3 ] || [ "$figures_a" != "$figures_b" ] \
+        || [ "$figures_a" != "$figures_c" ]; then
+      echo "check.sh: $workload seed $seed device figures missing or differing across identical runs (second: unpinned, third: taskset -c 0):" >&2
       diff <(echo "$figures_a") <(echo "$figures_b") >&2 || true
+      diff <(echo "$figures_a") <(echo "$figures_c") >&2 || true
       exit 1
     fi
   done

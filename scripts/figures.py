@@ -70,7 +70,7 @@ PRECISION = {
     "busy_s": 2, "seeks": 0, "rmws": 0,
     # throughput (Figs. 8, 9, 14)
     "fill_random": 0, "fill_seq": 0, "read_seq": 0, "read_random": 0,
-    "read_random_compaction_s": 3,
+    "read_random_compaction_s": 3, "read_random_found_share": 3,
     "Load": 0, "A": 0, "B": 0, "C": 0, "D": 0, "E": 0, "F": 0,
 }
 
@@ -224,10 +224,12 @@ def render_fig08(r):
     ops = r.params["read_ops"]
     absolute = table(
         ["system", "fill-random", "fill-seq", "read-seq", "read-random",
-         "read-random device s", "of which compactions"],
+         "read-random device s", "of which compactions",
+         "read-random keys found"],
         [[s] + [r.f("fig08", s, m) for m in MICRO] +
          [fmt(ops / r("fig08", s, "read_random"), 2),
-          r.f("fig08", s, "read_random_compaction_s", 2)]
+          r.f("fig08", s, "read_random_compaction_s", 2),
+          fmt(100 * r("fig08", s, "read_random_found_share"), 1) + " %"]
          for s in ("LevelDB", "SMRDB", "SEALDB")])
     return ("Normalized to LevelDB (paper values in parentheses):\n\n" + norm +
             "\nAbsolute ops/s (simulated device time):\n\n" + absolute)

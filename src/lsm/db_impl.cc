@@ -17,7 +17,6 @@
 #include "lsm/write_batch.h"
 #include "util/cache.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace sealdb {
 
@@ -715,7 +714,7 @@ Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
 }
 
 Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
-                                          Iterator* input) {
+                                          const Status& input_status) {
   assert(compact != nullptr);
   assert(compact->outfile != nullptr);
   assert(compact->builder != nullptr);
@@ -724,7 +723,7 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
   assert(output_number != 0);
 
   // Check for iterator errors
-  Status s = input->status();
+  Status s = input_status;
   const uint64_t current_entries = compact->builder->NumEntries();
   if (s.ok()) {
     s = compact->builder->Finish();
@@ -766,11 +765,49 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   return s;
 }
 
-// The merge loop reads the clock only on sampled entries: the first of every
-// compaction, then 1 in kStageSampleOneIn at random. A fixed stride would
-// alias with fixed-size records, which put a fixed number of entries in each
-// block: it would always or never catch the Add that flushes one.
-static constexpr int kStageSampleOneIn = 64;
+Status DBImpl::BuildCompactionOutputs(CompactionState* compact,
+                                      const MergeBatch& batch,
+                                      uint64_t* flush_nanos) {
+  Status status;
+  for (const MergeBatch::Entry& entry : batch.entries) {
+    if (shutting_down_.load(std::memory_order_acquire)) break;
+    // Prioritize immutable compaction work (workers only: inline mode runs
+    // one unit at a time)
+    if (has_imm_.load(std::memory_order_relaxed) &&
+        options_.max_background_compactions > 0) {
+      mutex_.lock();
+      const uint64_t flush_start = NowNanos();
+      if (CompactMemTable()) *flush_nanos += NowNanos() - flush_start;
+      mutex_.unlock();
+    }
+
+    const Slice key = batch.key(entry);
+    if (entry.cut && compact->builder != nullptr) {
+      status = FinishCompactionOutputFile(compact, batch.input_status);
+      if (!status.ok()) break;
+    }
+    if (!entry.keep) continue;
+
+    // Open output file if necessary
+    if (compact->builder == nullptr) {
+      status = OpenCompactionOutputFile(compact);
+      if (!status.ok()) break;
+    }
+    if (compact->builder->NumEntries() == 0) {
+      compact->current_output()->smallest.DecodeFrom(key);
+    }
+    compact->current_output()->largest.DecodeFrom(key);
+    compact->builder->Add(key, entry.value);
+
+    // Close output file if it is big enough
+    if (compact->builder->FileSize() >=
+        compact->compaction->MaxOutputFileSize()) {
+      status = FinishCompactionOutputFile(compact, batch.input_status);
+      if (!status.ok()) break;
+    }
+  }
+  return status;
+}
 
 void DBImpl::DoCompactionWork(CompactionState* compact) {
   const obs::TimeCounter* device_busy = store_->drive()->metrics().busy;
@@ -841,126 +878,49 @@ void DBImpl::DoCompactionWork(CompactionState* compact) {
   Iterator* input =
       status.ok() ? versions_->MakeInputIterator(compact->compaction, images)
                   : NewErrorIterator(status);
-
-  // Stage accounting: the image reads and SeekToFirst (read) and the
-  // trailing output finish (write) are timed exactly; the loop between
-  // them is timed as a whole and split into read/merge/write in the ratios
-  // of the sampled entries.
   const uint64_t seek_start = NowNanos();
   input->SeekToFirst();
-  const uint64_t loop_start = NowNanos();
-  uint64_t sampled_read = 0, sampled_merge = 0, sampled_write = 0;
-  uint64_t flush_nanos = 0;  // in-loop memtable flushes belong to no stage
-  Random sampler(static_cast<uint32_t>(input_bytes));
-  bool sample = true;
-  ParsedInternalKey ikey;
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  while (input->Valid() && !shutting_down_.load(std::memory_order_acquire)) {
-    // Prioritize immutable compaction work (workers only: inline mode runs
-    // one unit at a time)
-    if (has_imm_.load(std::memory_order_relaxed) &&
-        options_.max_background_compactions > 0) {
-      mutex_.lock();
-      const uint64_t flush_start = NowNanos();
-      if (CompactMemTable()) flush_nanos += NowNanos() - flush_start;
-      mutex_.unlock();
-    }
+  const uint64_t read_nanos = images_nanos + (NowNanos() - seek_start);
 
-    const uint64_t merge_start = sample ? NowNanos() : 0;
-    Slice key = input->key();
-    if (compact->compaction->ShouldStopBefore(key) &&
-        compact->builder != nullptr) {
-      status = FinishCompactionOutputFile(compact, input);
-      if (!status.ok()) {
+  // Two stages: a merge stage (drop rules and cut points) feeds this
+  // thread, which builds and writes the outputs. With every input in memory
+  // the merge stage runs on a helper thread, batches ahead; an input that
+  // streams reads the drive as the merge advances, so both stages then run
+  // here, entry by entry, and the drive sees one order whatever the thread
+  // timing. Stage time: "merge" is what this thread waited for (or spent
+  // on) merged entries, "write" what it spent building them, less in-loop
+  // memtable flushes, which belong to no stage.
+  const bool streams = std::any_of(
+      images.begin(), images.end(),
+      [](const auto& image) { return image.second.data == nullptr; });
+  uint64_t merge_nanos = 0, write_nanos = 0;
+  {
+    MergeStage merge(compact->compaction, input, user_comparator(),
+                     compact->smallest_snapshot, allow_delete_drop);
+    MergePipe pipe(&merge,
+                   status.ok() && !streams ? &merge_helpers_ : nullptr);
+    uint64_t flush_nanos = 0;
+    uint64_t wait_start = NowNanos();
+    while (const MergeBatch* batch = pipe.Next()) {
+      const uint64_t build_start = NowNanos();
+      merge_nanos += build_start - wait_start;
+      status = BuildCompactionOutputs(compact, *batch, &flush_nanos);
+      wait_start = NowNanos();
+      write_nanos += wait_start - build_start;
+      if (!status.ok() || shutting_down_.load(std::memory_order_acquire)) {
         break;
       }
     }
-
-    // Handle key/value, add to state, etc.
-    bool drop = false;
-    if (!ParseInternalKey(key, &ikey)) {
-      // Do not hide error keys
-      current_user_key.clear();
-      has_current_user_key = false;
-      last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      if (!has_current_user_key ||
-          user_comparator()->Compare(ikey.user_key, Slice(current_user_key)) !=
-              0) {
-        // First occurrence of this user key
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-
-      if (last_sequence_for_key <= compact->smallest_snapshot) {
-        // Hidden by an newer entry for same user key
-        drop = true;  // (A)
-      } else if (ikey.type == kTypeDeletion && allow_delete_drop &&
-                 ikey.sequence <= compact->smallest_snapshot &&
-                 compact->compaction->IsBaseLevelForKey(ikey.user_key)) {
-        // For this user key:
-        // (1) there is no data in higher levels
-        // (2) data in lower levels will have larger sequence numbers
-        // (3) data in layers that are being compacted here and have
-        //     smaller sequence numbers will be dropped in the next
-        //     few iterations of this loop (by rule (A) above).
-        // Therefore this deletion marker is obsolete and can be dropped.
-        drop = true;
-      }
-
-      last_sequence_for_key = ikey.sequence;
-    }
-
-    const uint64_t write_start = sample ? NowNanos() : 0;
-
-    if (!drop) {
-      // Open output file if necessary
-      if (compact->builder == nullptr) {
-        status = OpenCompactionOutputFile(compact);
-        if (!status.ok()) {
-          break;
-        }
-      }
-      if (compact->builder->NumEntries() == 0) {
-        compact->current_output()->smallest.DecodeFrom(key);
-      }
-      compact->current_output()->largest.DecodeFrom(key);
-      compact->builder->Add(key, input->value());
-
-      // Close output file if it is big enough
-      if (compact->builder->FileSize() >=
-          compact->compaction->MaxOutputFileSize()) {
-        status = FinishCompactionOutputFile(compact, input);
-        if (!status.ok()) {
-          break;
-        }
-      }
-    }
-
-    if (sample) {
-      const uint64_t read_start = NowNanos();
-      input->Next();
-      const uint64_t read_end = NowNanos();
-      sampled_merge += write_start - merge_start;
-      sampled_write += read_start - write_start;
-      sampled_read += read_end - read_start;
-    } else {
-      input->Next();
-    }
-    sample = sampler.OneIn(kStageSampleOneIn);
+    write_nanos -= flush_nanos;
   }
-  const uint64_t loop_end = NowNanos();
 
   if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
     status = Status::IOError("Deleting DB during compaction");
   }
-  uint64_t finish_nanos = 0;
   if (status.ok() && compact->builder != nullptr) {
-    status = FinishCompactionOutputFile(compact, input);
-    finish_nanos = NowNanos() - loop_end;
+    const uint64_t finish_start = NowNanos();
+    status = FinishCompactionOutputFile(compact, input->status());
+    write_nanos += NowNanos() - finish_start;
   }
   if (status.ok()) {
     status = input->status();
@@ -977,22 +937,6 @@ void DBImpl::DoCompactionWork(CompactionState* compact) {
     // Failed before its commit: nothing references the outputs.
     RemoveUncommittedOutputs(compact);
   }
-
-  // Split the loop's exact wall time in the sampled ratios; write takes the
-  // remainder, so the three stages sum exactly to the compaction's time.
-  const uint64_t loop_nanos = loop_end - loop_start - flush_nanos;
-  const uint64_t sampled_total = sampled_read + sampled_merge + sampled_write;
-  uint64_t loop_read = 0, merge_nanos = 0;
-  if (sampled_total > 0) {
-    const double scale = static_cast<double>(loop_nanos) / sampled_total;
-    loop_read = std::min<uint64_t>(loop_nanos, sampled_read * scale);
-    merge_nanos =
-        std::min<uint64_t>(loop_nanos - loop_read, sampled_merge * scale);
-  }
-  const uint64_t read_nanos =
-      images_nanos + (loop_start - seek_start) + loop_read;
-  const uint64_t write_nanos =
-      (loop_nanos - loop_read - merge_nanos) + finish_nanos;
 
   mutex_.lock();
 

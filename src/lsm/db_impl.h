@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "lsm/compaction_merge.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
 #include "lsm/engine_metrics.h"
@@ -148,7 +149,16 @@ class DBImpl : public DB {
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   Status OpenCompactionOutputFile(CompactionState* compact);
-  Status FinishCompactionOutputFile(CompactionState* compact, Iterator* input);
+  // Finish the current output; `input_status` is the merged input's, which
+  // abandons the output when not ok.
+  Status FinishCompactionOutputFile(CompactionState* compact,
+                                    const Status& input_status);
+  // The build stage of the merge loop: add one batch of merged entries to
+  // the outputs, opening, cutting and finishing tables as it goes. Memtable
+  // flushes it runs (workers only) add their time to *flush_nanos.
+  Status BuildCompactionOutputs(CompactionState* compact,
+                                const MergeBatch& batch,
+                                uint64_t* flush_nanos);
   Status InstallCompactionResults(CompactionState* compact)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
@@ -191,6 +201,8 @@ class DBImpl : public DB {
   // disjoint run concurrently, with reservations_ serializing conflicting
   // picks.
   std::vector<std::thread> bg_threads_;
+  // Merge helper threads, one per compaction in flight, kept for the next.
+  MergeHelpers merge_helpers_;
   std::condition_variable_any background_wakeup_;
   int compactions_in_flight_ = 0;  // concurrent DoCompactionWork calls
   bool imm_flush_in_flight_ = false;

@@ -1,3 +1,5 @@
+#include <cstdint>
+
 #include "util/filter_policy.h"
 #include "util/hash.h"
 
@@ -8,6 +10,27 @@ namespace {
 uint32_t BloomHash(const Slice& key) {
   return Hash(key.data(), key.size(), 0xbc9f1d34);
 }
+
+// h % bits for a filter of `bits` bits, by two multiplications instead of a
+// division per probe (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019). Exact for every 32-bit h, so a filter holds the bits
+// the plain remainder would set.
+class BitPosition {
+ public:
+  explicit BitPosition(uint64_t bits)
+      : bits_(bits), m_(bits <= UINT32_MAX ? ~uint64_t{0} / bits + 1 : 0) {}
+
+  uint32_t operator()(uint32_t h) const {
+    if (bits_ > UINT32_MAX) return h;  // h < bits
+    const uint64_t low = m_ * h;
+    return static_cast<uint32_t>(
+        (static_cast<unsigned __int128>(low) * bits_) >> 64);
+  }
+
+ private:
+  const uint64_t bits_;
+  const uint64_t m_;
+};
 
 class BloomFilterPolicy : public FilterPolicy {
  public:
@@ -35,12 +58,13 @@ class BloomFilterPolicy : public FilterPolicy {
     dst->resize(init_size + bytes, 0);
     dst->push_back(static_cast<char>(k_));  // Remember # of probes
     char* array = &(*dst)[init_size];
+    const BitPosition position(bits);
     for (int i = 0; i < n; i++) {
       // Use double-hashing to generate a sequence of hash values.
       uint32_t h = BloomHash(keys[i]);
       const uint32_t delta = (h >> 17) | (h << 15);  // Rotate right 17 bits
       for (size_t j = 0; j < k_; j++) {
-        const uint32_t bitpos = h % bits;
+        const uint32_t bitpos = position(h);
         array[bitpos / 8] |= (1 << (bitpos % 8));
         h += delta;
       }
@@ -61,10 +85,11 @@ class BloomFilterPolicy : public FilterPolicy {
       return true;
     }
 
+    const BitPosition position(bits);
     uint32_t h = BloomHash(key);
     const uint32_t delta = (h >> 17) | (h << 15);
     for (size_t j = 0; j < k; j++) {
-      const uint32_t bitpos = h % bits;
+      const uint32_t bitpos = position(h);
       if ((array[bitpos / 8] & (1 << (bitpos % 8))) == 0) return false;
       h += delta;
     }

@@ -433,11 +433,12 @@ TEST_P(DBTest, DestroyRemovesFiles) {
   EXPECT_EQ("NOT_FOUND", Get("zzz-missing"));
 }
 
-// The merge loop times read/merge/write only on sampled entries and splits
-// each compaction's exact wall time in their ratios: every stage must still
-// see time, the three must sum to the per-level compaction time to the
+// Every compaction times its stages exactly, per batch: read (the input
+// images and the first seek), merge (the build stage's wait for, or own
+// merging of, the next batch) and write (the build stage's busy time). Every stage must see
+// time, the three must sum to the per-level compaction time to the
 // nanosecond, and no stage may count more wall time than the writes took.
-TEST(CompactionStageTest, SampledSplitSumsToCompactionTime) {
+TEST(CompactionStageTest, StageSplitSumsToCompactionTime) {
   std::unique_ptr<Stack> stack;
   ASSERT_TRUE(
       BuildStack(TinyConfig(SystemKind::kSEALDB), "/stages", &stack).ok());

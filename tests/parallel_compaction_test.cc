@@ -5,7 +5,9 @@
 // (-DSEALDB_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -14,8 +16,13 @@
 #include <vector>
 
 #include "baselines/presets.h"
+#include "fs/file_store.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
 #include "lsm/version_set.h"
+#include "obs/metrics.h"
+#include "smr/drive.h"
+#include "smr/fault_injection_drive.h"
 #include "util/comparator.h"
 #include "util/random.h"
 
@@ -272,7 +279,7 @@ TEST_P(ParallelCompactionTest, StatsExposeParallelismAndStages) {
   }
   db_->WaitForIdle();
   const obs::MetricsRegistry& reg = *stack_->metrics_registry();
-  // The sampled split leaves every merge-loop stage some time.
+  // Every merge-loop stage sees time.
   for (const char* stage : {"read", "merge", "write"}) {
     EXPECT_GT(
         reg.time_family_sum("sealdb_engine_compaction_stage_seconds_total",
@@ -292,5 +299,119 @@ INSTANTIATE_TEST_SUITE_P(Systems, ParallelCompactionTest,
                                       ? "LevelDB"
                                       : "SEALDB";
                          });
+
+// ---------------------------------------------------------------------------
+// The compaction merge helper's failure and shutdown paths.
+
+namespace {
+
+std::vector<std::string> Children(Stack* stack) {
+  std::vector<std::string> children = stack->store()->GetChildren();
+  std::sort(children.begin(), children.end());
+  return children;
+}
+
+}  // namespace
+
+// An input data block that fails to decode surfaces as the merged input's
+// Corruption: the compaction stops, removes every output it wrote, installs
+// nothing and detaches its merge helper. A conventional drive lets the test
+// overwrite a table's bytes in place.
+TEST(MergeHelperTest, CorruptInputBlockFailsTheCompaction) {
+  StackConfig config = StressConfig(SystemKind::kLevelDBOnHdd);
+  config.inline_compactions = true;
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(config, "/db", &stack).ok());
+  DB* engine = stack->db()->shard(0);
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(engine->Put(WriteOptions(), Key(0, i), Value(0, i, 0)).ok());
+  }
+  engine->WaitForIdle();
+
+  // The largest table at the shallowest level holding one: compacting its
+  // key range at its level is one compaction, which takes it as an input.
+  LiveFileMeta victim;
+  for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
+    if (victim.number == 0 || f.level < victim.level ||
+        (f.level == victim.level && f.file_size > victim.file_size)) {
+      victim = f;
+    }
+  }
+  ASSERT_NE(victim.number, 0u);
+  ASSERT_GE(victim.file_size, 48u << 10);
+  std::vector<fs::Extent> extents;
+  ASSERT_TRUE(stack->store()
+                  ->GetFileExtents(TableFileName("/db", victim.number),
+                                   &extents)
+                  .ok());
+  ASSERT_FALSE(extents.empty());
+  // Three whole device blocks of 0xa5 hold at least one whole data block
+  // and its trailer: an unknown block type, and entries whose varints never
+  // end. Every block they touch fails to decode; none yields a key.
+  const uint64_t block = stack->drive()->geometry().block_bytes;
+  const std::string garbage(3 * block, '\xa5');
+  ASSERT_TRUE(
+      stack->drive()->Write(extents[0].offset + 4 * block, garbage).ok());
+
+  const std::vector<LiveFileMeta> live_before = engine->GetLiveFilesMetadata();
+  const std::vector<std::string> children = Children(stack.get());
+  engine->SetRecordCompactionEvents(true);
+  const Slice begin(victim.smallest_user_key), end(victim.largest_user_key);
+  engine->CompactLevelRange(victim.level, &begin, &end);
+
+  const std::vector<CompactionEvent> events = engine->TakeCompactionEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_GT(events[0].num_outputs, 0) << "no output was written";
+  std::string bg;
+  ASSERT_TRUE(engine->GetProperty("sealdb.background-error", &bg));
+  EXPECT_EQ(bg.rfind("Corruption", 0), 0u) << bg;
+  std::vector<uint64_t> live_after;
+  for (const LiveFileMeta& f : engine->GetLiveFilesMetadata()) {
+    live_after.push_back(f.number);
+  }
+  std::vector<uint64_t> numbers_before;
+  for (const LiveFileMeta& f : live_before) numbers_before.push_back(f.number);
+  EXPECT_EQ(live_after, numbers_before);
+  EXPECT_EQ(Children(stack.get()), children);
+}
+
+// Closing the DB while a worker's compaction is merging stops the build
+// stage at its next entry and detaches the merge helper, and the close
+// joins the DB's helper threads: it returns promptly and the store
+// reopens.
+TEST(MergeHelperTest, CloseMidCompactionJoinsTheHelper) {
+  StackConfig config = StressConfig(SystemKind::kSEALDB);
+  config.fault_injection = true;
+  config.max_background_compactions = 1;
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(config, "/db", &stack).ok());
+  DB* engine = stack->db()->shard(0);
+  const obs::MetricsRegistry& reg = *stack->metrics_registry();
+
+  // Every drive write sleeps, so a compaction runs for a while; load until
+  // one has started.
+  stack->fault_drive()->SetWriteDelayMicros(2000);
+  Random rnd(11);
+  for (int i = 0; reg.gauge_family_max(
+                      "sealdb_engine_max_parallel_compactions") < 1.0;
+       i++) {
+    ASSERT_LT(i, 20000) << "no compaction started";
+    ASSERT_TRUE(engine
+                    ->Put(WriteOptions(), Key(0, rnd.Uniform(4000)),
+                          Value(0, i, 1))
+                    .ok());
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(stack->Reopen().ok());
+  const auto closed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(closed, std::chrono::seconds(10));
+
+  stack->fault_drive()->SetWriteDelayMicros(0);
+  ASSERT_TRUE(stack->db()->Put(WriteOptions(), "after", "reopen").ok());
+  std::string value;
+  ASSERT_TRUE(stack->db()->Get(ReadOptions(), "after", &value).ok());
+  EXPECT_EQ(value, "reopen");
+}
 
 }  // namespace sealdb

@@ -2,7 +2,9 @@
 // bloom, cache, histogram, logging, slice, status, comparator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -473,6 +475,38 @@ TEST(Bloom, VaryingLengths) {
     }
   }
   EXPECT_LE(mediocre_filters, good_filters / 5);
+}
+
+// The filter's bit positions are the plain remainder h % bits, computed
+// without a division: every filter must hold the bytes this reference
+// (the division, with the policy's hash, k = 6 for 10 bits per key) sets,
+// so filters written before and after read the same.
+TEST(Bloom, BitsMatchTheRemainderReference) {
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  for (int length = 1; length <= 20000; length = (length * 5) / 4 + 1) {
+    std::vector<std::string> key_storage;
+    for (int i = 0; i < length; i++) {
+      key_storage.push_back(BloomKey(i * 7919 + length));
+    }
+    std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+    std::string filter;
+    policy->CreateFilter(keys.data(), length, &filter);
+
+    const size_t bytes = (std::max<size_t>(64, length * 10) + 7) / 8;
+    const size_t bits = bytes * 8;
+    std::string want(bytes, '\0');
+    want.push_back(6);
+    for (const Slice& key : keys) {
+      uint32_t h = Hash(key.data(), key.size(), 0xbc9f1d34);
+      const uint32_t delta = (h >> 17) | (h << 15);
+      for (int j = 0; j < 6; j++) {
+        const uint32_t bitpos = h % bits;
+        want[bitpos / 8] |= static_cast<char>(1 << (bitpos % 8));
+        h += delta;
+      }
+    }
+    ASSERT_EQ(filter, want) << "length " << length;
+  }
 }
 
 // ---------------------------------------------------------------- cache
