@@ -122,12 +122,12 @@ int main(int argc, char** argv) {
 
   const obs::MetricsRegistry& reg = *server.metrics_registry();
   const uint64_t writes =
-      reg.counter_value("sealdb_server_batched_writes_total");
+      reg.counter_value("sealdb_server_ops_total", {{"op", "write"}});
   const uint64_t groups =
-      reg.counter_value("sealdb_server_write_groups_total");
+      reg.counter_family_sum("sealdb_engine_write_groups_total");
   std::printf(
-      "  server: %llu requests, %llu writes coalesced into %llu group "
-      "commits (%.1f writes/commit)\n",
+      "  server: %llu requests, %llu writes coalesced into %llu engine "
+      "group commits (%.1f writes/commit)\n",
       static_cast<unsigned long long>(
           reg.counter_value("sealdb_server_requests_total")),
       static_cast<unsigned long long>(writes),

@@ -28,7 +28,9 @@
 # differs from what the committed 48 MB rows render. After the
 # default-config suite, a served smoke drives
 # the shipped binaries end to end: sealdb_server on an ephemeral port,
-# sealdb_cli put/get/metrics against it, then a SIGTERM that must drain,
+# sealdb_cli put/get/metrics against it (METRICS must carry the device
+# busy-seconds, server request and engine write-group families), then a
+# SIGTERM that must drain,
 # print the shutdown summary and exit 0. It runs twice: with 4 shards, and
 # with the server's default shard count (1).
 #
@@ -202,7 +204,8 @@ served_smoke() {
     return 1
   fi
   out="$("${cli[@]}" metrics)"
-  for family in sealdb_device_busy_seconds_total sealdb_server_requests_total; do
+  for family in sealdb_device_busy_seconds_total sealdb_server_requests_total \
+      sealdb_engine_write_groups_total; do
     if ! grep -q "^$family" <<<"$out"; then
       echo "check.sh: metrics output lacks $family" >&2
       return 1

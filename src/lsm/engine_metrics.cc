@@ -19,6 +19,9 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
                                  L());
   wal_bytes = r.RegisterCounter("sealdb_engine_wal_bytes_total",
                                 "Bytes appended to the write-ahead log", L());
+  write_groups = r.RegisterCounter(
+      "sealdb_engine_write_groups_total",
+      "Write groups committed: one WAL record per group of writers", L());
   flush_bytes = r.RegisterCounter("sealdb_engine_flush_bytes_total",
                                   "Memtable flush output (L0 table bytes)",
                                   L());

@@ -27,6 +27,7 @@ class EngineMetrics {
 
   obs::Counter* user_bytes;   // key+value payload from the client
   obs::Counter* wal_bytes;
+  obs::Counter* write_groups;  // DB::Write leaders: one per group commit
   obs::Counter* flush_bytes;  // memtable -> L0 table bytes
   obs::Counter* flushes;
   obs::Counter* compaction_read_bytes;

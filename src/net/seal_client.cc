@@ -408,34 +408,35 @@ Status SealClient::Metrics(std::string* text) {
   return remote;
 }
 
-uint64_t SealClient::QueuePut(const Slice& key, const Slice& value) {
+uint64_t SealClient::QueueFrame(uint8_t opcode, const Slice& request) {
   const uint64_t id = next_request_id_++;
+  EncodeFrame(&send_buf_, opcode, id, request, MakeTraceId(id));
+  pending_.push_back({id, opcode});
+  return id;
+}
+
+uint64_t SealClient::QueuePut(const Slice& key, const Slice& value) {
   std::string req;
   EncodePutRequest(&req, key, value);
-  EncodeFrame(&send_buf_, static_cast<uint8_t>(Op::kPut), id, req,
-              MakeTraceId(id));
-  pending_.push_back({id, static_cast<uint8_t>(Op::kPut)});
-  return id;
+  return QueueFrame(static_cast<uint8_t>(Op::kPut), req);
 }
 
 uint64_t SealClient::QueueDelete(const Slice& key) {
-  const uint64_t id = next_request_id_++;
   std::string req;
   EncodeKeyRequest(&req, key);
-  EncodeFrame(&send_buf_, static_cast<uint8_t>(Op::kDelete), id, req,
-              MakeTraceId(id));
-  pending_.push_back({id, static_cast<uint8_t>(Op::kDelete)});
-  return id;
+  return QueueFrame(static_cast<uint8_t>(Op::kDelete), req);
+}
+
+uint64_t SealClient::QueueWrite(const WriteBatch& batch) {
+  std::string req;
+  EncodeWriteBatchRequest(&req, batch);
+  return QueueFrame(static_cast<uint8_t>(Op::kWriteBatch), req);
 }
 
 uint64_t SealClient::QueueGet(const Slice& key) {
-  const uint64_t id = next_request_id_++;
   std::string req;
   EncodeKeyRequest(&req, key);
-  EncodeFrame(&send_buf_, static_cast<uint8_t>(Op::kGet), id, req,
-              MakeTraceId(id));
-  pending_.push_back({id, static_cast<uint8_t>(Op::kGet)});
-  return id;
+  return QueueFrame(static_cast<uint8_t>(Op::kGet), req);
 }
 
 Status SealClient::Flush(std::vector<Result>* results) {

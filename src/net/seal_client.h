@@ -3,9 +3,12 @@
 // Two APIs over one blocking socket:
 //   - sync: Put/Get/Delete/Write/Scan/Metrics/Ping, one round trip each;
 //   - pipelined: Queue* stages frames locally, Flush() sends them in one
-//     burst and collects every response (the server may answer out of
-//     order across its worker pool; responses are matched by request id
-//     and returned in queue order).
+//     burst and collects every response. The server runs the burst's
+//     requests concurrently across its worker pool, so the order in which
+//     its writes are applied is undefined, and so is the order of the
+//     answers; responses are matched by request id and returned in queue
+//     order. Stage writes to one key that must land in order in separate
+//     bursts.
 //
 // Resilience (DESIGN.md §11): with a RetryPolicy enabled, every sync
 // operation retries on Busy (server admission control), TimedOut, and
@@ -129,6 +132,7 @@ class SealClient {
   // Stage a request; returns its id. Nothing is sent until Flush().
   uint64_t QueuePut(const Slice& key, const Slice& value);
   uint64_t QueueDelete(const Slice& key);
+  uint64_t QueueWrite(const WriteBatch& batch);
   uint64_t QueueGet(const Slice& key);
 
   // Send every staged frame, then read responses until all are answered.
@@ -144,6 +148,8 @@ class SealClient {
     uint8_t opcode;
   };
 
+  // Stage one request frame; returns its id.
+  uint64_t QueueFrame(uint8_t opcode, const Slice& request);
   Status SendFrame(uint8_t opcode, uint64_t request_id, uint64_t trace_id,
                    const Slice& payload);
   // Read exactly one frame; *payload is backed by *storage.

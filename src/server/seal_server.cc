@@ -33,36 +33,6 @@ namespace sealdb::server {
 
 namespace {
 
-// Work tokens for the worker pool: Release(n) adds n tokens and Acquire()
-// blocks until it can take one. A mutex and condition variable rather than
-// std::counting_semaphore: libstdc++ 12's futex-based semaphore can leave a
-// released token with every waiter asleep, and Stop() then never returns.
-class WorkTokens {
- public:
-  void Release(size_t n = 1) {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      count_ += n;
-    }
-    if (n == 1) {
-      cv_.notify_one();
-    } else {
-      cv_.notify_all();
-    }
-  }
-
-  void Acquire() {
-    std::unique_lock<std::mutex> l(mu_);
-    cv_.wait(l, [this] { return count_ > 0; });
-    count_--;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t count_ = 0;  // guarded by mu_
-};
-
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -103,10 +73,15 @@ struct Connection {
 
 using ConnPtr = std::shared_ptr<Connection>;
 
+bool IsWriteOp(uint8_t opcode) {
+  const net::Op op = static_cast<net::Op>(opcode);
+  return op == net::Op::kPut || op == net::Op::kDelete ||
+         op == net::Op::kWriteBatch;
+}
+
 struct Request {
   ConnPtr conn;
   uint8_t opcode = 0;
-  int shard = 0;               // write queue this was routed to
   uint64_t request_id = 0;
   uint64_t trace_id = 0;       // 0 = untraced
   uint64_t enqueue_micros = 0; // when Dispatch() queued it (tracing)
@@ -121,21 +96,13 @@ struct SealServer::Impl {
         opts_(options),
         external_memory_(stack->external_memory_bytes()),
         registry_(stack->metrics_registry()) {
-    // One commit queue per shard: the hash routing happens at dispatch (no
-    // engine locks taken), and each shard runs its own group-commit leader
-    // so independent shards commit concurrently.
-    const int nq = db_->num_shards();
-    write_queues_.reserve(static_cast<size_t>(nq));
-    for (int i = 0; i < nq; i++) {
-      write_queues_.push_back(std::make_unique<WriteQueue>());
-    }
     RegisterMetrics();
   }
 
   ~Impl() {
     StopImpl();
     // The registry (stack-owned) outlives this Impl; the hook
-    // reads our queues, so it must not.
+    // reads our queue, so it must not.
     registry_->RemoveCollectHook(depth_hook_id_);
   }
 
@@ -154,12 +121,6 @@ struct SealServer::Impl {
                                   {{"op", "write"}});
     c_scans_ = r.RegisterCounter("sealdb_server_ops_total", ops_help,
                                  {{"op", "scan"}});
-    c_write_groups_ = r.RegisterCounter(
-        "sealdb_server_write_groups_total",
-        "DB::Write calls issued by group commit");
-    c_batched_writes_ = r.RegisterCounter(
-        "sealdb_server_batched_writes_total",
-        "Write requests folded into those groups");
     c_protocol_errors_ = r.RegisterCounter(
         "sealdb_server_protocol_errors_total",
         "Malformed frames and unknown opcodes");
@@ -202,49 +163,19 @@ struct SealServer::Impl {
     h_total_ = r.RegisterHistogram("sealdb_server_span_micros", span_help,
                                    buckets, {{"stage", "total"}});
 
-    obs::Gauge* g_read_q = r.RegisterGauge("sealdb_server_read_queue_depth",
-                                           "Read requests awaiting a worker");
-    obs::Gauge* g_write_q = r.RegisterGauge(
-        "sealdb_server_write_queue_depth",
-        "Write requests awaiting the group-commit leader");
+    obs::Gauge* g_queue = r.RegisterGauge("sealdb_server_queue_depth",
+                                          "Requests awaiting a worker");
     obs::Gauge* g_queued_bytes = r.RegisterGauge(
         "sealdb_server_queued_write_bytes",
-        "Write payload bytes held by the group-commit queue");
+        "Write payload bytes awaiting a worker");
     obs::Gauge* g_buffer = r.RegisterGauge(
         "sealdb_server_connection_buffer_bytes",
         "Bytes across per-connection read and response buffers");
-    // With a sharded engine each commit queue also gets its own depth
-    // series ({shard=i}); the unlabeled gauge stays the total, so existing
-    // dashboards keep working at any shard count.
-    std::vector<obs::Gauge*> g_shard_q;
-    if (write_queues_.size() > 1) {
-      for (size_t i = 0; i < write_queues_.size(); i++) {
-        g_shard_q.push_back(r.RegisterGauge(
-            "sealdb_server_shard_write_queue_depth",
-            "Write requests awaiting a shard's group-commit leader",
-            {{"shard", std::to_string(i)}}));
-      }
-    }
-    depth_hook_id_ = r.AddCollectHook([this, g_read_q, g_write_q,
-                                       g_queued_bytes, g_buffer, g_shard_q] {
-      size_t rq, wq = 0, qb;
-      std::vector<size_t> per_shard(g_shard_q.size(), 0);
-      {
-        std::lock_guard<std::mutex> l(read_mu_);
-        rq = read_tasks_.size();
-      }
-      for (size_t i = 0; i < write_queues_.size(); i++) {
-        std::lock_guard<std::mutex> l(write_queues_[i]->mu);
-        wq += write_queues_[i]->tasks.size();
-        if (i < per_shard.size()) per_shard[i] = write_queues_[i]->tasks.size();
-      }
-      qb = queued_write_bytes_.load(std::memory_order_relaxed);
-      g_read_q->Set(static_cast<double>(rq));
-      g_write_q->Set(static_cast<double>(wq));
-      for (size_t i = 0; i < g_shard_q.size(); i++) {
-        g_shard_q[i]->Set(static_cast<double>(per_shard[i]));
-      }
-      g_queued_bytes->Set(static_cast<double>(qb));
+    depth_hook_id_ = r.AddCollectHook([this, g_queue, g_queued_bytes,
+                                       g_buffer] {
+      std::lock_guard<std::mutex> l(queue_mu_);
+      g_queue->Set(static_cast<double>(queue_.size()));
+      g_queued_bytes->Set(static_cast<double>(queued_write_bytes_));
       g_buffer->Set(static_cast<double>(
           buffer_bytes_.load(std::memory_order_relaxed)));
     });
@@ -268,81 +199,38 @@ struct SealServer::Impl {
   std::mutex pending_mu_;
   std::vector<ConnPtr> pending_flush_;
 
-  // ---- request queues ----
-  // One write queue per engine shard (exactly one for a one-shard store).
-  // Each queue elects its own group-commit leader and carries its OWN
-  // mutex, so two shards never contend on enqueue or leader election; a
-  // separate read_mu_ covers the shared read queue. Work tokens travel
-  // through work_tokens_: Dispatch releases one per enqueued
-  // request, a worker acquires one and scans the write queues from a
-  // rotating start before falling back to the read queue. A finishing
-  // leader re-releases one token when its queue still holds tasks (their
-  // tokens may have been consumed by workers that found the queue
-  // leader-locked); a surplus token only costs a wake-scan-sleep cycle.
-  struct alignas(64) WriteQueue {
-    std::mutex mu;
-    std::deque<Request> tasks;
-    size_t queued_bytes = 0;    // payload bytes sitting in `tasks`
-    bool leader_active = false; // a worker is committing this queue's group
-  };
-  // unique_ptr elements: WriteQueue holds a mutex and cannot move.
-  std::vector<std::unique_ptr<WriteQueue>> write_queues_;
-  std::mutex read_mu_;
-  std::deque<Request> read_tasks_;  // guarded by read_mu_
-  WorkTokens work_tokens_;
-  // Total write payload bytes across every queue. Admission does a
-  // fetch_add and undoes it on reject; leaders subtract exactly the bytes
-  // they drained, so the counter never underflows.
-  std::atomic<size_t> queued_write_bytes_{0};
-  std::atomic<uint64_t> next_write_shard_{0};  // rotating scan start
-  std::atomic<int> executing_{0};
-  std::atomic<bool> workers_exit_{false};
-  // Coordinates only the cold drain/quiesce handshake; the hot enqueue
-  // and worker paths never touch it.
-  std::mutex sched_mu_;
-  std::condition_variable drain_cv_;
-  // Spreads cross-shard kWriteBatch requests over the queues.
-  std::atomic<uint64_t> batch_rr_{0};
+  // ---- the request queue ----
+  // Every dispatched request, read or write, waits here in arrival order
+  // until a worker pops and runs it. Writes are not merged: each is its
+  // own DB::Write, and the shard engine's writer queue group-commits
+  // concurrent writers.
+  std::mutex queue_mu_;
+  std::condition_variable work_cv_;  // queue_ grew, or queue_closed_ set
+  std::deque<Request> queue_;        // guarded by queue_mu_
+  // Write payload bytes in queue_ (the admission byte budget). Guarded by
+  // queue_mu_.
+  size_t queued_write_bytes_ = 0;
+  // Set by the loop once it has acknowledged stopping_: reads are off and
+  // every already-received complete frame is queued, so nothing more
+  // arrives. Workers return once it is set and queue_ is empty. Guarded by
+  // queue_mu_.
+  bool queue_closed_ = false;
 
-  // Either tasks waiting for a leader or a leader still committing; the
-  // leader clears leader_active only after the group's executing_ count
-  // has dropped, so drain cannot slip between the two.
-  bool AnyWritesQueued() {
-    for (auto& q : write_queues_) {
-      std::lock_guard<std::mutex> l(q->mu);
-      if (!q->tasks.empty() || q->leader_active) return true;
-    }
-    return false;
-  }
-
-  bool ReadsDrained() {
-    std::lock_guard<std::mutex> l(read_mu_);
-    return read_tasks_.empty();
-  }
-
-  // Taking sched_mu_ between the queue-state change and the notify pairs
-  // with the drain predicate being evaluated under sched_mu_, so the
-  // wakeup cannot be lost even though the state lives outside this mutex.
-  void NotifyDrain() {
-    { std::lock_guard<std::mutex> l(sched_mu_); }
-    drain_cv_.notify_all();
-  }
-
-  // The most recently applied write request ids (at most
-  // kWriteDedupWindow), newest at the back. A retried write whose ack was
-  // lost replays its OK instead of re-applying, so a retry never
-  // double-applies a batch.
+  // Write request ids claimed by a worker whose write has not finished,
+  // and the most recently applied ones (at most kWriteDedupWindow, newest
+  // at the back of applied_write_order_). A retried write whose ack was
+  // lost replays its OK instead of re-applying, and a copy of a write
+  // still in flight waits for it, so a request id is applied at most once.
   static constexpr size_t kWriteDedupWindow = 4096;
   std::mutex dedup_mu_;
+  std::condition_variable dedup_cv_;  // a claim was released
+  std::unordered_set<uint64_t> claimed_write_ids_;
   std::unordered_set<uint64_t> applied_write_ids_;
   std::deque<uint64_t> applied_write_order_;
 
   // ---- lifecycle ----
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-  // Loop acknowledged stopping_: reads are off and every already-received
-  // complete frame has been dispatched. Guarded by sched_mu_.
-  bool reads_quiesced_ = false;
   std::atomic<bool> flush_and_exit_{false};
   std::mutex stop_mu_;  // serializes Stop() callers
   bool stopped_ = false;
@@ -358,8 +246,6 @@ struct SealServer::Impl {
   obs::Counter* c_gets_;
   obs::Counter* c_writes_;
   obs::Counter* c_scans_;
-  obs::Counter* c_write_groups_;
-  obs::Counter* c_batched_writes_;
   obs::Counter* c_protocol_errors_;
   obs::Counter* c_bytes_in_;
   obs::Counter* c_bytes_out_;
@@ -539,8 +425,8 @@ struct SealServer::Impl {
   }
 
   // Graceful shutdown step 1 (loop thread): stop accepting, dispatch any
-  // complete frames already buffered, stop reading, and tell Stop() the
-  // request stream is now complete.
+  // complete frames already buffered, stop reading, and close the queue:
+  // the request stream is now complete.
   void QuiesceReads() {
     if (listen_fd_ >= 0) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
@@ -558,10 +444,10 @@ struct SealServer::Impl {
       }
     }
     {
-      std::lock_guard<std::mutex> l(sched_mu_);
-      reads_quiesced_ = true;
+      std::lock_guard<std::mutex> l(queue_mu_);
+      queue_closed_ = true;
     }
-    drain_cv_.notify_all();
+    work_cv_.notify_all();
   }
 
   void AcceptNew() {
@@ -672,8 +558,7 @@ struct SealServer::Impl {
                 const Slice& payload) {
     c_requests_->Inc();
     const net::Op op = static_cast<net::Op>(header.opcode);
-    const bool is_write = op == net::Op::kPut || op == net::Op::kDelete ||
-                          op == net::Op::kWriteBatch;
+    const bool is_write = IsWriteOp(header.opcode);
     const bool is_read = op == net::Op::kGet || op == net::Op::kScan ||
                          op == net::Op::kMetrics || op == net::Op::kPing;
     if (!is_write && !is_read) {
@@ -708,34 +593,22 @@ struct SealServer::Impl {
                  Status::Busy("per-connection in-flight cap reached"));
       return;
     }
-    // Route the write to its shard's commit queue by hashing the decoded
-    // key — pure computation, no engine locks. Multi-key batches may span
-    // shards; they ride any queue round-robin and ShardedDb::Write splits
-    // them. Malformed payloads route to queue 0 where the group leader
-    // produces the typed decode error exactly as before.
-    int shard = 0;
-    if (is_write) {
-      Slice key, value;
-      if (op == net::Op::kPut) {
-        if (net::DecodePutRequest(payload, &key, &value)) {
-          shard = db_->ShardOf(key);
-        }
-      } else if (op == net::Op::kDelete) {
-        if (net::DecodeKeyRequest(payload, &key)) {
-          shard = db_->ShardOf(key);
-        }
-      } else {  // kWriteBatch
-        shard = static_cast<int>(batch_rr_.fetch_add(
-                    1, std::memory_order_relaxed) %
-                                 write_queues_.size());
-      }
-    }
     if (is_write && opts_.reject_writes_on_stall) {
       // Per-shard admission: only a stall of the *target* engine sheds
-      // this write (cross-shard batches check the worst shard).
-      const int stall_level = op != net::Op::kWriteBatch
-                                  ? db_->WriteStallLevelOfShard(shard)
-                                  : db_->WriteStallLevel();
+      // this write. The key is hashed here, with no engine lock taken;
+      // batches check the worst shard, and a malformed payload checks
+      // shard 0 (its worker answers the typed decode error).
+      int stall_level;
+      if (op == net::Op::kWriteBatch) {
+        stall_level = db_->WriteStallLevel();
+      } else {
+        Slice key, value;
+        const bool decoded = op == net::Op::kPut
+                                 ? net::DecodePutRequest(payload, &key, &value)
+                                 : net::DecodeKeyRequest(payload, &key);
+        stall_level = db_->WriteStallLevelOfShard(decoded ? db_->ShardOf(key)
+                                                          : 0);
+      }
       if (stall_level >= 2) {
         c_rej_stall_->Inc();
         RejectBusy(conn, header, Status::Busy("engine write stall"));
@@ -746,41 +619,34 @@ struct SealServer::Impl {
     Request req;
     req.conn = conn;
     req.opcode = header.opcode;
-    req.shard = shard;
     req.request_id = header.request_id;
     req.trace_id = header.trace_id;
     if (Sampled(header.trace_id)) req.enqueue_micros = NowMicros();
     req.payload.assign(payload.data(), payload.size());
+    const size_t write_bytes = is_write ? req.payload.size() : 0;
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
-    bool queue_full = false;
-    if (is_write) {
-      const size_t sz = req.payload.size();
-      const size_t prev =
-          queued_write_bytes_.fetch_add(sz, std::memory_order_relaxed);
-      if (opts_.max_queued_write_bytes > 0 && prev > 0 &&
-          prev + sz > opts_.max_queued_write_bytes) {
-        // Byte-budgeted write queues: over the shared budget, reject at
-        // the door. Empty queues always admit, so a single write larger
-        // than the whole budget cannot livelock its retries.
-        queued_write_bytes_.fetch_sub(sz, std::memory_order_relaxed);
-        queue_full = true;
-      } else {
-        WriteQueue& q = *write_queues_[shard];
-        std::lock_guard<std::mutex> l(q.mu);
-        q.queued_bytes += sz;
-        q.tasks.push_back(std::move(req));
+    bool admitted;
+    {
+      std::lock_guard<std::mutex> l(queue_mu_);
+      // The write byte budget: over it, reject at the door. A queue with
+      // no write bytes always admits, so a single write larger than the
+      // whole budget cannot livelock its retries.
+      admitted = opts_.max_queued_write_bytes == 0 ||
+                 queued_write_bytes_ == 0 ||
+                 queued_write_bytes_ + write_bytes <=
+                     opts_.max_queued_write_bytes;
+      if (admitted) {
+        queued_write_bytes_ += write_bytes;
+        queue_.push_back(std::move(req));
       }
-    } else {
-      std::lock_guard<std::mutex> l(read_mu_);
-      read_tasks_.push_back(std::move(req));
     }
-    if (queue_full) {
+    if (!admitted) {
       conn->inflight.fetch_sub(1, std::memory_order_relaxed);
       c_rej_queue_full_->Inc();
       RejectBusy(conn, header, Status::Busy("write queue over byte budget"));
       return;
     }
-    work_tokens_.Release();
+    work_cv_.notify_one();
   }
 
   // Answer a rejected request with an op-shaped payload carrying `busy`,
@@ -975,202 +841,98 @@ struct SealServer::Impl {
 
   // -------------------------------------------------------------- workers
 
-  // A write leader drains at most this many queued requests, or until the
-  // drained payloads reach kMaxBatchBytes, into one group commit.
-  static constexpr size_t kMaxBatchRequests = 256;
-  static constexpr size_t kMaxBatchBytes = 1u << 20;
-
   void WorkerMain() {
-    const uint64_t n = write_queues_.size();
     for (;;) {
-      work_tokens_.Acquire();
-      if (workers_exit_.load(std::memory_order_acquire)) return;
-      // Writes first (the same priority as the old single-lock scheduler):
-      // scan the queues from a rotating start so a busy shard cannot
-      // starve the others.
-      bool led_group = false;
-      const uint64_t start =
-          next_write_shard_.fetch_add(1, std::memory_order_relaxed);
-      for (uint64_t k = 0; k < n && !led_group; k++) {
-        WriteQueue& q = *write_queues_[(start + k) % n];
-        std::vector<Request> group;
-        size_t group_bytes = 0;
-        {
-          std::lock_guard<std::mutex> l(q.mu);
-          if (q.tasks.empty() || q.leader_active) continue;
-          // Become this queue's write leader: drain a group of its queued
-          // writes and commit them as one WriteBatch. Other shards' queues
-          // stay runnable — their leaders commit concurrently.
-          q.leader_active = true;
-          while (!q.tasks.empty() &&
-                 group.size() < kMaxBatchRequests &&
-                 group_bytes < kMaxBatchBytes) {
-            const size_t sz = q.tasks.front().payload.size();
-            group_bytes += sz;
-            q.queued_bytes -= std::min(q.queued_bytes, sz);
-            group.push_back(std::move(q.tasks.front()));
-            q.tasks.pop_front();
-          }
-          // Counted while still inside q.mu: the drain predicate must
-          // never observe an empty leaderless queue with this group still
-          // uncounted.
-          executing_.fetch_add(static_cast<int>(group.size()),
-                               std::memory_order_relaxed);
-        }
-        queued_write_bytes_.fetch_sub(group_bytes, std::memory_order_relaxed);
-        RunWriteGroup(group);
-        bool more;
-        {
-          std::lock_guard<std::mutex> l(q.mu);
-          executing_.fetch_sub(static_cast<int>(group.size()),
-                               std::memory_order_relaxed);
-          q.leader_active = false;
-          more = !q.tasks.empty();
-        }
-        if (more) work_tokens_.Release();
-        NotifyDrain();
-        led_group = true;
-      }
-      if (led_group) continue;
-      // No runnable write queue: serve a read if one is pending. Otherwise
-      // the token was surplus (its task went to another worker, or a
-      // leader re-released while its queue drained) — drop it and sleep.
       Request req;
-      bool have_read = false;
+      bool is_write;
       {
-        std::lock_guard<std::mutex> l(read_mu_);
-        if (!read_tasks_.empty()) {
-          req = std::move(read_tasks_.front());
-          read_tasks_.pop_front();
-          executing_.fetch_add(1, std::memory_order_relaxed);
-          have_read = true;
-        }
+        std::unique_lock<std::mutex> l(queue_mu_);
+        work_cv_.wait(l, [this] { return !queue_.empty() || queue_closed_; });
+        if (queue_.empty()) return;  // closed, and nothing left to run
+        req = std::move(queue_.front());
+        queue_.pop_front();
+        is_write = IsWriteOp(req.opcode);
+        if (is_write) queued_write_bytes_ -= req.payload.size();
       }
-      if (have_read) {
-        RunRead(req);
-        executing_.fetch_sub(1, std::memory_order_relaxed);
-        NotifyDrain();
-      }
-    }
-  }
-
-  // True if this write request id was applied recently enough to still be
-  // in the dedup window — the retry of a write whose ack got lost.
-  bool IsDuplicateWrite(uint64_t request_id) {
-    std::lock_guard<std::mutex> l(dedup_mu_);
-    return applied_write_ids_.find(request_id) != applied_write_ids_.end();
-  }
-
-  void RecordAppliedWrites(const std::vector<Request>& group,
-                           const std::vector<bool>& included) {
-    std::lock_guard<std::mutex> l(dedup_mu_);
-    for (size_t i = 0; i < group.size(); i++) {
-      if (!included[i]) continue;
-      if (applied_write_ids_.insert(group[i].request_id).second) {
-        applied_write_order_.push_back(group[i].request_id);
-      }
-    }
-    while (applied_write_order_.size() > kWriteDedupWindow) {
-      applied_write_ids_.erase(applied_write_order_.front());
-      applied_write_order_.pop_front();
-    }
-  }
-
-  void RunWriteGroup(std::vector<Request>& group) {
-    bool any_sampled = false;
-    for (const Request& req : group) {
-      if (Sampled(req.trace_id)) {
-        any_sampled = true;
-        break;
-      }
-    }
-    const uint64_t pickup = any_sampled ? NowMicros() : 0;
-
-    WriteBatch combined;
-    std::vector<bool> included(group.size(), false);
-    int included_count = 0;
-    for (size_t i = 0; i < group.size(); i++) {
-      const Request& req = group[i];
-      if (IsDuplicateWrite(req.request_id)) {
-        // Already applied; the client just never saw the ack. Replay OK
-        // without touching the engine so the retry is exactly-once.
-        c_dedup_replays_->Inc();
-        std::string payload_out;
-        net::EncodeStatusRecord(&payload_out, Status::OK());
-        Respond(req.conn, req.opcode | net::kResponseBit, req.request_id,
-                payload_out, /*close_after=*/false, /*finish=*/true);
-        continue;
-      }
-      Slice key, value;
-      bool ok = false;
-      switch (static_cast<net::Op>(req.opcode)) {
-        case net::Op::kPut:
-          ok = net::DecodePutRequest(req.payload, &key, &value);
-          if (ok) combined.Put(key, value);
-          break;
-        case net::Op::kDelete:
-          ok = net::DecodeKeyRequest(req.payload, &key);
-          if (ok) combined.Delete(key);
-          break;
-        case net::Op::kWriteBatch: {
-          WriteBatch one;
-          ok = net::DecodeWriteBatchRequest(req.payload, &one);
-          if (ok) combined.Append(one);
-          break;
-        }
-        default:
-          break;
-      }
-      if (ok) {
-        included[i] = true;
-        included_count++;
+      if (is_write) {
+        RunWrite(req);
       } else {
-        std::string payload_out;
-        net::EncodeStatusRecord(
-            &payload_out, Status::InvalidArgument("malformed write payload"));
-        Respond(req.conn, req.opcode | net::kResponseBit, req.request_id,
-                payload_out, /*close_after=*/false, /*finish=*/true);
+        RunRead(req);
       }
     }
+  }
 
-    Status s;
+  // Claims `request_id` for the calling worker's write. Returns false when
+  // a copy of the request was applied already (the caller replays its OK).
+  // A copy still in flight on another worker is waited for: if it commits
+  // this one is a replay, and if it fails its claim is released and this
+  // copy applies as a retry would.
+  bool ClaimWrite(uint64_t request_id) {
+    std::unique_lock<std::mutex> l(dedup_mu_);
+    dedup_cv_.wait(l, [&] { return !claimed_write_ids_.contains(request_id); });
+    if (applied_write_ids_.contains(request_id)) return false;
+    claimed_write_ids_.insert(request_id);
+    return true;
+  }
+
+  // Releases a ClaimWrite claim, recording the id in the dedup window when
+  // the write was applied.
+  void SettleWrite(uint64_t request_id, bool applied) {
+    {
+      std::lock_guard<std::mutex> l(dedup_mu_);
+      claimed_write_ids_.erase(request_id);
+      if (applied && applied_write_ids_.insert(request_id).second) {
+        applied_write_order_.push_back(request_id);
+        if (applied_write_order_.size() > kWriteDedupWindow) {
+          applied_write_ids_.erase(applied_write_order_.front());
+          applied_write_order_.pop_front();
+        }
+      }
+    }
+    dedup_cv_.notify_all();
+  }
+
+  // One write request, one DB::Write, answered with its own status. The
+  // shard engine's writer queue group-commits it with concurrent writers.
+  void RunWrite(const Request& req) {
+    const bool sampled = Sampled(req.trace_id);
+    const uint64_t pickup = sampled ? NowMicros() : 0;
     uint64_t engine_micros = 0;
-    if (included_count > 0) {
+
+    WriteBatch batch;
+    Slice key, value;
+    bool decoded = false;
+    switch (static_cast<net::Op>(req.opcode)) {
+      case net::Op::kPut:
+        decoded = net::DecodePutRequest(req.payload, &key, &value);
+        if (decoded) batch.Put(key, value);
+        break;
+      case net::Op::kDelete:
+        decoded = net::DecodeKeyRequest(req.payload, &key);
+        if (decoded) batch.Delete(key);
+        break;
+      default:  // kWriteBatch
+        decoded = net::DecodeWriteBatchRequest(req.payload, &batch);
+        break;
+    }
+    Status s;
+    if (!decoded) {
+      s = Status::InvalidArgument("malformed write payload");
+    } else if (!ClaimWrite(req.request_id)) {
+      // Already applied; the client just never saw the ack. Replay OK
+      // without touching the engine so the retry is exactly-once.
+      c_dedup_replays_->Inc();
+    } else {
       WriteOptions wo;
       wo.sync = opts_.sync_writes;
-      const uint64_t engine_start = any_sampled ? NowMicros() : 0;
-      s = db_->Write(wo, &combined);
-      if (any_sampled) engine_micros = NowMicros() - engine_start;
-      c_write_groups_->Inc();
-      c_batched_writes_->Add(static_cast<uint64_t>(included_count));
-      if (s.ok()) RecordAppliedWrites(group, included);
+      const uint64_t engine_start = sampled ? NowMicros() : 0;
+      s = db_->Write(wo, &batch);
+      if (sampled) engine_micros = NowMicros() - engine_start;
+      SettleWrite(req.request_id, s.ok());
     }
-    if (any_sampled) {
-      // Every sampled member shares the group's commit/engine spans — its
-      // latency really was the whole group commit.
-      const uint64_t done = NowMicros();
-      for (const Request& req : group) {
-        if (!Sampled(req.trace_id)) continue;
-        TraceSpan span;
-        span.trace_id = req.trace_id;
-        span.request_id = req.request_id;
-        span.opcode = req.opcode;
-        span.queue_micros = pickup - req.enqueue_micros;
-        span.commit_micros = done - pickup;
-        span.engine_micros = engine_micros;
-        span.total_micros = done - req.enqueue_micros;
-        RecordTrace(span);
-      }
-    }
-    // Group commit is all-or-nothing: every member shares the outcome.
     std::string payload_out;
     net::EncodeStatusRecord(&payload_out, s);
-    for (size_t i = 0; i < group.size(); i++) {
-      if (!included[i]) continue;
-      Respond(group[i].conn, group[i].opcode | net::kResponseBit,
-              group[i].request_id, payload_out, /*close_after=*/false,
-              /*finish=*/true);
-    }
+    Finish(req, pickup, engine_micros, payload_out);
   }
 
   // SCAN limits above this are clamped.
@@ -1259,7 +1021,14 @@ struct SealServer::Impl {
         break;
     }
 
-    if (sampled) {
+    Finish(req, pickup, engine_micros, payload_out);
+  }
+
+  // Records a sampled request's span (`pickup` and `engine_micros` are
+  // read only when it is sampled) and answers it.
+  void Finish(const Request& req, uint64_t pickup, uint64_t engine_micros,
+              const std::string& payload_out) {
+    if (Sampled(req.trace_id)) {
       const uint64_t done = NowMicros();
       TraceSpan span;
       span.trace_id = req.trace_id;
@@ -1282,26 +1051,13 @@ struct SealServer::Impl {
     if (!started_.load() || stopped_) return;
 
     // 1. Stop accepting and reading. The loop dispatches any complete
-    //    frames it already received, then acknowledges via
-    //    reads_quiesced_.
+    //    frames it already received, then closes the queue.
     stopping_.store(true, std::memory_order_release);
     Wake();
 
-    // 2. Drain: every dispatched request executed and its response
-    //    appended to its connection buffer.
-    {
-      std::unique_lock<std::mutex> l(sched_mu_);
-      drain_cv_.wait(l, [this] {
-        return reads_quiesced_ && ReadsDrained() && !AnyWritesQueued() &&
-               executing_.load(std::memory_order_relaxed) == 0;
-      });
-    }
-    // Everything drained: release one token per worker so each wakes,
-    // observes the exit flag, and returns.
-    workers_exit_.store(true, std::memory_order_release);
-    if (!workers_.empty()) {
-      work_tokens_.Release(workers_.size());
-    }
+    // 2. Drain: the workers run the closed queue dry and return, so once
+    //    they are joined the queue is empty, nothing is running, and every
+    //    response is appended to its connection buffer.
     for (auto& w : workers_) w.join();
     workers_.clear();
 

@@ -5,19 +5,22 @@
 // Threading model (DESIGN.md §10):
 //   - one event-loop thread owns every socket: it accepts, reads bytes,
 //     parses complete frames, and performs all socket writes;
-//   - `num_workers` worker threads execute DB operations. Read-path
-//     requests (GET/SCAN/METRICS/PING) run concurrently; write-path
-//     requests (PUT/DELETE/WRITE_BATCH) are group-committed: one worker
-//     becomes the write leader, drains the queued writes into a single
-//     WriteBatch, applies it with one DB::Write, and acks every request
-//     in the group (LevelDB-style group commit, but across connections);
+//   - `num_workers` worker threads execute DB operations. Every parsed
+//     request joins one FIFO; a worker pops the oldest and runs it, a
+//     read as one engine call and a write (PUT/DELETE/WRITE_BATCH) as its
+//     own DB::Write, answered with its own status. The shard engine's
+//     writer queue group-commits concurrent writes, from any connection,
+//     into one WAL record; the server merges nothing. Pipelined requests
+//     run concurrently, so their answers and the order their writes are
+//     applied are undefined;
 //   - workers never touch sockets: responses are appended to the
 //     connection's output buffer under its mutex and the loop is woken
 //     via eventfd to flush.
 //
-// Graceful shutdown: Stop() stops accepting and reading, waits until every
-// parsed request has been executed and acked, flushes the remaining output
-// buffers (bounded by a drain deadline for stuck peers), then closes.
+// Graceful shutdown: Stop() stops accepting and reading, lets the workers
+// run the queue dry so every parsed request is executed and acked, flushes
+// the remaining output buffers (bounded by a drain deadline for stuck
+// peers), then closes.
 // Only after Stop() returns may the caller close the DB.
 #pragma once
 
@@ -45,7 +48,7 @@ struct ServerOptions {
   // 0 binds an ephemeral port; SealServer::port() reports the actual one.
   uint16_t port = 0;
   int num_workers = 4;
-  // WriteOptions::sync for every group commit.
+  // WriteOptions::sync for every write.
   bool sync_writes = false;
 
   // ---- admission control (DESIGN.md §11) ----
@@ -57,9 +60,10 @@ struct ServerOptions {
   // requests (read or write) are rejected with kBusy; 0 = unlimited. The
   // default is sized well above any sane pipelining depth.
   uint32_t max_inflight_per_conn = 4096;
-  // Byte budget for write payloads queued for group commit across all
-  // connections. A write that would exceed it is rejected with kBusy
-  // instead of growing the queue without bound; 0 = unlimited.
+  // Byte budget for write payloads in the request queue across all
+  // connections, counted from dispatch until a worker picks the write up.
+  // A write that would exceed it is rejected with kBusy instead of growing
+  // the queue without bound; 0 = unlimited.
   size_t max_queued_write_bytes = 4u << 20;
   // Slow-client response-buffer cap: a connection whose un-flushed
   // response bytes exceed this has its buffer discarded and is closed
@@ -69,7 +73,7 @@ struct ServerOptions {
   size_t max_response_buffer_bytes = 16u << 20;
   // While the engine reports write-stall level 2 ("stop": the next write
   // would park inside MakeRoomForWrite), reject writes with kBusy at the
-  // door instead of letting a worker block while holding a pool slot.
+  // door instead of letting a worker block inside DB::Write.
   bool reject_writes_on_stall = true;
 
   // ---- observability (DESIGN.md §12) ----
@@ -93,9 +97,9 @@ struct TraceSpan {
   uint64_t request_id = 0;
   uint8_t opcode = 0;            // request opcode (no response bit)
   uint64_t queue_micros = 0;     // dispatch -> worker pickup
-  uint64_t commit_micros = 0;    // worker pickup -> response encoded; for
-                                 // writes, the whole group commit
-  uint64_t engine_micros = 0;    // inside the DB call
+  uint64_t commit_micros = 0;    // worker pickup -> response encoded
+  uint64_t engine_micros = 0;    // inside the DB call; for writes, this
+                                 // includes the engine's group commit
   uint64_t total_micros = 0;     // dispatch -> response encoded
 };
 

@@ -189,9 +189,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(
           reg.counter_value("sealdb_server_requests_total")),
       static_cast<unsigned long long>(
-          reg.counter_value("sealdb_server_batched_writes_total")),
+          reg.counter_value("sealdb_server_ops_total", {{"op", "write"}})),
       static_cast<unsigned long long>(
-          reg.counter_value("sealdb_server_write_groups_total")),
+          reg.counter_family_sum("sealdb_engine_write_groups_total")),
       static_cast<unsigned long long>(
           reg.counter_value("sealdb_server_connections_accepted_total")),
       static_cast<unsigned long long>(

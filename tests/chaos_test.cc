@@ -30,6 +30,7 @@
 #include "core/shard_layout.h"
 #include "lsm/db.h"
 #include "lsm/sharded_db.h"
+#include "lsm/write_batch.h"
 #include "net/chaos.h"
 #include "net/seal_client.h"
 #include "net/socket.h"
@@ -80,6 +81,26 @@ uint64_t NowMillis() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// Reads one response frame from `fd` and returns the status record its
+// payload begins with (or the transport/decode failure).
+Status ReadStatusResponse(int fd) {
+  char header[net::kFrameHeaderBytes];
+  Status io = net::ReadFully(fd, header, sizeof(header));
+  if (!io.ok()) return io;
+  const uint32_t payload_len = DecodeFixed32(header + net::kPayloadLenOffset);
+  std::string payload(payload_len, '\0');
+  if (payload_len > 0) {
+    io = net::ReadFully(fd, payload.data(), payload_len);
+    if (!io.ok()) return io;
+  }
+  Slice in(payload);
+  Status remote;
+  if (!net::DecodeStatusRecord(&in, &remote)) {
+    return Status::Corruption("malformed status record");
+  }
+  return remote;
 }
 
 }  // namespace
@@ -446,8 +467,8 @@ TEST_F(AdmissionTest, BurstOverloadSeesTypedBusyRejections) {
   opts.max_inflight_per_conn = 8;
   opts.max_queued_write_bytes = 8 << 10;
   Start(opts);
-  // A congested device keeps the group-commit leader busy so the burst
-  // cannot drain between dispatches.
+  // A congested device keeps the workers busy inside the engine so the
+  // burst cannot drain between dispatches.
   stack_->fault_drive()->SetWriteDelayMicros(2000);
 
   std::string prop;
@@ -593,37 +614,18 @@ TEST_F(AdmissionTest, DuplicateWriteResubmissionIsNotReapplied) {
   ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd, 2000).ok());
   ASSERT_TRUE(net::SetRecvTimeout(fd, 5000).ok());
 
-  auto read_response_status = [&fd]() {
-    char header[net::kFrameHeaderBytes];
-    Status io = net::ReadFully(fd, header, sizeof(header));
-    if (!io.ok()) return io;
-    const uint32_t payload_len =
-        DecodeFixed32(header + net::kPayloadLenOffset);
-    std::string payload(payload_len, '\0');
-    if (payload_len > 0) {
-      io = net::ReadFully(fd, payload.data(), payload_len);
-      if (!io.ok()) return io;
-    }
-    Slice in(payload);
-    Status remote;
-    if (!net::DecodeStatusRecord(&in, &remote)) {
-      return Status::Corruption("malformed status record");
-    }
-    return remote;
-  };
-
   std::string req, frame;
   net::EncodePutRequest(&req, "dup-key", "v1");
   net::EncodeFrame(&frame, static_cast<uint8_t>(net::Op::kPut), 777, req);
 
   // First submission applies.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
-  ASSERT_TRUE(read_response_status().ok());
+  ASSERT_TRUE(ReadStatusResponse(fd).ok());
   EXPECT_EQ(ServerCount("sealdb_server_dedup_replays_total"), 0u);
 
   // Exact resubmission is acked OK from the dedup window, not re-applied.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
-  ASSERT_TRUE(read_response_status().ok());
+  ASSERT_TRUE(ReadStatusResponse(fd).ok());
   EXPECT_EQ(ServerCount("sealdb_server_dedup_replays_total"), 1u);
   net::CloseFd(fd);
 
@@ -631,6 +633,50 @@ TEST_F(AdmissionTest, DuplicateWriteResubmissionIsNotReapplied) {
   net::SealClient reader;
   ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(reader.Get("dup-key", &got).ok());
+  EXPECT_EQ(got, "v1");
+}
+
+TEST_F(AdmissionTest, DuplicateOfInFlightWriteIsAppliedOnce) {
+  server::ServerOptions opts;
+  opts.sync_writes = true;
+  Start(opts);
+  // A congested device holds the first copy inside the engine while a
+  // second worker picks up the duplicate, as ChaosTransport's `duplicate`
+  // fault can arrange by forwarding a frame twice back to back.
+  stack_->fault_drive()->SetWriteDelayMicros(2000);
+
+  int fd = -1;
+  ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd, 2000).ok());
+  ASSERT_TRUE(net::SetRecvTimeout(fd, 5000).ok());
+  std::string req, frame;
+  net::EncodePutRequest(&req, "inflight-dup-key", "v1");
+  net::EncodeFrame(&frame, static_cast<uint8_t>(net::Op::kPut), 778, req);
+  const std::string twice = frame + frame;
+  const uint64_t user_bytes_before = stack_->metrics_registry()
+      ->counter_family_sum("sealdb_engine_user_bytes_total");
+
+  ASSERT_TRUE(net::WriteFully(fd, twice.data(), twice.size()).ok());
+  // The duplicate waits for the original's outcome and replays its OK.
+  EXPECT_TRUE(ReadStatusResponse(fd).ok());
+  EXPECT_TRUE(ReadStatusResponse(fd).ok());
+  net::CloseFd(fd);
+  stack_->fault_drive()->SetWriteDelayMicros(0);
+
+  // The engine counts a batch's bytes past its header as user bytes.
+  WriteBatch one_put;
+  one_put.Put("inflight-dup-key", "v1");
+  const uint64_t one_put_bytes =
+      one_put.ApproximateSize() - WriteBatch().ApproximateSize();
+  EXPECT_EQ(stack_->metrics_registry()->counter_family_sum(
+                "sealdb_engine_user_bytes_total") -
+                user_bytes_before,
+            one_put_bytes);
+  EXPECT_EQ(ServerCount("sealdb_server_dedup_replays_total"), 1u);
+
+  std::string got;
+  net::SealClient reader;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(reader.Get("inflight-dup-key", &got).ok());
   EXPECT_EQ(got, "v1");
 }
 

@@ -211,4 +211,52 @@ TEST(FaultIsolationTest, ShardDegradedSurfacesThroughServerAndClient) {
   server.Stop();
 }
 
+// Pipelined writes run as separate engine writes, so each is answered with
+// its own outcome: a cross-shard WRITE_BATCH that touches a degraded shard
+// answers ShardDegraded, and the PUTs pipelined around it to a healthy
+// shard answer OK and are readable. (The batch's healthy sub-batch is
+// applied too; DESIGN.md §15 states that contract.)
+TEST(FaultIsolationTest, PipelinedWritesAnswerTheirOwnOutcome) {
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(ShardedConfig(), "/fi-own", &stack).ok());
+  server::SealServer server(stack->db(), stack.get(), server::ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kPuts = 8;
+  const auto keys = KeysPerShard(/*per_shard=*/kPuts + 1);
+  const int victim = 1;
+  stack->db()->DegradeShard(victim, "forced by test");
+
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  WriteBatch cross;
+  cross.Put(keys[0][kPuts], "batch");
+  cross.Put(keys[victim][0], "batch");
+  for (int i = 0; i < kPuts / 2; i++) {
+    client.QueuePut(keys[0][i], "put-" + keys[0][i]);
+  }
+  const uint64_t batch_id = client.QueueWrite(cross);
+  for (int i = kPuts / 2; i < kPuts; i++) {
+    client.QueuePut(keys[0][i], "put-" + keys[0][i]);
+  }
+  std::vector<net::SealClient::Result> results;
+  ASSERT_TRUE(client.Flush(&results).ok());
+  ASSERT_EQ(results.size(), static_cast<size_t>(kPuts + 1));
+
+  for (const auto& r : results) {
+    if (r.request_id == batch_id) {
+      EXPECT_TRUE(r.status.IsShardDegraded()) << r.status.ToString();
+    } else {
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+  }
+  for (int i = 0; i < kPuts; i++) {
+    std::string value;
+    ASSERT_TRUE(client.Get(keys[0][i], &value).ok()) << keys[0][i];
+    EXPECT_EQ(value, "put-" + keys[0][i]);
+  }
+
+  server.Stop();
+}
+
 }  // namespace sealdb

@@ -284,9 +284,13 @@ TEST_F(ServerTest, PipelinedBatchApi) {
     EXPECT_TRUE(results[2 * i + 1].status.IsNotFound());
   }
 
-  // Pipelined writes must have hit the group-commit path.
-  EXPECT_GE(ServerCount("sealdb_server_write_groups_total"), 1u);
-  EXPECT_EQ(ServerCount("sealdb_server_batched_writes_total"),
+  // Pipelined writes must have hit the engine's group commit: at least
+  // one group, and no more groups than writes.
+  const uint64_t groups = server_->metrics_registry()->counter_family_sum(
+      "sealdb_engine_write_groups_total");
+  EXPECT_GE(groups, 1u);
+  EXPECT_LE(groups, static_cast<uint64_t>(kOps));
+  EXPECT_EQ(ServerCount("sealdb_server_ops_total", {{"op", "write"}}),
             static_cast<uint64_t>(kOps));
 }
 
