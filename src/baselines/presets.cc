@@ -224,7 +224,8 @@ Status Stack::OpenEngines(bool format) {
   // ONE buffer pool for the whole stack: every shard column caches into
   // the same frames, so the read-cache budget is a process-wide resource
   // and an idle shard's share isn't stranded. Created once; Reopen()
-  // reuses it (the per-owner purge in ~TableCache keeps it consistent).
+  // reuses it (each engine's pool client purges its pages when the engine
+  // closes, so a reopened engine's file numbers never alias them).
   if (buffer_pool_ == nullptr && config_.buffer_pool_bytes > 0) {
     buf::BufferPool::Config pool_config;
     pool_config.capacity_bytes = config_.buffer_pool_bytes;

@@ -471,26 +471,48 @@ bool BufferPool::TryReclaim(uint32_t idx) {
 void BufferPool::EvictFile(const BufferClient& client, uint64_t file_number,
                            bool ban) {
   if (client.pool != this) return;
-  if (ban) {
-    // Ban strictly before the purge: once PurgeMatching returns there must
-    // be no window in which a racing Insert can link a page of this file.
-    auto* c = static_cast<Client*>(client.stats);
-    if (c != nullptr) {
-      std::lock_guard<std::mutex> l(c->ban_mu);
+  // Ban strictly before the purge: once PurgeMatching returns there must be
+  // no window in which a racing Insert can link a page of this file. A dead
+  // file has no reader left to race, so its ban goes before the purge too.
+  auto* c = static_cast<Client*>(client.stats);
+  if (c != nullptr && (ban || c->ban_count.load(std::memory_order_acquire))) {
+    std::lock_guard<std::mutex> l(c->ban_mu);
+    if (ban) {
       c->banned.insert(file_number);
-      c->ban_count.store(c->banned.size(), std::memory_order_release);
+    } else {
+      c->banned.erase(file_number);
     }
+    c->ban_count.store(c->banned.size(), std::memory_order_release);
   }
   PurgeMatching(client.owner, file_number, /*match_file=*/true);
 }
 
-void BufferPool::UnbanFile(const BufferClient& client, uint64_t file_number) {
-  if (client.pool != this) return;
-  auto* c = static_cast<Client*>(client.stats);
-  if (c == nullptr) return;
-  std::lock_guard<std::mutex> l(c->ban_mu);
-  c->banned.erase(file_number);
-  c->ban_count.store(c->banned.size(), std::memory_order_release);
+size_t BufferPool::FilePages(uint64_t file_number) {
+  size_t pages = 0;
+  const size_t nparts = partition_mask_ + 1;
+  for (size_t pi = 0; pi < nparts; ++pi) {
+    std::lock_guard<std::mutex> l(partitions_[pi].mu);
+    for (size_t b = pi; b <= bucket_mask_; b += nparts) {
+      for (uint32_t idx = buckets_[b].load(std::memory_order_relaxed);
+           idx != kInvalidFrame;
+           idx = FrameAt(idx)->next.load(std::memory_order_relaxed)) {
+        if (FrameAt(idx)->file_number.load(std::memory_order_relaxed) ==
+            file_number) {
+          pages++;
+        }
+      }
+    }
+  }
+  return pages;
+}
+
+size_t BufferPool::banned_files() {
+  std::lock_guard<std::mutex> l(clients_mu_);
+  size_t banned = 0;
+  for (const auto& c : clients_) {
+    banned += c->ban_count.load(std::memory_order_acquire);
+  }
+  return banned;
 }
 
 void BufferPool::PurgeMatching(uint64_t owner, uint64_t file_number,

@@ -27,9 +27,10 @@
 //
 // Pages owned by files that die in compaction are purged via EvictFile();
 // frames still pinned at that point are doomed (unlinked, invisible to
-// lookups) and freed by the last unpin. A whole client (one TableCache
-// incarnation) unregisters on teardown, purging every frame it owns, so
-// file numbers reused by a reopened engine can never alias stale pages.
+// lookups) and freed by the last unpin. A whole client (one engine
+// incarnation, registered by its TableCache) unregisters on teardown,
+// purging every frame it owns, so file numbers reused by a reopened engine
+// can never alias stale pages.
 #pragma once
 
 #include <array>
@@ -51,7 +52,8 @@ class BufferPool;
 // {kind=} metric label.
 enum class BlockKind : uint8_t { kData = 0, kIndex = 1, kFilter = 2 };
 
-// A registered consumer of the pool: one per TableCache incarnation.
+// A registered consumer of the pool: one per engine incarnation (its
+// TableCache registers it).
 // Carries the pool pointer, the owner id that namespaces this client's
 // file numbers (per-shard VersionSets number files independently), and an
 // opaque handle to its pre-resolved metric series. Copyable; an empty
@@ -137,13 +139,16 @@ class BufferPool {
   // linked into the page table. This closes the quarantine re-admission
   // race: a reader that fetched the block before the file was quarantined
   // (or that loses the duplicate-insert race after the purge) cannot put
-  // pages of a quarantined file back into the pool. Compaction-dead files
-  // don't ban (their numbers are never read again), so the set stays
-  // small.
+  // pages of a quarantined file back into the pool. Without `ban` the file
+  // is dead (its number is never read again) and its ban, if any, is
+  // lifted, so the set holds only live quarantined files.
   void EvictFile(const BufferClient& client, uint64_t file_number,
                  bool ban = false);
-  // Lift a ban (quarantine cleared after a successful repair/rewrite).
-  void UnbanFile(const BufferClient& client, uint64_t file_number);
+
+  // Pages of `file_number` in the page table, over all clients.
+  size_t FilePages(uint64_t file_number);
+  // Files banned by EvictFile(ban) and not dropped since, over all clients.
+  size_t banned_files();
 
   // Unpin via a token from PageRef::ReleaseToken(). `pool` is a
   // BufferPool*; signature matches Iterator::RegisterCleanup.

@@ -127,7 +127,7 @@ uint64_t ScrubScheduler::RunStep(size_t idx, uint64_t budget) {
 }
 
 void ScrubScheduler::Escalate(TargetState& ts, const ScrubStepResult& step) {
-  // Rung 2: invalidate cached readers/pages of damaged tables so the
+  // Rung 2: purge and ban the pooled pages of damaged tables so the
   // quarantine is honored end-to-end (drive -> FileStore -> buffer pool).
   for (const std::string& name : step.damaged_files) {
     uint64_t number;

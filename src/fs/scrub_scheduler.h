@@ -9,9 +9,9 @@
 // Escalation ladder, mirroring the failure-domain design (DESIGN.md §15):
 //   1. a failing block is retried by the read path's bounded retries;
 //   2. a block that keeps failing is quarantined inside the FileStore and
-//      the damaged table file is reported to its DB column, which evicts
-//      the cached reader and bans its pages from buffer-pool re-admission
-//      (DB::QuarantineFile);
+//      the damaged table file is reported to its DB column, which purges
+//      its pages from the buffer pool and bans their re-admission until
+//      the table dies (DB::QuarantineFile);
 //   3. when a store's quarantined-block count crosses
 //      ScrubOptions::degrade_bad_blocks the scheduler fires the degrade
 //      callback, which every preset stack (one shard included) wires to

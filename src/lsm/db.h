@@ -120,8 +120,8 @@ class DB {
   virtual int WriteStallLevel() { return 0; }
 
   // A lower layer (scrub, FileStore) found table `file_number` damaged:
-  // drop its cached reader and buffer-pool pages and ban them from
-  // re-admission until the quarantine lifts. Default: no cache to purge.
+  // drop its buffer-pool pages and ban them from re-admission until the
+  // table dies. Default: no cache to purge.
   virtual void QuarantineFile(uint64_t file_number) { (void)file_number; }
 
   // ---- instrumentation used by the benchmark harnesses ----

@@ -15,14 +15,9 @@
 #include "lsm/table_builder.h"
 #include "lsm/table_cache.h"
 #include "lsm/write_batch.h"
-#include "util/cache.h"
 #include "util/logging.h"
 
 namespace sealdb {
-
-// Tables the TableCache keeps open: LevelDB's 1000 open files, less ten
-// reserved for the WAL and other non-table files.
-const int kTableCacheSize = 1000 - 10;
 
 // Wall-clock nanoseconds for the engine's stage and stall timers (device
 // time is tracked separately by the simulated drive's latency model).
@@ -53,6 +48,7 @@ struct DBImpl::CompactionState {
     uint64_t number;
     uint64_t file_size;
     InternalKey smallest, largest;
+    std::unique_ptr<Table> table;  // opened from the builder's tail
   };
 
   Output* current_output() { return &outputs[outputs.size() - 1]; }
@@ -126,8 +122,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
                                &internal_filter_policy_, raw_options)),
       dbname_(dbname),
       store_(store),
-      table_cache_(std::make_unique<TableCache>(dbname_, options_, store_,
-                                                kTableCacheSize)),
+      table_cache_(std::make_unique<TableCache>(dbname_, options_, store_)),
       shutting_down_(false),
       mem_(nullptr),
       imm_(nullptr),
@@ -171,7 +166,14 @@ void DBImpl::MaybeIgnoreError(Status* s) const {
 }
 
 void DBImpl::RemoveObsoleteFiles() {
-  std::vector<uint64_t> dead = versions_->TakeObsoleteFiles();
+  std::vector<uint64_t> dead;
+  {
+    // Deleting the metadata closes the readers, unpinning their index and
+    // filter pages before the purge below.
+    const std::vector<std::unique_ptr<FileMetaData>> files =
+        versions_->TakeObsoleteFiles();
+    for (const auto& f : files) dead.push_back(f->number);
+  }
   if (dead.empty()) return;
   std::sort(dead.begin(), dead.end());
   for (uint64_t number : dead) table_cache_->Evict(number);
@@ -192,7 +194,8 @@ void DBImpl::RemoveUncommittedOutputs(CompactionState* compact) {
     compact->builder = nullptr;
   }
   compact->outfile.reset();
-  for (const CompactionState::Output& out : compact->outputs) {
+  for (CompactionState::Output& out : compact->outputs) {
+    out.table.reset();
     table_cache_->Evict(out.number);
     store_->RemoveFile(TableFileName(dbname_, out.number));
   }
@@ -206,8 +209,10 @@ void DBImpl::RemoveUncommittedOutputs(CompactionState* compact) {
 void DBImpl::QuarantineFile(uint64_t file_number) {
   // Scrub found the table's media damaged. Unlike the dead-file Evict
   // above, the file is still live in the version set, so its pages are
-  // banned from re-admission: a reader that fetched a block just before
-  // the quarantine must not re-populate the shared pool with it.
+  // banned from re-admission until it dies: a reader that fetched a block
+  // just before the quarantine must not re-populate the shared pool with
+  // it. Its reader stays open; its pinned index and filter pages are
+  // dropped from the pool and freed when it closes.
   table_cache_->Evict(file_number, /*ban=*/true);
 }
 
@@ -318,12 +323,13 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, VersionEdit* edit,
 
 // Build a table file from the contents of *iter (used by memtable
 // flushes). The generated file will be named according to meta->number.
-// On success, the rest of *meta is filled with metadata about the table.
-// If no data is present in *iter, meta->file_size is set to zero, and no
-// table file is produced.
+// On success, the rest of *meta is filled with metadata about the table
+// and *table holds its reader. If no data is present in *iter,
+// meta->file_size is set to zero, and no table file is produced.
 static Status BuildTable(const std::string& dbname, fs::FileStore* store,
                          const Options& options, TableCache* table_cache,
-                         Iterator* iter, FileMetaData* meta) {
+                         Iterator* iter, FileMetaData* meta,
+                         std::unique_ptr<Table>* table) {
   Status s;
   meta->file_size = 0;
   iter->SeekToFirst();
@@ -363,8 +369,8 @@ static Status BuildTable(const std::string& dbname, fs::FileStore* store,
 
     if (s.ok()) {
       // Verify that the table is usable, from the tail just written
-      s = table_cache->AddNewTable(meta->number, meta->file_size,
-                                   builder.tail());
+      s = table_cache->OpenTable(meta->number, meta->file_size,
+                                 builder.tail(), table);
     }
   }
 
@@ -388,9 +394,11 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   Iterator* iter = mem->NewIterator();
 
   Status s;
+  std::unique_ptr<Table> table;
   {
     mutex_.unlock();
-    s = BuildTable(dbname_, store_, options_, table_cache_.get(), iter, &meta);
+    s = BuildTable(dbname_, store_, options_, table_cache_.get(), iter, &meta,
+                   &table);
     mutex_.lock();
   }
 
@@ -413,7 +421,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
       }
     }
     edit->AddFile(level, meta.number, meta.file_size, meta.smallest,
-                  meta.largest, /*set_id=*/0);
+                  meta.largest, /*set_id=*/0, std::move(table));
   }
 
   em_.flushes->Inc();
@@ -690,7 +698,7 @@ Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
     out.number = file_number;
     out.smallest.Clear();
     out.largest.Clear();
-    compact->outputs.push_back(out);
+    compact->outputs.push_back(std::move(out));
     mutex_.unlock();
   }
 
@@ -742,8 +750,9 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
 
   if (s.ok() && current_entries > 0) {
     // Verify that the table is usable, from the tail just written
-    s = table_cache_->AddNewTable(output_number, current_bytes,
-                                  compact->builder->tail());
+    s = table_cache_->OpenTable(output_number, current_bytes,
+                                compact->builder->tail(),
+                                &compact->current_output()->table);
   }
   delete compact->builder;
   compact->builder = nullptr;
@@ -754,11 +763,11 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   // Add compaction outputs
   compact->compaction->AddInputDeletions(compact->compaction->edit());
   const int out_level = compact->compaction->output_level();
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
+  for (CompactionState::Output& out : compact->outputs) {
     compact->compaction->edit()->AddFile(out_level, out.number, out.file_size,
                                          out.smallest, out.largest,
-                                         compact->region_id);
+                                         compact->region_id,
+                                         std::move(out.table));
   }
   Status s = versions_->LogAndApply(compact->compaction->edit());
   if (s.ok()) UpdateStallLevel();

@@ -84,8 +84,9 @@ class DBImpl : public DB {
 
   void MaybeIgnoreError(Status* s) const;
 
-  // Remove the tables no version references any more (and drop them from
-  // the table cache); each removal counts toward its set region's dead
+  // Remove the tables no version references any more (their readers closed
+  // with their FileMetaData; their pages and any quarantine ban leave the
+  // buffer pool here); each removal counts toward its set region's dead
   // members in the FileStore.
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
@@ -173,7 +174,9 @@ class DBImpl : public DB {
   const std::string dbname_;
   fs::FileStore* const store_;
 
-  // table_cache_ provides its own synchronization
+  // table_cache_ provides its own synchronization. Declared before
+  // versions_ so it is destroyed after it: every table reader closes with
+  // its FileMetaData, unpinning its pages, before the pool client goes.
   std::unique_ptr<TableCache> table_cache_;
 
   // State below is protected by mutex_

@@ -81,7 +81,7 @@ struct Table::Rep {
 
   Options options;
   Status status;
-  fs::RandomAccessFile* file;
+  std::unique_ptr<fs::RandomAccessFile> file;
   buf::BufferClient buffer;  // empty => read blocks privately, no caching
   uint64_t file_number;
   FilterBlockReader* filter;
@@ -94,8 +94,9 @@ struct Table::Rep {
   buf::BufferPool::PageRef index_page;  // pins the pooled index block
 };
 
-Status Table::Open(const Options& options, fs::RandomAccessFile* file,
-                   uint64_t size, Table** table,
+Status Table::Open(const Options& options,
+                   std::unique_ptr<fs::RandomAccessFile> file, uint64_t size,
+                   Table** table,
                    const buf::BufferClient& buffer, uint64_t file_number,
                    const Slice& written_tail) {
   *table = nullptr;
@@ -116,7 +117,7 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
   } else if (tail.size() < Footer::kEncodedLength || tail.size() > size) {
     return Status::Corruption("bad table tail size");
   }
-  TailFile meta_file(written_tail.empty() ? file : nullptr,
+  TailFile meta_file(written_tail.empty() ? file.get() : nullptr,
                      size - tail.size(), tail);
 
   Slice footer_input(tail.data() + tail.size() - Footer::kEncodedLength,
@@ -164,7 +165,7 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
     // ready to serve requests.
     Rep* rep = new Table::Rep;
     rep->options = options;
-    rep->file = file;
+    rep->file = std::move(file);
     rep->buffer = buffer;
     rep->file_number = file_number;
     rep->metaindex_handle = footer.metaindex_handle();
@@ -288,7 +289,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
                               &page)) {
         block = static_cast<Block*>(page.value());
       } else {
-        s = ReadBlock(table->rep_->file, options, handle, &contents);
+        s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
         if (s.ok()) {
           block = new Block(contents);
           if (contents.cachable) {
@@ -303,7 +304,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
         }
       }
     } else {
-      s = ReadBlock(table->rep_->file, options, handle, &contents);
+      s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
       if (s.ok()) {
         block = new Block(contents);
       }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "buf/buffer_pool.h"
 #include "lsm/iterator.h"
@@ -27,9 +28,9 @@ class Table {
   // footer) sits contiguously at EOF and is read in one request sized from
   // the file; a block that request does not cover is read on its own.
   //
-  // If successful, returns ok and sets "*table" to the newly opened table.
-  // The client should delete "*table" when no longer needed. "*file" must
-  // remain live while this Table is in use.
+  // If successful, returns ok and sets "*table" to the newly opened table,
+  // which owns "file" from then on. The client should delete "*table" when
+  // no longer needed.
   //
   // When `buffer` names a registered buffer-pool client, every block this
   // table reads (data, index, filter) is cached in — and served from —
@@ -41,7 +42,8 @@ class Table {
   // TableBuilder wrote them (TableBuilder::tail()): Open then reads
   // nothing from "file", decodes the footer, index and filter from `tail`,
   // and fails with Corruption when a handle points outside it.
-  static Status Open(const Options& options, fs::RandomAccessFile* file,
+  static Status Open(const Options& options,
+                     std::unique_ptr<fs::RandomAccessFile> file,
                      uint64_t file_size, Table** table,
                      const buf::BufferClient& buffer = {},
                      uint64_t file_number = 0, const Slice& tail = Slice());

@@ -7,84 +7,48 @@
 #include "lsm/filename.h"
 #include "lsm/table.h"
 #include "lsm/version_edit.h"
-#include "util/coding.h"
 
 namespace sealdb {
 
-struct TableAndFile {
-  std::unique_ptr<fs::RandomAccessFile> file;
-  Table* table;
-};
-
-static void DeleteEntry(const Slice& key, void* value) {
-  (void)key;
-  TableAndFile* tf = reinterpret_cast<TableAndFile*>(value);
-  delete tf->table;
-  delete tf;
-}
-
-static void UnrefEntry(void* arg1, void* arg2) {
-  Cache* cache = reinterpret_cast<Cache*>(arg1);
-  Cache::Handle* h = reinterpret_cast<Cache::Handle*>(arg2);
-  cache->Release(h);
-}
-
 TableCache::TableCache(const std::string& dbname, const Options& options,
-                       fs::FileStore* store, int entries)
-    : dbname_(dbname),
-      options_(options),
-      store_(store),
-      cache_(NewLRUCache(entries)) {
+                       fs::FileStore* store)
+    : dbname_(dbname), options_(options), store_(store) {
   if (options.buffer_pool != nullptr) {
     buffer_ = options.buffer_pool->RegisterClient(options.metrics_shard_label);
   }
 }
 
 TableCache::~TableCache() {
-  // Close the tables first: their pinned index/filter pages must drop
-  // before the owner purge so the pool can free them immediately.
-  cache_.reset();
   if (buffer_) {
     buffer_.pool->UnregisterClient(buffer_);
   }
 }
 
-Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
-                             const Slice& tail, Cache::Handle** handle) {
-  Status s;
-  char buf[sizeof(file_number)];
-  EncodeFixed64(buf, file_number);
-  Slice key(buf, sizeof(buf));
-  *handle = cache_->Lookup(key);
-  if (*handle == nullptr) {
-    std::string fname = TableFileName(dbname_, file_number);
-    std::unique_ptr<fs::RandomAccessFile> file;
-    Table* table = nullptr;
-    s = store_->NewRandomAccessFile(fname, &file);
-    if (s.ok()) {
-      s = Table::Open(options_, file.get(), file_size, &table, buffer_,
-                      file_number, tail);
-    }
+Status TableCache::Open(FileMetaData* f, Table** table) {
+  *table = f->table.load(std::memory_order_acquire);
+  if (*table != nullptr) return Status::OK();
 
-    if (!s.ok()) {
-      assert(table == nullptr);
-      // We do not cache error results so that if the error is transient,
-      // or somebody repairs the file, we recover automatically.
-    } else {
-      TableAndFile* tf = new TableAndFile;
-      tf->file = std::move(file);
-      tf->table = table;
-      *handle = cache_->Insert(key, tf, 1, &DeleteEntry);
-    }
-  }
+  std::lock_guard<std::mutex> l(open_mu_);
+  *table = f->table.load(std::memory_order_acquire);
+  if (*table != nullptr) return Status::OK();
+  std::unique_ptr<Table> opened;
+  Status s = OpenTable(f->number, f->file_size, Slice(), &opened);
+  if (!s.ok()) return s;
+  *table = opened.release();
+  f->table.store(*table, std::memory_order_release);
   return s;
 }
 
-Status TableCache::AddNewTable(uint64_t file_number, uint64_t file_size,
-                               const Slice& tail) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, tail, &handle);
-  if (s.ok()) cache_->Release(handle);
+Status TableCache::OpenTable(uint64_t file_number, uint64_t file_size,
+                             const Slice& tail, std::unique_ptr<Table>* table) {
+  std::unique_ptr<fs::RandomAccessFile> file;
+  Status s = store_->NewRandomAccessFile(TableFileName(dbname_, file_number),
+                                         &file);
+  if (!s.ok()) return s;
+  Table* opened = nullptr;
+  s = Table::Open(options_, std::move(file), file_size, &opened, buffer_,
+                  file_number, tail);
+  table->reset(opened);
   return s;
 }
 
@@ -140,20 +104,21 @@ Status TableCache::ReadImages(const std::vector<FileMetaData*>& victims,
       const std::string fname = TableFileName(dbname_, f->number);
       const uint64_t len = (f->file_size + block - 1) / block * block;
       TableImage image;
+      std::unique_ptr<fs::RandomAccessFile> file;
       Status s;
       if (held + len <= kMaxImageBytes) {
         image.data = std::make_unique_for_overwrite<char[]>(len);
         s = store_->ReadFileRange(fname, 0, len, image.data.get());
         if (!s.ok()) return s;
-        image.file =
+        file =
             std::make_unique<ImageFile>(Slice(image.data.get(), f->file_size));
         held += len;
       } else {
-        s = store_->NewRandomAccessFile(fname, &image.file);
+        s = store_->NewRandomAccessFile(fname, &file);
         if (!s.ok()) return s;
       }
       Table* table = nullptr;
-      s = Table::Open(options_, image.file.get(), f->file_size, &table);
+      s = Table::Open(options_, std::move(file), f->file_size, &table);
       if (!s.ok()) return s;
       image.table.reset(table);
       images->emplace(f->number, std::move(image));
@@ -163,49 +128,24 @@ Status TableCache::ReadImages(const std::vector<FileMetaData*>& victims,
 }
 
 Iterator* TableCache::NewIterator(const ReadOptions& options,
-                                  uint64_t file_number, uint64_t file_size,
-                                  Table** tableptr) {
-  if (tableptr != nullptr) {
-    *tableptr = nullptr;
-  }
-
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, Slice(), &handle);
-  if (!s.ok()) {
-    return NewErrorIterator(s);
-  }
-
-  Table* table = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  Iterator* result = table->NewIterator(options);
-  result->RegisterCleanup(&UnrefEntry, cache_.get(), handle);
-  if (tableptr != nullptr) {
-    *tableptr = table;
-  }
-  return result;
+                                  FileMetaData* f) {
+  Table* table;
+  Status s = Open(f, &table);
+  if (!s.ok()) return NewErrorIterator(s);
+  return table->NewIterator(options);
 }
 
-Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
-                       uint64_t file_size, const Slice& k, void* arg,
+Status TableCache::Get(const ReadOptions& options, FileMetaData* f,
+                       const Slice& k, void* arg,
                        void (*handle_result)(void*, const Slice&,
                                              const Slice&)) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, Slice(), &handle);
-  if (s.ok()) {
-    Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-    s = t->InternalGet(options, k, arg, handle_result);
-    cache_->Release(handle);
-  }
-  return s;
+  Table* table;
+  Status s = Open(f, &table);
+  if (!s.ok()) return s;
+  return table->InternalGet(options, k, arg, handle_result);
 }
 
 void TableCache::Evict(uint64_t file_number, bool ban) {
-  char buf[sizeof(file_number)];
-  EncodeFixed64(buf, file_number);
-  // Erase the table handle first so a cached Table's pinned index/filter
-  // pages unpin (unless an iterator still holds the table), then purge
-  // the dead file's pages from the pool; still-pinned ones are doomed and
-  // freed at last unpin.
-  cache_->Erase(Slice(buf, sizeof(buf)));
   if (buffer_) {
     buffer_.pool->EvictFile(buffer_, file_number, ban);
   }

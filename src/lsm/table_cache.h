@@ -1,23 +1,25 @@
-// TableCache: LRU cache of open Table readers, keyed by file number.
+// TableCache: opens the engine's table readers and compaction input images,
+// and holds the engine's buffer-pool client. A live table's reader lives in
+// its FileMetaData (lsm/version_edit.h) and closes with it; this class keeps
+// no table of its own.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "buf/buffer_pool.h"
 #include "lsm/dbformat.h"
 #include "lsm/iterator.h"
-#include "util/cache.h"
 #include "util/options.h"
 
 namespace sealdb {
 
 namespace fs {
 class FileStore;
-class RandomAccessFile;
 }
 
 struct FileMetaData;
@@ -35,8 +37,7 @@ struct TableImage {
   ~TableImage();
 
   std::unique_ptr<char[]> data;  // null when the table streams
-  // Reads pointing into `data`, or the streaming store handle.
-  std::unique_ptr<fs::RandomAccessFile> file;
+  // Reads from `data` or from the streaming store handle; closes first.
   std::unique_ptr<Table> table;
 };
 
@@ -46,24 +47,39 @@ using TableImages = std::map<uint64_t, TableImage>;
 class TableCache {
  public:
   TableCache(const std::string& dbname, const Options& options,
-             fs::FileStore* store, int entries);
+             fs::FileStore* store);
 
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
 
-  // Drops the cached tables and purges every buffer-pool page owned by
-  // this cache incarnation, so a reopened engine reusing file numbers can
-  // never alias stale frames in a shared pool.
+  // Purges every buffer-pool page owned by this engine incarnation, so a
+  // reopened engine reusing file numbers can never alias stale frames in a
+  // shared pool. REQUIRES: every table reader opened here is closed.
   ~TableCache();
 
-  // Return an iterator for the specified file number (the corresponding
-  // file length must be exactly "file_size" bytes).  If "tableptr" is
-  // non-null, also sets "*tableptr" to point to the Table object
-  // underlying the returned iterator.  The returned "*tableptr" object is
-  // owned by the cache and should not be deleted, and is valid for as long
-  // as the returned iterator is live.
-  Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
-                        uint64_t file_size, Table** tableptr = nullptr);
+  // Set *table to f's reader, opening it through a store handle on the
+  // first call (one drive request for the tail, see Table::Open). A table
+  // is opened once however many threads ask first; a failed open is not
+  // kept, so the next call retries. The reader stays owned by *f.
+  Status Open(FileMetaData* f, Table** table);
+
+  // An iterator over table *f, valid while *f lives.
+  Iterator* NewIterator(const ReadOptions& options, FileMetaData* f);
+
+  // If a seek to internal key "k" in table *f finds an entry,
+  // call (*handle_result)(arg, found_key, found_value).
+  Status Get(const ReadOptions& options, FileMetaData* f, const Slice& k,
+             void* arg,
+             void (*handle_result)(void*, const Slice&, const Slice&));
+
+  // Open table `file_number` into *table through a new store handle. With
+  // `tail`, the bytes its TableBuilder appended after the last data block
+  // (TableBuilder::tail()), the open decodes the footer, index and filter
+  // and pools and pins the index as any open does, but reads nothing from
+  // the drive: flushes and compactions open each table they write this way
+  // and VersionEdit::AddFile carries the reader into its FileMetaData.
+  Status OpenTable(uint64_t file_number, uint64_t file_size, const Slice& tail,
+                   std::unique_ptr<Table>* table);
 
   // A compaction holds at most this many bytes of input images.
   static constexpr uint64_t kMaxImageBytes = 64ull << 20;
@@ -77,40 +93,23 @@ class TableCache {
                     const std::vector<FileMetaData*>& set,
                     TableImages* images);
 
-  // Open the table just written as "file_number" (a number not cached
-  // yet) from `tail`, the bytes its TableBuilder appended after the last
-  // data block (TableBuilder::tail()), and cache it. The open decodes the
-  // footer, index and filter and pools and pins the index as any open
-  // does, but reads nothing from the drive: the bytes were just written.
-  Status AddNewTable(uint64_t file_number, uint64_t file_size,
-                     const Slice& tail);
-
-  // If a seek to internal key "k" in specified file finds an entry,
-  // call (*handle_result)(arg, found_key, found_value).
-  Status Get(const ReadOptions& options, uint64_t file_number,
-             uint64_t file_size, const Slice& k, void* arg,
-             void (*handle_result)(void*, const Slice&, const Slice&));
-
-  // Evict any entry for the specified file number, including the file's
-  // pages in the buffer pool (dead SSTable after compaction). `ban` is for
-  // quarantined (not merely dead) files: the pool additionally refuses to
-  // re-admit the file's pages, so a reader racing the quarantine cannot
-  // resurrect them (see BufferPool::EvictFile).
+  // Purge the file's pages from the buffer pool. Without `ban` the file is
+  // dead (compacted away, or an output that never installed) and its
+  // reader already closed: the purge also lifts a quarantine ban on it.
+  // `ban` is for quarantined (not merely dead) files: the pool refuses to
+  // re-admit the file's pages until it dies, so a reader racing the
+  // quarantine cannot resurrect them (see BufferPool::EvictFile).
   void Evict(uint64_t file_number, bool ban = false);
 
  private:
-  // Look the table up, or open it (from `tail` when non-empty, see
-  // Table::Open) and cache it.
-  Status FindTable(uint64_t file_number, uint64_t file_size,
-                   const Slice& tail, Cache::Handle**);
-
   const std::string dbname_;
   const Options& options_;
   fs::FileStore* const store_;
-  // This cache's registration with the shared buffer pool; empty when the
+  // This engine's registration with the shared buffer pool; empty when the
   // options carry no pool (block reads then go uncached).
   buf::BufferClient buffer_;
-  std::unique_ptr<Cache> cache_;
+  // Serializes first opens, so each table is opened once.
+  std::mutex open_mu_;
 };
 
 }  // namespace sealdb

@@ -7,12 +7,15 @@
 // id its region id).
 #pragma once
 
+#include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "lsm/dbformat.h"
+#include "lsm/table.h"
 #include "util/status.h"
 
 namespace sealdb {
@@ -20,15 +23,25 @@ namespace sealdb {
 class VersionSet;
 
 struct FileMetaData {
-  FileMetaData() : refs(0), allowed_seeks(1 << 30), file_size(0), set_id(0) {}
+  FileMetaData() = default;
+  FileMetaData(const FileMetaData&) = delete;
+  FileMetaData& operator=(const FileMetaData&) = delete;
+  ~FileMetaData() { delete table.load(std::memory_order_relaxed); }
 
-  int refs;
-  int allowed_seeks;  // Seeks allowed until compaction
-  uint64_t number;
-  uint64_t file_size;    // File size in bytes
-  InternalKey smallest;  // Smallest internal key served by table
-  InternalKey largest;   // Largest internal key served by table
-  uint64_t set_id;       // SEALDB set (FileStore region) id, 0 if none
+  int refs = 0;
+  int allowed_seeks = 1 << 30;  // Seeks allowed until compaction
+  uint64_t number = 0;
+  uint64_t file_size = 0;  // File size in bytes
+  InternalKey smallest;    // Smallest internal key served by table
+  InternalKey largest;     // Largest internal key served by table
+  uint64_t set_id = 0;     // SEALDB set (FileStore region) id, 0 if none
+  // The table's reader, with its store handle; null until the first read
+  // opens it (TableCache::Open) unless it came from the builder's tail.
+  // Set once, never replaced. It closes, unpinning its index and filter
+  // pages, when this FileMetaData is deleted: by the engine's cleanup of
+  // dead tables (DBImpl::RemoveObsoleteFiles) once no Version lists the
+  // table, or with an edit that never installs.
+  std::atomic<Table*> table{nullptr};
 };
 
 // Table tag codec: a live table's level and smallest and largest internal
@@ -39,18 +52,22 @@ bool DecodeTableTag(Slice tag, int* level, FileMetaData* f);
 
 class VersionEdit {
  public:
-  // Add the specified file at the specified number.
+  // Add the specified file at the specified number. `table` is the new
+  // table's reader when one is open (TableCache::OpenTable); it moves
+  // into the installed FileMetaData, or closes with this edit if the edit
+  // never installs.
   // REQUIRES: "smallest" and "largest" are smallest and largest keys in file
   void AddFile(int level, uint64_t file, uint64_t file_size,
                const InternalKey& smallest, const InternalKey& largest,
-               uint64_t set_id = 0) {
-    FileMetaData f;
-    f.number = file;
-    f.file_size = file_size;
-    f.smallest = smallest;
-    f.largest = largest;
-    f.set_id = set_id;
-    new_files_.push_back(std::make_pair(level, f));
+               uint64_t set_id = 0, std::unique_ptr<Table> table = nullptr) {
+    auto f = std::make_unique<FileMetaData>();
+    f->number = file;
+    f->file_size = file_size;
+    f->smallest = smallest;
+    f->largest = largest;
+    f->set_id = set_id;
+    f->table.store(table.release(), std::memory_order_relaxed);
+    new_files_.emplace_back(level, std::move(f));
   }
 
   // Delete the specified "file" from the specified "level".
@@ -65,7 +82,7 @@ class VersionEdit {
   friend class VersionSet;
 
   std::set<std::pair<int, uint64_t>> deleted_files_;
-  std::vector<std::pair<int, FileMetaData>> new_files_;
+  std::vector<std::pair<int, std::unique_ptr<FileMetaData>>> new_files_;
   std::vector<uint64_t> removed_logs_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <unordered_map>
 
 #include "fs/file_store.h"
@@ -87,14 +88,14 @@ Version::~Version() {
 
   // Drop references to files. A table no version references any more is
   // dead: the commit that dropped it from the current version has landed.
+  // Its FileMetaData, reader included, waits for the engine's cleanup.
   for (size_t level = 0; level < files_.size(); level++) {
     for (size_t i = 0; i < files_[level].size(); i++) {
       FileMetaData* f = files_[level][i];
       assert(f->refs > 0);
       f->refs--;
       if (f->refs <= 0) {
-        vset_->obsolete_files_.push_back(f->number);
-        delete f;
+        vset_->obsolete_files_.emplace_back(f);
       }
     }
   }
@@ -219,9 +220,8 @@ bool SomeFileOverlapsRange(const InternalKeyComparator& icmp,
 
 // An internal iterator.  For a given version/level pair, yields
 // information about the files in the level.  For a given entry, key()
-// is the largest key that occurs in the file, and value() is an
-// 16-byte value containing the file number and file size, both
-// encoded using EncodeFixed64.
+// is the largest key that occurs in the file, and value() holds the
+// file's FileMetaData pointer.
 class Version::LevelFileNumIterator : public Iterator {
  public:
   LevelFileNumIterator(const InternalKeyComparator& icmp,
@@ -254,9 +254,8 @@ class Version::LevelFileNumIterator : public Iterator {
   }
   Slice value() const override {
     assert(Valid());
-    EncodeFixed64(value_buf_, (*flist_)[index_]->number);
-    EncodeFixed64(value_buf_ + 8, (*flist_)[index_]->file_size);
-    return Slice(value_buf_, sizeof(value_buf_));
+    return Slice(reinterpret_cast<const char*>(&(*flist_)[index_]),
+                 sizeof(FileMetaData*));
   }
   Status status() const override { return Status::OK(); }
 
@@ -264,21 +263,20 @@ class Version::LevelFileNumIterator : public Iterator {
   const InternalKeyComparator icmp_;
   const std::vector<FileMetaData*>* const flist_;
   uint32_t index_;
-
-  // Backing store for value().  Holds the file number and size.
-  mutable char value_buf_[16];
 };
+
+// The FileMetaData behind a LevelFileNumIterator value.
+static FileMetaData* DecodeFileValue(const Slice& file_value) {
+  FileMetaData* f;
+  assert(file_value.size() == sizeof(f));
+  std::memcpy(&f, file_value.data(), sizeof(f));
+  return f;
+}
 
 static Iterator* GetFileIterator(void* arg, const ReadOptions& options,
                                  const Slice& file_value) {
-  TableCache* cache = reinterpret_cast<TableCache*>(arg);
-  if (file_value.size() != 16) {
-    return NewErrorIterator(
-        Status::Corruption("FileReader invoked with unexpected value"));
-  } else {
-    return cache->NewIterator(options, DecodeFixed64(file_value.data()),
-                              DecodeFixed64(file_value.data() + 8));
-  }
+  return reinterpret_cast<TableCache*>(arg)->NewIterator(
+      options, DecodeFileValue(file_value));
 }
 
 Iterator* Version::NewConcatenatingIterator(const ReadOptions& options,
@@ -295,8 +293,8 @@ void Version::AddIterators(const ReadOptions& options,
     if (LevelIsOverlapping(level)) {
       // Files may overlap each other: one iterator per file.
       for (size_t i = 0; i < files_[level].size(); i++) {
-        iters->push_back(vset_->table_cache_->NewIterator(
-            options, files_[level][i]->number, files_[level][i]->file_size));
+        iters->push_back(
+            vset_->table_cache_->NewIterator(options, files_[level][i]));
       }
     } else {
       // For sorted levels, use a concatenating iterator that sequentially
@@ -414,8 +412,7 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
       state->last_file_read = f;
       state->last_file_read_level = level;
 
-      state->s = state->vset->table_cache_->Get(*state->options, f->number,
-                                                f->file_size, state->ikey,
+      state->s = state->vset->table_cache_->Get(*state->options, f, state->ikey,
                                                 &state->saver, SaveValue);
       if (!state->s.ok()) {
         state->found = true;
@@ -662,8 +659,9 @@ class VersionSet::Builder {
     base_->Unref();
   }
 
-  // Apply all of the edits in *edit to the current state.
-  void Apply(const VersionEdit* edit) {
+  // Apply all of the edits in *edit to the current state. The added
+  // files' metadata, readers included, moves out of *edit.
+  void Apply(VersionEdit* edit) {
     // Delete files
     for (const auto& deleted_file_set_kvp : edit->deleted_files_) {
       const int level = deleted_file_set_kvp.first;
@@ -672,18 +670,13 @@ class VersionSet::Builder {
     }
 
     // Add new files
-    for (size_t i = 0; i < edit->new_files_.size(); i++) {
-      const int level = edit->new_files_[i].first;
+    for (auto& [level, added] : edit->new_files_) {
       // A trivial move deletes a table from one level and adds it to
-      // another: both versions share its FileMetaData, so its refcount
-      // reaches 0 only when the table dies.
-      FileMetaData* f = MovedFile(edit, edit->new_files_[i].second.number);
-      if (f != nullptr) {
-        f->refs++;
-      } else {
-        f = new FileMetaData(edit->new_files_[i].second);
-        f->refs = 1;
-      }
+      // another: both versions share its FileMetaData, and so its reader,
+      // and its refcount reaches 0 only when the table dies.
+      FileMetaData* f = MovedFile(edit, added->number);
+      if (f == nullptr) f = added.release();
+      f->refs++;
 
       // We arrange to automatically compact this file after
       // a certain number of seeks.  Let's assume:
@@ -824,7 +817,8 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   }
   // After the deletions: a trivial move re-tags the table it deleted.
   for (const auto& [level, f] : edit->new_files_) {
-    EncodeTableTag(&commit.tags[TableFileName(dbname_, f.number)], level, f);
+    EncodeTableTag(&commit.tags[TableFileName(dbname_, f->number)], level,
+                   *f);
   }
   for (uint64_t log : edit->removed_logs_) {
     commit.removes.push_back(LogFileName(dbname_, log));
@@ -955,38 +949,6 @@ int VersionSet::NumLevelFiles(int level) const {
   return current_->files_[level].size();
 }
 
-uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
-  uint64_t result = 0;
-  for (int level = 0; level < NumLevels(); level++) {
-    const std::vector<FileMetaData*>& files = v->files_[level];
-    for (size_t i = 0; i < files.size(); i++) {
-      if (icmp_.Compare(files[i]->largest, ikey) <= 0) {
-        // Entire file is before "ikey", so just add the file size
-        result += files[i]->file_size;
-      } else if (icmp_.Compare(files[i]->smallest, ikey) > 0) {
-        // Entire file is after "ikey", so ignore
-        if (!v->LevelIsOverlapping(level)) {
-          // Files other than level 0 are sorted by meta->smallest, so
-          // no further files in this level will contain data for
-          // "ikey".
-          break;
-        }
-      } else {
-        // "ikey" falls in the range for this table.  Add the
-        // approximate offset of "ikey" within the table.
-        Table* tableptr;
-        Iterator* iter = table_cache_->NewIterator(
-            ReadOptions(), files[i]->number, files[i]->file_size, &tableptr);
-        if (tableptr != nullptr) {
-          result += tableptr->ApproximateOffsetOf(ikey.Encode());
-        }
-        delete iter;
-      }
-    }
-  }
-  return result;
-}
-
 uint64_t VersionSet::MaxFileSizeForLevel(int level) const {
   return MaxFileSizeForLevelImpl(options_, level);
 }
@@ -1038,12 +1000,8 @@ static Iterator* ImageIterator(const TableImages& images,
 
 static Iterator* GetImageIterator(void* arg, const ReadOptions& options,
                                   const Slice& file_value) {
-  if (file_value.size() != 16) {
-    return NewErrorIterator(
-        Status::Corruption("FileReader invoked with unexpected value"));
-  }
   return ImageIterator(*reinterpret_cast<const TableImages*>(arg), options,
-                       DecodeFixed64(file_value.data()));
+                       DecodeFileValue(file_value)->number);
 }
 
 Iterator* VersionSet::MakeInputIterator(Compaction* c,

@@ -6,7 +6,8 @@
 // LogAndApply installs each flush, compaction and trivial move with one
 // FileStore::Commit, and Recover rebuilds the Version from the store's
 // file list. A table dies when the last Version referencing it is dropped
-// (its FileMetaData refcount reaches 0); the engine then removes the file.
+// (its FileMetaData refcount reaches 0); the engine then deletes its
+// FileMetaData, closing its reader, and removes the file.
 //
 // Extensions over classic LevelDB:
 //  * configurable level count (SMRDB runs with 2 levels),
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -252,8 +254,10 @@ class VersionSet {
   }
 
   // Tables no Version references any more, since the last call. Their
-  // tags were cleared by a landed commit; the caller removes the files.
-  std::vector<uint64_t> TakeObsoleteFiles() {
+  // tags were cleared by a landed commit; the caller deletes the metadata,
+  // closing the readers, then purges their pages and removes the files.
+  // Until then a dead table keeps its index and filter pages pinned.
+  std::vector<std::unique_ptr<FileMetaData>> TakeObsoleteFiles() {
     return std::exchange(obsolete_files_, {});
   }
 
@@ -284,10 +288,6 @@ class VersionSet {
     Version* v = current_;
     return (v->compaction_score_ >= 1) || (v->file_to_compact_ != nullptr);
   }
-
-  // Return the approximate offset in the database of the data for
-  // "key" as of version "v".
-  uint64_t ApproximateOffsetOf(Version* v, const InternalKey& key);
 
   const Options* options() const { return options_; }
   const InternalKeyComparator* icmp() const { return &icmp_; }
@@ -334,7 +334,8 @@ class VersionSet {
   const InternalKeyComparator icmp_;
   uint64_t next_file_number_ = 1;
   uint64_t last_sequence_ = 0;
-  std::vector<uint64_t> obsolete_files_;  // see TakeObsoleteFiles
+  // See TakeObsoleteFiles.
+  std::vector<std::unique_ptr<FileMetaData>> obsolete_files_;
   Version dummy_versions_;  // Head of circular doubly-linked list of versions.
   Version* current_;        // == dummy_versions_.prev_
 

@@ -1,4 +1,4 @@
-// Fast non-cryptographic hash used by bloom filters and the LRU cache shards.
+// Fast non-cryptographic hash used by bloom filters and shard routing.
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,11 @@
 // batched second-chance CLOCK eviction order, kind-biased admission,
 // whole-file eviction (dead SSTables), owner namespacing across clients,
 // the lock-free optimistic hit path, metric plumbing through a full stack,
-// and a multi-threaded stress leg (readers racing eviction and EvictFile)
-// that is meaningful under TSan via the "stress" ctest label.
+// the engine's table readers (opened once, closed with the last Version
+// that lists the table, a quarantine ban lifted when the table dies), and
+// multi-threaded stress legs (readers racing eviction and EvictFile, first
+// reads racing a table open) that are meaningful under TSan via the
+// "stress" ctest label.
 #include "buf/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +18,9 @@
 #include <vector>
 
 #include "baselines/presets.h"
+#include "fs/file_store.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
 #include "obs/metrics.h"
 
 namespace sealdb::buf {
@@ -397,7 +402,8 @@ TEST_F(BufferPoolTest, ConcurrentReadersEvictionAndFileDrop) {
 // Quarantine ordering: once EvictFile(ban) returns, no later Insert for
 // that file may link a page other readers could find — the loser of a
 // concurrent duplicate-insert race gets its page back born doomed (usable
-// by the caller, invisible to Lookup). UnbanFile restores admission.
+// by the caller, invisible to Lookup). Dropping the file as dead lifts the
+// ban.
 TEST_F(BufferPoolTest, BanKeepsQuarantinedFileOutOfThePool) {
   auto pool = MakePool(64 << 20, 8);
   BufferClient client = pool->RegisterClient("0");
@@ -432,8 +438,10 @@ TEST_F(BufferPoolTest, BanKeepsQuarantinedFileOutOfThePool) {
   EXPECT_TRUE(pool->Lookup(client, kFile + 1, 0, BlockKind::kData, &other));
   other.Reset();
 
-  // Lifting the ban restores normal admission for the file.
-  pool->UnbanFile(client, kFile);
+  // The dead-file drop lifts the ban and restores normal admission.
+  EXPECT_EQ(pool->banned_files(), 1u);
+  pool->EvictFile(client, kFile);
+  EXPECT_EQ(pool->banned_files(), 0u);
   BufferPool::PageRef fresh;
   pool->Insert(client, kFile, 0, BlockKind::kData, MakeValue(4), 2048,
                &DeleteValue, &fresh);
@@ -447,8 +455,9 @@ TEST_F(BufferPoolTest, BanKeepsQuarantinedFileOutOfThePool) {
   EXPECT_EQ(g_frees.load(), g_allocs.load());
 }
 
-// The same ordering under contention: one thread quarantines/unbans in a
-// loop while readers insert-or-lookup pages of the banned file. At no
+// The same ordering under contention: one thread bans and lifts the ban (a
+// dead-file drop) in a loop while readers insert-or-lookup pages of the
+// file. At no
 // point may a Lookup observe a page inserted after the ban; the ledger
 // catches any page leaked by the doomed-insert path. TSan-meaningful via
 // the "stress" label.
@@ -459,9 +468,10 @@ TEST_F(BufferPoolTest, ConcurrentBanVsInsertNeverReAdmits) {
   constexpr int kOffsets = 16;
   std::atomic<bool> stop{false};
   // Odd = the ban is in place (stored after EvictFile(ban) returns); even =
-  // about to be lifted (stored before UnbanFile starts). A reader that sees
-  // the same odd value before its insert and after its verify lookup knows
-  // the ban held the whole time, so the assertion cannot race the unban.
+  // about to be lifted (stored before the lifting drop starts). A reader
+  // that sees the same odd value before its insert and after its verify
+  // lookup knows the ban held the whole time, so the assertion cannot race
+  // the lift.
   std::atomic<uint64_t> ban_state{0};
 
   std::vector<std::thread> readers;
@@ -496,7 +506,7 @@ TEST_F(BufferPoolTest, ConcurrentBanVsInsertNeverReAdmits) {
     ban_state.store(2 * i + 1, std::memory_order_release);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ban_state.store(2 * i + 2, std::memory_order_release);
-    pool->UnbanFile(client, kFile);
+    pool->EvictFile(client, kFile);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true, std::memory_order_relaxed);
@@ -504,6 +514,165 @@ TEST_F(BufferPoolTest, ConcurrentBanVsInsertNeverReAdmits) {
   pool->UnregisterClient(client);
   pool.reset();
   EXPECT_EQ(g_frees.load(), g_allocs.load());
+}
+
+namespace {
+
+// A small one-shard SEALDB stack with inline compactions.
+std::unique_ptr<baselines::Stack> SmallStack(const std::string& name) {
+  baselines::StackConfig config;
+  config.kind = baselines::SystemKind::kSEALDB;
+  config.capacity_bytes = 256ull << 20;
+  config.band_bytes = 640 << 10;
+  config.sstable_bytes = 64 << 10;
+  config.write_buffer_bytes = 64 << 10;
+  config.track_bytes = 16 << 10;
+  config.conventional_bytes = 8 << 20;
+  std::unique_ptr<baselines::Stack> stack;
+  EXPECT_TRUE(baselines::BuildStack(config, name, &stack).ok());
+  return stack;
+}
+
+std::string EvenKey(int i) {
+  char key[32];
+  std::snprintf(key, sizeof(key), "key%06d", 2 * i);
+  return key;
+}
+
+// Put keys 0, 2, ..., 2 * (n - 1) with values tagged by `round`, then
+// compact the whole range so every table sits in one sorted level.
+void LoadAndCompact(baselines::Stack* stack, int n, char round) {
+  for (int i = 0; i < n; i++) {
+    ASSERT_TRUE(stack->db()
+                    ->Put(WriteOptions(), EvenKey(i), std::string(1024, round))
+                    .ok());
+  }
+  stack->db()->CompactRange(nullptr, nullptr);
+}
+
+std::vector<uint64_t> LiveTables(baselines::Stack* stack) {
+  std::vector<uint64_t> numbers;
+  for (const LiveFileMeta& f : stack->db()->shard(0)->GetLiveFilesMetadata()) {
+    numbers.push_back(f.number);
+  }
+  return numbers;
+}
+
+bool StoreHasTable(baselines::Stack* stack, uint64_t number) {
+  for (const fs::FileInfo& info : stack->store()->ListFiles()) {
+    uint64_t n;
+    FileType type;
+    if (ParseFileName(info.name, &n, &type) && type == kTableFile &&
+        n == number) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+// A quarantined table that is later compacted away takes its pool ban with
+// it: the ban only guards a live file's pages, and while any ban is held
+// every pool Insert from the shard takes the ban mutex.
+TEST_F(BufferPoolTest, QuarantineBanLiftsWhenTheTableDies) {
+  auto stack = SmallStack("ban_lift");
+  LoadAndCompact(stack.get(), 500, 'a');
+  const std::vector<uint64_t> before = LiveTables(stack.get());
+  ASSERT_FALSE(before.empty());
+  BufferPool* pool = stack->buffer_pool();
+
+  stack->db()->shard(0)->QuarantineFile(before[0]);
+  EXPECT_EQ(pool->banned_files(), 1u);
+
+  LoadAndCompact(stack.get(), 500, 'b');
+  for (uint64_t number : LiveTables(stack.get())) {
+    ASSERT_NE(number, before[0]);
+  }
+  EXPECT_FALSE(StoreHasTable(stack.get(), before[0]));
+  EXPECT_EQ(pool->banned_files(), 0u);
+}
+
+// After a reopen, threads that read one not-yet-opened table at the same
+// time open it once: one drive request (the table's tail), whoever wins.
+// The key is absent and rejected by the table's filter, so the open is the
+// only drive read.
+TEST_F(BufferPoolTest, ConcurrentFirstReadsOpenATableOnce) {
+  auto stack = SmallStack("open_once");
+  LoadAndCompact(stack.get(), 2000, 'a');
+  const std::string absent = "key001001";  // odd: never written
+  auto reads = [&stack] { return stack->drive()->metrics().read_ops->Value(); };
+
+  // One reader: the table's open is one request.
+  ASSERT_TRUE(stack->Reopen().ok());
+  uint64_t start = reads();
+  std::string value;
+  ASSERT_TRUE(stack->db()->Get(ReadOptions(), absent, &value).IsNotFound());
+  ASSERT_EQ(reads() - start, 1u);
+
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 5; round++) {
+    ASSERT_TRUE(stack->Reopen().ok());
+    start = reads();
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        std::string got;
+        EXPECT_TRUE(stack->db()->Get(ReadOptions(), absent, &got).IsNotFound());
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(reads() - start, 1u) << "round " << round;
+  }
+}
+
+// A table compacted away while an iterator still reads it stays whole for
+// that iterator: its file, reader and pages live until the iterator is
+// released. Then the reader closes, the next cleanup removes the file and
+// the pool holds none of its pages.
+TEST_F(BufferPoolTest, DeadTableLivesUntilItsLastIterator) {
+  auto stack = SmallStack("dead_table");
+  constexpr int kKeys = 500;
+  LoadAndCompact(stack.get(), kKeys, 'a');
+  const std::vector<uint64_t> old_tables = LiveTables(stack.get());
+  ASSERT_FALSE(old_tables.empty());
+  BufferPool* pool = stack->buffer_pool();
+
+  std::unique_ptr<Iterator> iter(stack->db()->NewIterator(ReadOptions()));
+  iter->SeekToFirst();
+  ASSERT_TRUE(iter->Valid());
+
+  LoadAndCompact(stack.get(), kKeys, 'b');
+  for (uint64_t number : LiveTables(stack.get())) {
+    for (uint64_t old : old_tables) ASSERT_NE(number, old);
+  }
+  size_t old_pages = 0;
+  for (uint64_t number : old_tables) {
+    EXPECT_TRUE(StoreHasTable(stack.get(), number)) << number;
+    old_pages += pool->FilePages(number);
+  }
+  EXPECT_GT(old_pages, 0u);  // at least the pinned index pages
+
+  int i = 0;
+  for (; iter->Valid(); iter->Next(), i++) {
+    ASSERT_EQ(iter->key().ToString(), EvenKey(i));
+    ASSERT_EQ(iter->value().ToString(), std::string(1024, 'a'));
+  }
+  EXPECT_TRUE(iter->status().ok());
+  EXPECT_EQ(i, kKeys);
+  iter.reset();
+
+  // The next flush removes what the released iterator held.
+  ASSERT_TRUE(stack->db()->Put(WriteOptions(), "z", "z").ok());
+  stack->db()->CompactRange(nullptr, nullptr);
+  for (uint64_t number : old_tables) {
+    EXPECT_FALSE(StoreHasTable(stack.get(), number)) << number;
+    EXPECT_EQ(pool->FilePages(number), 0u) << number;
+  }
 }
 
 }  // namespace sealdb::buf

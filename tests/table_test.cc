@@ -315,10 +315,13 @@ class TableTest : public ::testing::Test {
     tail_ = builder.tail().ToString();
     ASSERT_TRUE(file->Close().ok());
 
-    ASSERT_TRUE(store_->NewRandomAccessFile(fname, &raf_).ok());
+    fname_ = fname;
+    std::unique_ptr<fs::RandomAccessFile> raf;
+    ASSERT_TRUE(store_->NewRandomAccessFile(fname, &raf).ok());
     const uint64_t reads_before = drive_->metrics().read_ops->Value();
     Table* table = nullptr;
-    ASSERT_TRUE(Table::Open(options_, raf_.get(), file_size_, &table).ok());
+    ASSERT_TRUE(
+        Table::Open(options_, std::move(raf), file_size_, &table).ok());
     table_.reset(table);
     open_reads_ = drive_->metrics().read_ops->Value() - reads_before;
   }
@@ -327,9 +330,9 @@ class TableTest : public ::testing::Test {
   std::unique_ptr<core::DynamicBandAllocator> allocator_;
   std::unique_ptr<fs::FileStore> store_;
   std::unique_ptr<const FilterPolicy> filter_;
-  std::unique_ptr<fs::RandomAccessFile> raf_;
   std::unique_ptr<Table> table_;
   Options options_;
+  std::string fname_;  // the file BuildAndOpen wrote
   uint64_t file_size_ = 0;
   std::string tail_;         // the builder's tail (TableBuilder::tail())
   uint64_t open_reads_ = 0;  // drive requests Table::Open sent
@@ -454,7 +457,10 @@ TEST_F(TableTest, TailLargerThanOpenSpanFallsBackToBlockReads) {
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(iter->key().ToString(), "k00000700");
 
-  TableCache cache("/tail", options_, store_.get(), 10);
+  TableCache cache("/tail", options_, store_.get());
+  FileMetaData meta;
+  meta.number = 7;
+  meta.file_size = file_size_;
   struct Found {
     std::string key, value;
   };
@@ -465,14 +471,13 @@ TEST_F(TableTest, TailLargerThanOpenSpanFallsBackToBlockReads) {
   };
   for (const auto& [k, v] : model) {
     Found found;
-    ASSERT_TRUE(cache.Get(ReadOptions(), 7, file_size_, k, &found, save).ok());
+    ASSERT_TRUE(cache.Get(ReadOptions(), &meta, k, &found, save).ok());
     ASSERT_EQ(found.key, k);
     ASSERT_EQ(found.value, v);
   }
   Found absent;
   ASSERT_TRUE(
-      cache.Get(ReadOptions(), 7, file_size_, "k00000701", &absent, save)
-          .ok());
+      cache.Get(ReadOptions(), &meta, "k00000701", &absent, save).ok());
   EXPECT_NE(absent.key, "k00000701");
 }
 
@@ -486,16 +491,21 @@ TEST_F(TableTest, OpenFromBuilderTailMatchesOpenFromFile) {
   ASSERT_FALSE(tail_.empty());
   ASSERT_LT(tail_.size(), file_size_);
 
-  TableCache from_tail("/new", options_, store_.get(), 10);
+  TableCache from_tail("/new", options_, store_.get());
+  FileMetaData tail_meta;
+  tail_meta.number = 9;
+  tail_meta.file_size = file_size_;
   const uint64_t reads_before = drive_->metrics().read_ops->Value();
-  ASSERT_TRUE(from_tail.AddNewTable(9, file_size_, tail_).ok());
+  std::unique_ptr<Table> opened;
+  ASSERT_TRUE(from_tail.OpenTable(9, file_size_, tail_, &opened).ok());
+  tail_meta.table = opened.release();
+  std::unique_ptr<Iterator> a(from_tail.NewIterator(ReadOptions(), &tail_meta));
   EXPECT_EQ(drive_->metrics().read_ops->Value(), reads_before);
-  TableCache from_file("/new", options_, store_.get(), 10);
-
-  std::unique_ptr<Iterator> a(
-      from_tail.NewIterator(ReadOptions(), 9, file_size_));
-  std::unique_ptr<Iterator> b(
-      from_file.NewIterator(ReadOptions(), 9, file_size_));
+  TableCache from_file("/new", options_, store_.get());
+  FileMetaData file_meta;
+  file_meta.number = 9;
+  file_meta.file_size = file_size_;
+  std::unique_ptr<Iterator> b(from_file.NewIterator(ReadOptions(), &file_meta));
   size_t entries = 0;
   for (a->SeekToFirst(), b->SeekToFirst(); a->Valid(); a->Next(), b->Next()) {
     ASSERT_TRUE(b->Valid());
@@ -518,11 +528,9 @@ TEST_F(TableTest, OpenFromBuilderTailMatchesOpenFromFile) {
                   static_cast<int>(rnd.Uniform(3000 * 7 + 10)));
     std::string got_tail, got_file;
     ASSERT_TRUE(
-        from_tail.Get(ReadOptions(), 9, file_size_, key, &got_tail, save)
-            .ok());
+        from_tail.Get(ReadOptions(), &tail_meta, key, &got_tail, save).ok());
     ASSERT_TRUE(
-        from_file.Get(ReadOptions(), 9, file_size_, key, &got_file, save)
-            .ok());
+        from_file.Get(ReadOptions(), &file_meta, key, &got_file, save).ok());
     ASSERT_EQ(got_tail, got_file) << key;
   }
 }
@@ -539,9 +547,11 @@ TEST_F(TableTest, OpenFromCorruptTailFails) {
 
   auto open = [this](const std::string& tail) {
     Table* table = nullptr;
+    std::unique_ptr<fs::RandomAccessFile> raf;
+    EXPECT_TRUE(store_->NewRandomAccessFile(fname_, &raf).ok());
     const uint64_t reads_before = drive_->metrics().read_ops->Value();
-    Status s = Table::Open(options_, raf_.get(), file_size_, &table, {}, 0,
-                           tail);
+    Status s = Table::Open(options_, std::move(raf), file_size_, &table, {},
+                           0, tail);
     EXPECT_EQ(drive_->metrics().read_ops->Value(), reads_before);
     EXPECT_EQ(table == nullptr, !s.ok());
     delete table;
@@ -599,7 +609,7 @@ TEST_F(TableTest, ImagesPastTheBudgetStream) {
   std::vector<FileMetaData*> set;
   for (int t = 1; t < kTables; t++) set.push_back(&metas[t]);
 
-  TableCache cache("/img", options_, store_.get(), 10);
+  TableCache cache("/img", options_, store_.get());
   TableImages images;
   const uint64_t reads_before = drive_->metrics().read_ops->Value();
   ASSERT_TRUE(cache.ReadImages(victims, set, &images).ok());
@@ -640,7 +650,7 @@ TEST_F(TableTest, OpenTooShortFails) {
   std::unique_ptr<fs::RandomAccessFile> raf;
   ASSERT_TRUE(store_->NewRandomAccessFile("/short", &raf).ok());
   Table* table = nullptr;
-  EXPECT_FALSE(Table::Open(Options(), raf.get(), 11, &table).ok());
+  EXPECT_FALSE(Table::Open(Options(), std::move(raf), 11, &table).ok());
   EXPECT_EQ(table, nullptr);
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the util layer: coding, crc32c, hash, random, arena,
-// bloom, cache, histogram, logging, slice, status, comparator.
+// bloom, histogram, logging, slice, status, comparator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/arena.h"
-#include "util/cache.h"
 #include "util/coding.h"
 #include "util/comparator.h"
 #include "util/crc32c.h"
@@ -507,149 +506,6 @@ TEST(Bloom, BitsMatchTheRemainderReference) {
     }
     ASSERT_EQ(filter, want) << "length " << length;
   }
-}
-
-// ---------------------------------------------------------------- cache
-
-static std::string CacheKey(int i) {
-  char buf[4];
-  EncodeFixed32(buf, i);
-  return std::string(buf, 4);
-}
-
-class CacheTest : public ::testing::Test {
- public:
-  static constexpr int kCacheSize = 1000;
-
-  CacheTest() : cache_(NewLRUCache(kCacheSize)) {}
-
-  static void Deleter(const Slice& key, void* v) {
-    current_->deleted_keys_.push_back(DecodeFixed32(key.data()));
-    current_->deleted_values_.push_back(
-        static_cast<int>(reinterpret_cast<uintptr_t>(v)));
-  }
-
-  int Lookup(int key) {
-    Cache::Handle* handle = cache_->Lookup(CacheKey(key));
-    const int r =
-        (handle == nullptr)
-            ? -1
-            : static_cast<int>(
-                  reinterpret_cast<uintptr_t>(cache_->Value(handle)));
-    if (handle != nullptr) {
-      cache_->Release(handle);
-    }
-    return r;
-  }
-
-  void Insert(int key, int value, int charge = 1) {
-    current_ = this;
-    cache_->Release(cache_->Insert(CacheKey(key),
-                                   reinterpret_cast<void*>(
-                                       static_cast<uintptr_t>(value)),
-                                   charge, &CacheTest::Deleter));
-  }
-
-  void Erase(int key) {
-    current_ = this;
-    cache_->Erase(CacheKey(key));
-  }
-
-  std::vector<int> deleted_keys_;
-  std::vector<int> deleted_values_;
-  std::unique_ptr<Cache> cache_;
-
-  static CacheTest* current_;
-};
-CacheTest* CacheTest::current_;
-
-TEST_F(CacheTest, HitAndMiss) {
-  EXPECT_EQ(-1, Lookup(100));
-
-  Insert(100, 101);
-  EXPECT_EQ(101, Lookup(100));
-  EXPECT_EQ(-1, Lookup(200));
-  EXPECT_EQ(-1, Lookup(300));
-
-  Insert(200, 201);
-  EXPECT_EQ(101, Lookup(100));
-  EXPECT_EQ(201, Lookup(200));
-  EXPECT_EQ(-1, Lookup(300));
-
-  Insert(100, 102);
-  EXPECT_EQ(102, Lookup(100));
-  EXPECT_EQ(201, Lookup(200));
-  EXPECT_EQ(-1, Lookup(300));
-
-  ASSERT_EQ(1u, deleted_keys_.size());
-  EXPECT_EQ(100, deleted_keys_[0]);
-  EXPECT_EQ(101, deleted_values_[0]);
-}
-
-TEST_F(CacheTest, Erase) {
-  Erase(200);
-  ASSERT_EQ(0u, deleted_keys_.size());
-
-  Insert(100, 101);
-  Insert(200, 201);
-  Erase(100);
-  EXPECT_EQ(-1, Lookup(100));
-  EXPECT_EQ(201, Lookup(200));
-  ASSERT_EQ(1u, deleted_keys_.size());
-  EXPECT_EQ(100, deleted_keys_[0]);
-  EXPECT_EQ(101, deleted_values_[0]);
-
-  Erase(100);
-  EXPECT_EQ(-1, Lookup(100));
-  EXPECT_EQ(201, Lookup(200));
-  ASSERT_EQ(1u, deleted_keys_.size());
-}
-
-TEST_F(CacheTest, EntriesArePinned) {
-  current_ = this;
-  Insert(100, 101);
-  Cache::Handle* h1 = cache_->Lookup(CacheKey(100));
-  EXPECT_EQ(101, static_cast<int>(
-                     reinterpret_cast<uintptr_t>(cache_->Value(h1))));
-
-  Insert(100, 102);
-  Cache::Handle* h2 = cache_->Lookup(CacheKey(100));
-  EXPECT_EQ(102, static_cast<int>(
-                     reinterpret_cast<uintptr_t>(cache_->Value(h2))));
-  ASSERT_EQ(0u, deleted_keys_.size());
-
-  cache_->Release(h1);
-  ASSERT_EQ(1u, deleted_keys_.size());
-  EXPECT_EQ(100, deleted_keys_[0]);
-  EXPECT_EQ(101, deleted_values_[0]);
-
-  Erase(100);
-  EXPECT_EQ(-1, Lookup(100));
-  ASSERT_EQ(1u, deleted_keys_.size());
-
-  cache_->Release(h2);
-  ASSERT_EQ(2u, deleted_keys_.size());
-  EXPECT_EQ(100, deleted_keys_[1]);
-  EXPECT_EQ(102, deleted_values_[1]);
-}
-
-TEST_F(CacheTest, EvictionPolicy) {
-  Insert(100, 101);
-  Insert(200, 201);
-  Insert(300, 301);
-  Cache::Handle* h = cache_->Lookup(CacheKey(300));
-
-  // Frequently used entry must be kept around, as must things that are
-  // still in use.
-  for (int i = 0; i < kCacheSize + 100; i++) {
-    Insert(1000 + i, 2000 + i);
-    EXPECT_EQ(2000 + i, Lookup(1000 + i));
-    EXPECT_EQ(101, Lookup(100));
-  }
-  EXPECT_EQ(101, Lookup(100));
-  EXPECT_EQ(-1, Lookup(200));
-  EXPECT_EQ(301, Lookup(300));
-  cache_->Release(h);
 }
 
 // ---------------------------------------------------------------- misc

@@ -344,8 +344,8 @@ class VictimScoreTest : public ::testing::Test {
     VersionEdit edit;
     edit.RemoveFile(level, number);
     ASSERT_TRUE(versions_->LogAndApply(&edit).ok());
-    for (uint64_t dead : versions_->TakeObsoleteFiles()) {
-      ASSERT_TRUE(store_.RemoveFile(TableFileName("/db", dead)).ok());
+    for (const auto& dead : versions_->TakeObsoleteFiles()) {
+      ASSERT_TRUE(store_.RemoveFile(TableFileName("/db", dead->number)).ok());
     }
   }
 
