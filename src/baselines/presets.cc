@@ -244,8 +244,8 @@ Status Stack::OpenEngines(bool format) {
         MakeAllocator(config_, geo, &dyn, options_.metrics_registry,
                       rg.data_base, rg.data_limit, label);
     if (i == 0) dyn_alloc_ = dyn;
-    auto store = std::make_unique<fs::FileStore>(drive_.get(), alloc.get(),
-                                                 rg.conv_base, rg.conv_len);
+    auto store =
+        std::make_unique<fs::FileStore>(drive_.get(), alloc.get(), rg);
     store->SetMetrics(options_.metrics_registry, label);
     s = format ? store->Format() : store->Recover();
     if (!s.ok()) return s;

@@ -59,16 +59,19 @@ struct DocState {
 };
 
 // Mirror of FileStore's conventional-slice geometry (file_store.cc):
-// two checkpoint slots, then the append log, then the WAL pool.
+// two checkpoint slots, then each slot's append log, then the WAL pool.
 struct ConvGeometry {
   uint64_t conv_base, conv_len, block;
-  uint64_t SlotBytes() const { return conv_len / 8 / block * block; }
+  uint64_t SlotBytes() const { return conv_len / 16 / block * block; }
   uint64_t SlotOffset(int slot) const {
     return conv_base + static_cast<uint64_t>(slot) * SlotBytes();
   }
-  uint64_t LogBegin() const { return conv_base + 2 * SlotBytes(); }
-  uint64_t LogEnd() const { return conv_base + conv_len / 2 / block * block; }
-  uint64_t ConvFilesBegin() const { return LogEnd(); }
+  uint64_t LogBytes() const { return conv_len / 4 / block * block; }
+  uint64_t LogBegin(int slot) const {
+    return SlotOffset(2) + static_cast<uint64_t>(slot) * LogBytes();
+  }
+  uint64_t LogEnd(int slot) const { return LogBegin(slot) + LogBytes(); }
+  uint64_t ConvFilesBegin() const { return LogEnd(1); }
   uint64_t ConvFilesEnd() const { return conv_base + conv_len; }
 };
 
@@ -301,17 +304,15 @@ bool LoadCheckpoint(smr::Drive* drive, const ConvGeometry& cg, DocState* st,
   return true;
 }
 
-// Replay journal records chained after `ckpt_seq`; returns records
-// applied and tracks the last applied sequence in *last_seq.
-uint64_t ReplayJournal(smr::Drive* drive, const ConvGeometry& cg,
-                       uint64_t ckpt_seq, DocState* st, uint64_t* last_seq,
-                       std::vector<std::string>* errors) {
-  uint64_t pos = cg.LogBegin();
-  uint64_t expect = ckpt_seq + 1;
+// Replay the records of log `slot` that chain from `expect`; returns
+// records applied and tracks the last applied sequence in *last_seq.
+uint64_t ReplayLog(smr::Drive* drive, const ConvGeometry& cg, int slot,
+                   uint64_t expect, DocState* st, uint64_t* last_seq,
+                   std::vector<std::string>* errors) {
+  uint64_t pos = cg.LogBegin(slot);
   uint64_t applied = 0;
-  *last_seq = ckpt_seq;
   std::string scratch;
-  while (pos + cg.block <= cg.LogEnd()) {
+  while (pos + cg.block <= cg.LogEnd(slot)) {
     scratch.resize(cg.block);
     if (!drive->Read(pos, cg.block, scratch.data()).ok()) break;
     Slice header(scratch);
@@ -324,7 +325,7 @@ uint64_t ReplayJournal(smr::Drive* drive, const ConvGeometry& cg,
     }
     if (seq != expect) break;  // stale or out-of-order tail
     const uint64_t total = RoundUp(kRecordHeader + len, cg.block);
-    if (pos + total > cg.LogEnd()) break;
+    if (pos + total > cg.LogEnd(slot)) break;
     scratch.resize(total);
     if (!drive->Read(pos, total, scratch.data()).ok()) break;
     const char* payload = scratch.data() + kRecordHeader;
@@ -354,6 +355,35 @@ struct Alloc {
   uint64_t begin, end;
   std::string owner;
 };
+
+// Every block of each live file's written prefix (its size rounded up to
+// blocks, walked over its extents) must be valid on the drive: a live
+// table or log whose blocks were trimmed reads back as zeros.
+void CheckLiveBlocks(smr::Drive* drive, const DocState& st, uint64_t block,
+                     ShardDoctorReport* sr) {
+  for (const auto& [name, f] : st.files) {
+    uint64_t remaining = RoundUp(f.size, block);
+    uint64_t invalid = 0, first_invalid = 0;
+    for (const Extent& e : f.extents) {
+      if (remaining == 0) break;
+      const uint64_t n = std::min(remaining, e.length);
+      remaining -= n;
+      // An extent past the drive's end is reported by the range check.
+      if (e.offset + n > drive->capacity()) continue;
+      if (drive->IsValid(e.offset, n)) continue;
+      for (uint64_t off = e.offset; off < e.offset + n; off += block) {
+        if (drive->IsValid(off, block)) continue;
+        if (invalid++ == 0) first_invalid = off;
+      }
+    }
+    if (invalid > 0) {
+      sr->errors.push_back(
+          "live file " + name + ": " + std::to_string(invalid) +
+          " block(s) of its written prefix not valid on the drive, first at " +
+          std::to_string(first_invalid));
+    }
+  }
+}
 
 }  // namespace
 
@@ -426,8 +456,17 @@ Status RunDoctor(smr::Drive* drive, const DoctorOptions& options,
           std::to_string(sr.damaged_checkpoint_slots) +
           " checkpoint slot(s) damaged (recovery survives on the other)");
     }
-    sr.journal_records =
-        ReplayJournal(drive, cg, ckpt_seq, &st, &last_seq, &sr.errors);
+    // The checkpoint's own log, then the other slot's if that slot is
+    // damaged: it may have held the newer checkpoint, whose log continues
+    // one sequence number past it (FileStore::Recover).
+    last_seq = ckpt_seq;
+    sr.journal_records = ReplayLog(drive, cg, active_slot, ckpt_seq + 1, &st,
+                                   &last_seq, &sr.errors);
+    if (sr.damaged_checkpoint_slots > 0) {
+      sr.journal_records += ReplayLog(drive, cg, 1 - active_slot,
+                                      last_seq + 2, &st, &last_seq,
+                                      &sr.errors);
+    }
 
     // 2. Extent cross-consistency. Files with provably-wrong extents are
     // collected for repair; regions they sit in stay.
@@ -574,7 +613,9 @@ Status RunDoctor(smr::Drive* drive, const DoctorOptions& options,
         return Status::NoSpace("repaired checkpoint exceeds slot size");
       }
       uint64_t seq = std::max(ckpt_seq, last_seq) + 1;
-      for (int slot = 0; slot < 2; slot++) {
+      // The slot recovery would not load goes first, so a power cut
+      // during the rewrite still leaves one valid checkpoint.
+      for (const int slot : {1 - active_slot, active_slot}) {
         std::string rec;
         PutFixed32(&rec, kCkptMagic);
         PutFixed64(&rec, seq + slot);  // slot 1 freshest, like a new store
@@ -587,11 +628,16 @@ Status RunDoctor(smr::Drive* drive, const DoctorOptions& options,
         if (!s.ok()) return s;
       }
       sr.rewrote_checkpoints = true;
-      // With both slots past last_seq, the journal head (<= last_seq)
-      // no longer chains and is dead; re-check on the caller's next
+      // With both slots past last_seq, neither log (<= last_seq) chains
+      // any more: both are dead; re-check on the caller's next
       // RunDoctor shows the clean state.
       sr.errors.clear();
     }
+
+    // 6. Live data on the media. After the repair, so only surviving files
+    // are checked and the finding is never cleared: no rewrite of the
+    // metadata brings trimmed blocks back.
+    CheckLiveBlocks(drive, st, geo.block_bytes, &sr);
 
     report->shards.push_back(std::move(sr));
   }

@@ -8,11 +8,16 @@
 //
 //   - shard superblock (multi-shard layouts): present, matching count;
 //   - checkpoint slots: at least one valid slot, damaged slots reported;
-//   - journal: records parse, sequence numbers chain from the checkpoint;
+//   - journal: records parse, sequence numbers chain from the checkpoint
+//     through its own log (and on through a damaged slot's log, as
+//     FileStore::Recover replays it);
 //   - extent cross-consistency: every extent lies inside the shard's
 //     conventional pool or shingled data slice; no two live allocations
 //     (standalone files, set regions) overlap; region-carved files stay
 //     inside their region; no file references an unknown region;
+//   - live data: every block of each live file's written prefix (its size
+//     rounded up to blocks) is valid on the drive (Drive::IsValid), so no
+//     trim, by any shard, has dropped data the metadata still references;
 //   - orphaned regions: regions holding no live file. Replay releases a
 //     region with the record that removes its last file, and an empty
 //     region is released by a journaled seal, so on a store at rest this

@@ -220,35 +220,51 @@ class StoreSequentialFile final : public SequentialFile {
 // FileStore
 // ---------------------------------------------------------------------
 
+namespace {
+
+core::ShardRegion WholeDriveIfUnset(const core::ShardRegion& region,
+                                    const smr::Geometry& geo) {
+  if (region.conv_len != 0) return region;
+  return {0, geo.conventional_bytes, geo.conventional_bytes,
+          geo.capacity_bytes};
+}
+
+}  // namespace
+
 FileStore::FileStore(smr::Drive* drive, ExtentAllocator* allocator,
-                     uint64_t conv_base, uint64_t conv_len)
+                     const core::ShardRegion& region)
     : drive_(drive),
       allocator_(allocator),
-      conv_base_(conv_base),
-      conv_len_(conv_len != 0 ? conv_len
-                              : drive->geometry().conventional_bytes) {
-  log_head_ = LogBegin();
+      region_(WholeDriveIfUnset(region, drive->geometry())) {
+  log_head_ = LogBegin(active_slot_);
   conv_files_free_.Reset(ConvFilesBegin(), ConvFilesEnd() - ConvFilesBegin());
 }
 
 FileStore::~FileStore() = default;
 
 uint64_t FileStore::SlotBytes() const {
-  // Block-aligned so checkpoint slot 1 starts on a writable boundary even
-  // when conv_len_ is an odd shard slice.
+  // Block-aligned so every slot and log starts on a writable boundary even
+  // when region_.conv_len is an odd shard slice.
   const uint64_t block = drive_->geometry().block_bytes;
-  return conv_len_ / 8 / block * block;
+  return region_.conv_len / 16 / block * block;
 }
 uint64_t FileStore::SlotOffset(int slot) const {
-  return conv_base_ + static_cast<uint64_t>(slot) * SlotBytes();
+  return region_.conv_base + static_cast<uint64_t>(slot) * SlotBytes();
 }
-uint64_t FileStore::LogBegin() const { return conv_base_ + 2 * SlotBytes(); }
-uint64_t FileStore::LogEnd() const {
+uint64_t FileStore::LogBytes() const {
   const uint64_t block = drive_->geometry().block_bytes;
-  return conv_base_ + conv_len_ / 2 / block * block;
+  return region_.conv_len / 4 / block * block;
 }
-uint64_t FileStore::ConvFilesBegin() const { return LogEnd(); }
-uint64_t FileStore::ConvFilesEnd() const { return conv_base_ + conv_len_; }
+uint64_t FileStore::LogBegin(int slot) const {
+  return SlotOffset(2) + static_cast<uint64_t>(slot) * LogBytes();
+}
+uint64_t FileStore::LogEnd(int slot) const {
+  return LogBegin(slot) + LogBytes();
+}
+uint64_t FileStore::ConvFilesBegin() const { return LogEnd(1); }
+uint64_t FileStore::ConvFilesEnd() const {
+  return region_.conv_base + region_.conv_len;
+}
 
 Status FileStore::Format() {
   std::lock_guard<std::mutex> l(mu_);
@@ -258,7 +274,6 @@ Status FileStore::Format() {
   engine_state_.clear();
   journal_seq_ = 0;
   active_slot_ = 1;  // WriteCheckpoint flips to slot 0
-  log_head_ = LogBegin();
   conv_files_free_.Reset(ConvFilesBegin(), ConvFilesEnd() - ConvFilesBegin());
   recovered_ = true;
   // Seed both checkpoint slots so a single damaged slot never loses the
@@ -271,10 +286,10 @@ Status FileStore::Format() {
 Status FileStore::JournalAppend(const std::string& payload) {
   const uint64_t block = drive_->geometry().block_bytes;
   const uint64_t total = RoundUp(kRecordHeader + payload.size(), block);
-  if (log_head_ + total > LogEnd()) {
+  if (log_head_ + total > LogEnd(active_slot_)) {
     Status s = WriteCheckpoint();
     if (!s.ok()) return s;
-    if (log_head_ + total > LogEnd()) {
+    if (log_head_ + total > LogEnd(active_slot_)) {
       return Status::NoSpace("journal record larger than log area");
     }
   }
@@ -388,6 +403,9 @@ bool FileStore::DecodeFileMeta(Slice* in, std::string* name, FileMeta* meta) {
   return true;
 }
 
+// A checkpoint goes to the older slot and restarts that slot's log; the
+// newer slot's log, which led up to this checkpoint, stays intact until the
+// next checkpoint replaces it.
 Status FileStore::WriteCheckpoint() {
   const int slot = 1 - active_slot_;
   journal_seq_++;
@@ -406,7 +424,7 @@ Status FileStore::WriteCheckpoint() {
   Status s = DriveWrite(SlotOffset(slot), rec);
   if (!s.ok()) return s;
   active_slot_ = slot;
-  log_head_ = LogBegin();
+  log_head_ = LogBegin(slot);
   return Status::OK();
 }
 
@@ -417,6 +435,7 @@ Status FileStore::Recover() {
   // 1. Load the freshest valid checkpoint.
   uint64_t best_seq = 0;
   int best_slot = -1;
+  int valid_slots = 0;
   std::string best_payload;
   std::string scratch;
   for (int slot = 0; slot < 2; slot++) {
@@ -436,6 +455,7 @@ Status FileStore::Recover() {
     if (!DriveRead(SlotOffset(slot), total, scratch.data()).ok()) continue;
     const char* payload = scratch.data() + kRecordHeader;
     if (crc32c::Unmask(crc) != crc32c::Value(payload, len)) continue;
+    valid_slots++;
     if (seq > best_seq) {
       best_seq = seq;
       best_slot = slot;
@@ -445,39 +465,24 @@ Status FileStore::Recover() {
   if (best_slot < 0) {
     return Status::NotFound("no valid filestore checkpoint");
   }
+  const bool slot_damaged = valid_slots < 2;
   Status s = DecodeState(Slice(best_payload));
   if (!s.ok()) return s;
   journal_seq_ = best_seq;
   active_slot_ = best_slot;
 
-  // 2. Replay the journal log.
-  uint64_t pos = LogBegin();
-  uint64_t expect_seq = best_seq + 1;
-  while (pos + block <= LogEnd()) {
-    scratch.resize(block);
-    if (!DriveRead(pos, block, scratch.data()).ok()) break;
-    Slice header(scratch);
-    uint32_t magic, len, crc;
-    uint64_t seq;
-    if (!GetFixed32(&header, &magic) || magic != kJournalMagic) break;
-    if (!GetFixed64(&header, &seq) || !GetFixed32(&header, &len) ||
-        !GetFixed32(&header, &crc)) {
-      break;
-    }
-    if (seq != expect_seq) break;  // stale or out-of-order record
-    const uint64_t total = RoundUp(kRecordHeader + len, block);
-    if (pos + total > LogEnd()) break;
-    scratch.resize(total);
-    if (!DriveRead(pos, total, scratch.data()).ok()) break;
-    const char* payload = scratch.data() + kRecordHeader;
-    if (crc32c::Unmask(crc) != crc32c::Value(payload, len)) break;
-    s = ApplyRecord(Slice(payload, len));
+  // 2. Replay the journal: the checkpoint's own log, then, if the other
+  // slot is damaged, its log too. A damaged slot may have held the newer
+  // checkpoint, the one this log led up to; its log then continues one
+  // sequence number past that lost checkpoint's.
+  s = ReplayLog(best_slot, best_seq + 1, &log_head_);
+  if (!s.ok()) return s;
+  if (slot_damaged) {
+    // The journal goes on from the reseed in step 6, not from this log.
+    uint64_t end;
+    s = ReplayLog(1 - best_slot, journal_seq_ + 2, &end);
     if (!s.ok()) return s;
-    pos += total;
-    journal_seq_ = seq;
-    expect_seq = seq + 1;
   }
-  log_head_ = pos;
 
   // 3. Rebuild region occupancy from the surviving files.
   for (auto& [id, region] : regions_) {
@@ -539,25 +544,78 @@ Status FileStore::Recover() {
   // metadata references (writes whose journal update never landed). Those
   // blocks must be trimmed, or the space they sit in — which the
   // allocators consider free — could never be safely rewritten.
+  // Only this store's own slices are scrubbed: on a shared drive the rest
+  // belongs to other shards' stores (their journals, WALs and tables).
   std::sort(referenced.begin(), referenced.end(),
             [](const Extent& a, const Extent& b) {
               return a.offset < b.offset;
             });
-  uint64_t cursor = ConvFilesBegin();
-  for (const Extent& e : referenced) {
-    if (e.offset > cursor) {
-      s = drive_->Trim(cursor, e.offset - cursor);
-      if (!s.ok()) return s;
-    }
-    cursor = std::max(cursor, e.end_with_guard());
+  s = TrimUnreferenced(ConvFilesBegin(), ConvFilesEnd(), referenced);
+  if (s.ok()) {
+    s = TrimUnreferenced(region_.data_base, region_.data_limit, referenced);
   }
-  if (cursor < drive_->geometry().capacity_bytes) {
-    s = drive_->Trim(cursor, drive_->geometry().capacity_bytes - cursor);
+  if (!s.ok()) return s;
+
+  // 6. Reseed both checkpoint slots, as Format does, so the damaged slot
+  // holds the recovered state again. The damaged slot is written first
+  // (active_slot_ is still best_slot): the valid one is overwritten only
+  // once the other holds the recovered state, so a power cut during the
+  // reseed still leaves one valid checkpoint.
+  if (slot_damaged) {
+    s = WriteCheckpoint();
+    if (s.ok()) s = WriteCheckpoint();
     if (!s.ok()) return s;
   }
 
   recovered_ = true;
   return Status::OK();
+}
+
+Status FileStore::ReplayLog(int slot, uint64_t expect_seq, uint64_t* end) {
+  const uint64_t block = drive_->geometry().block_bytes;
+  std::string scratch;
+  uint64_t pos = LogBegin(slot);
+  while (pos + block <= LogEnd(slot)) {
+    scratch.resize(block);
+    if (!DriveRead(pos, block, scratch.data()).ok()) break;
+    Slice header(scratch);
+    uint32_t magic, len, crc;
+    uint64_t seq;
+    if (!GetFixed32(&header, &magic) || magic != kJournalMagic) break;
+    if (!GetFixed64(&header, &seq) || !GetFixed32(&header, &len) ||
+        !GetFixed32(&header, &crc)) {
+      break;
+    }
+    if (seq != expect_seq) break;  // stale or out-of-order record
+    const uint64_t total = RoundUp(kRecordHeader + len, block);
+    if (pos + total > LogEnd(slot)) break;
+    scratch.resize(total);
+    if (!DriveRead(pos, total, scratch.data()).ok()) break;
+    const char* payload = scratch.data() + kRecordHeader;
+    if (crc32c::Unmask(crc) != crc32c::Value(payload, len)) break;
+    Status s = ApplyRecord(Slice(payload, len));
+    if (!s.ok()) return s;
+    pos += total;
+    journal_seq_ = seq;
+    expect_seq = seq + 1;
+  }
+  *end = pos;
+  return Status::OK();
+}
+
+Status FileStore::TrimUnreferenced(uint64_t begin, uint64_t end,
+                                   const std::vector<Extent>& referenced) {
+  uint64_t cursor = begin;
+  for (const Extent& e : referenced) {
+    if (e.end_with_guard() <= cursor) continue;
+    if (e.offset >= end) break;
+    if (e.offset > cursor) {
+      Status s = drive_->Trim(cursor, e.offset - cursor);
+      if (!s.ok()) return s;
+    }
+    cursor = e.end_with_guard();
+  }
+  return cursor < end ? drive_->Trim(cursor, end - cursor) : Status::OK();
 }
 
 void FileStore::ReplayPutFile(const std::string& name, FileMeta meta) {

@@ -5,8 +5,12 @@
 // Files are stored as chains of extents placed by a pluggable
 // ExtentAllocator. File metadata (name, extents, logical size, set-region
 // membership, engine tag) is persisted in a journal living in the drive's
-// conventional region: two alternating checkpoint slots plus an append log,
-// so the store recovers after a crash from drive contents alone.
+// conventional region: two alternating checkpoint slots, each with its own
+// append log, so the store recovers after a crash from drive contents alone.
+// A checkpoint restarts only its own slot's log, so the older checkpoint
+// plus its log still reaches the newer checkpoint's state: if the newer
+// slot is damaged, recovery replays the older slot's log and then the
+// damaged slot's, and loses nothing.
 //
 // Set support: a *region* is one contiguous allocation holding the output
 // SSTables of one compaction (a set). Files carved from a region share its
@@ -31,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shard_layout.h"
 #include "fs/extent.h"
 #include "fs/extent_allocator.h"
 #include "fs/free_map.h"
@@ -141,13 +146,15 @@ struct FileInfo {
 
 class FileStore {
  public:
-  // The store writes its metadata journal into the drive's conventional
-  // region; `allocator` places file data in the shingled space.
-  // `conv_base`/`conv_len` restrict the metadata area to a sub-range of the
-  // conventional region (a shard's slice); conv_len == 0 means the whole
-  // region, which is the one-shard seed layout.
+  // `region` is the store's share of the drive (a shard's slices; see
+  // core/shard_layout.h). The store writes its metadata journal and WAL
+  // pool into the conventional slice [conv_base, conv_base + conv_len);
+  // `allocator` places file data in the shingled slice
+  // [data_base, data_limit). Recovery trims only inside these two slices.
+  // The default region (conv_len == 0) is the whole drive, the one-shard
+  // seed layout.
   FileStore(smr::Drive* drive, ExtentAllocator* allocator,
-            uint64_t conv_base = 0, uint64_t conv_len = 0);
+            const core::ShardRegion& region = {});
   ~FileStore();
 
   FileStore(const FileStore&) = delete;
@@ -157,6 +164,8 @@ class FileStore {
   Status Format();
 
   // Rebuild the name map and allocator state from the on-drive journal.
+  // A damaged checkpoint slot is rewritten once the state is rebuilt: both
+  // slots are reseeded, as Format does, the damaged one first.
   Status Recover();
 
   // ---- Env-like file API ----
@@ -243,8 +252,10 @@ class FileStore {
   // Count of live files; metadata journal writes performed.
   uint64_t journal_records_written() const { return journal_records_; }
 
-  // Which checkpoint slot holds the newest state (testing/inspection).
+  // Which checkpoint slot holds the newest state, and where a slot sits on
+  // the drive (testing/inspection).
   int active_checkpoint_slot() const { return active_slot_; }
+  uint64_t checkpoint_slot_offset(int slot) const { return SlotOffset(slot); }
 
   // One locked read of [offset, offset+n) from a live file, with no
   // buffering: one drive request per extent the range touches. offset/n
@@ -301,6 +312,10 @@ class FileStore {
   // after it).
   void EraseFile(std::map<std::string, FileMeta>::iterator it,
                  bool free_space);
+  // Recovery scrub of [begin, end): trims every gap between the
+  // `referenced` extents (sorted by offset, guards included).
+  Status TrimUnreferenced(uint64_t begin, uint64_t end,
+                          const std::vector<Extent>& referenced);
   // Insert or replace a replayed file's metadata (region counts follow).
   void ReplayPutFile(const std::string& name, FileMeta meta);
 
@@ -322,23 +337,28 @@ class FileStore {
   void FreeAllocatorExtent(const Extent& e);
   void CountFreeError(const Status& s);
 
-  // Geometry of the metadata area. The conventional region is split in
-  // half: the journal (checkpoint slots + log) in the front, a pool for
-  // appendable files (the WAL) in the back — like the conventional
-  // zones real zoned deployments reserve for logs and metadata.
+  // Geometry of the metadata area. The conventional slice holds the
+  // journal in front (two checkpoint slots of 1/16 each, then their two
+  // logs of 1/4 each) and a pool for appendable files (the WAL) in the
+  // back 3/8 — like the conventional zones real zoned deployments reserve
+  // for logs and metadata. Log `slot` belongs to checkpoint slot `slot`.
   uint64_t SlotBytes() const;
   uint64_t SlotOffset(int slot) const;
-  uint64_t LogBegin() const;
-  uint64_t LogEnd() const;
+  uint64_t LogBytes() const;
+  uint64_t LogBegin(int slot) const;
+  uint64_t LogEnd(int slot) const;
+  // Replay log `slot` from its beginning while its records chain from seq
+  // `expect_seq`; journal_seq_ follows the last record applied and *end is
+  // the offset just past it.
+  Status ReplayLog(int slot, uint64_t expect_seq, uint64_t* end);
   uint64_t ConvFilesBegin() const;
   uint64_t ConvFilesEnd() const;
 
   mutable std::mutex mu_;
   smr::Drive* drive_;
   ExtentAllocator* allocator_;
-  // Conventional-region slice this store's metadata lives in.
-  uint64_t conv_base_ = 0;
-  uint64_t conv_len_ = 0;
+  // This store's slices of the drive (see the constructor).
+  const core::ShardRegion region_;
 
   std::map<std::string, FileMeta> files_;
   std::map<uint64_t, RegionMeta> regions_;

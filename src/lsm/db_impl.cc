@@ -166,6 +166,7 @@ void DBImpl::MaybeIgnoreError(Status* s) const {
 }
 
 void DBImpl::RemoveObsoleteFiles() {
+  if (!versions_->HasObsoleteFiles()) return;
   std::vector<uint64_t> dead;
   {
     // Deleting the metadata closes the readers, unpinning their index and
@@ -174,7 +175,6 @@ void DBImpl::RemoveObsoleteFiles() {
         versions_->TakeObsoleteFiles();
     for (const auto& f : files) dead.push_back(f->number);
   }
-  if (dead.empty()) return;
   std::sort(dead.begin(), dead.end());
   for (uint64_t number : dead) table_cache_->Evict(number);
 
@@ -997,26 +997,13 @@ void DBImpl::DoCompactionWork(CompactionState* compact) {
 
 namespace {
 
+// What an iterator holds until it is released.
 struct IterState {
-  std::mutex* const mu;
-  Version* const version;
+  DBImpl* const db;
   MemTable* const mem;
   MemTable* const imm;
-
-  IterState(std::mutex* mutex, MemTable* mem, MemTable* imm, Version* version)
-      : mu(mutex), version(version), mem(mem), imm(imm) {}
+  Version* const version;
 };
-
-void CleanupIteratorState(void* arg1, void* arg2) {
-  (void)arg2;
-  IterState* state = reinterpret_cast<IterState*>(arg1);
-  state->mu->lock();
-  state->mem->Unref();
-  if (state->imm != nullptr) state->imm->Unref();
-  state->version->Unref();
-  state->mu->unlock();
-  delete state;
-}
 
 }  // anonymous namespace
 
@@ -1039,9 +1026,18 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
       NewMergingIterator(&internal_comparator_, &list[0], list.size());
   versions_->current()->Ref();
 
-  IterState* cleanup =
-      new IterState(&mutex_, mem_, imm_, versions_->current());
-  internal_iter->RegisterCleanup(CleanupIteratorState, cleanup, nullptr);
+  internal_iter->RegisterCleanup(
+      [](void* arg1, void* /*arg2*/) {
+        const std::unique_ptr<IterState> state(static_cast<IterState*>(arg1));
+        std::lock_guard<std::mutex> l(state->db->mutex_);
+        state->mem->Unref();
+        if (state->imm != nullptr) state->imm->Unref();
+        state->version->Unref();
+        // A table whose last version this iterator held goes now, not at
+        // the next flush or compaction.
+        state->db->RemoveObsoleteFiles();
+      },
+      new IterState{this, mem_, imm_, versions_->current()}, nullptr);
 
   *seed = ++seed_;
   mutex_.unlock();

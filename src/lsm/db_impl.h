@@ -87,7 +87,9 @@ class DBImpl : public DB {
   // Remove the tables no version references any more (their readers closed
   // with their FileMetaData; their pages and any quarantine ban leave the
   // buffer pool here); each removal counts toward its set region's dead
-  // members in the FileStore.
+  // members in the FileStore. Runs after each flush and compaction and
+  // when an iterator is released; with no dead table it is one emptiness
+  // check.
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Remove the tables of a compaction that failed before its commit, and

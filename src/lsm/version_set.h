@@ -260,6 +260,7 @@ class VersionSet {
   std::vector<std::unique_ptr<FileMetaData>> TakeObsoleteFiles() {
     return std::exchange(obsolete_files_, {});
   }
+  bool HasObsoleteFiles() const { return !obsolete_files_.empty(); }
 
   int NumLevels() const { return options_->num_levels; }
 

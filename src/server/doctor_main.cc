@@ -22,16 +22,19 @@
 //   --repair         re-run the doctor in repair mode after a failed
 //                    check and verify the store recovers clean
 //
+// A clean final check then reads every loaded key back; a lost or stale
+// value fails it.
+//
 // Exit status: 0 = final check clean, 1 = corruption found (and not
 // repaired), 2 = usage/setup error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "baselines/presets.h"
-#include "core/shard_layout.h"
 #include "fs/doctor.h"
 #include "util/random.h"
 
@@ -95,11 +98,13 @@ int main(int argc, char** argv) {
   // Random order, so flushes overlap and compact instead of landing in
   // disjoint key ranges.
   Random rnd(301);
+  std::map<std::string, std::string> acked;  // each key's last value
   for (int i = 0; i < keys; i++) {
     char key[32], value[64];
     std::snprintf(key, sizeof(key), "doctor-key-%08d",
                   static_cast<int>(rnd.Uniform(keys)));
     std::snprintf(value, sizeof(value), "value-%08d-%032d", i, 0);
+    acked[key] = value;
     s = stack->db()->Put(wo, key, value);
     if (!s.ok()) {
       std::fprintf(stderr, "load: %s\n", s.ToString().c_str());
@@ -122,15 +127,8 @@ int main(int argc, char** argv) {
     // single-copy-damaged case the doctor must flag and repair.
     fs::FileStore* store = stack->shard_store(0);
     const int slot = store->active_checkpoint_slot();
-    const auto& geo = stack->drive()->geometry();
-    // Mirror of the store's slot math: the slot area starts at the
-    // shard's conv_base, each slot conv_len/8 (block-aligned) long.
-    const core::ShardLayout layout(geo, shards, geo.track_bytes);
-    const auto& rg = layout.region(0);
-    const uint64_t slot_bytes =
-        rg.conv_len / 8 / geo.block_bytes * geo.block_bytes;
-    std::string garbage(geo.block_bytes, '\xa5');
-    s = stack->drive()->Write(rg.conv_base + slot * slot_bytes, garbage);
+    std::string garbage(stack->drive()->geometry().block_bytes, '\xa5');
+    s = stack->drive()->Write(store->checkpoint_slot_offset(slot), garbage);
     if (!s.ok()) {
       std::fprintf(stderr, "corrupt: %s\n", s.ToString().c_str());
       return 2;
@@ -203,6 +201,22 @@ int main(int argc, char** argv) {
     }
     clean = true;
     if (verbose) std::fputs(report.ToString().c_str(), stdout);
+  }
+
+  // Clean metadata is not enough: every acked write must read back.
+  if (clean) {
+    uint64_t lost = 0;
+    std::string value;
+    for (const auto& [key, want] : acked) {
+      if (!stack->db()->Get(ReadOptions(), key, &value).ok() || value != want) {
+        lost++;
+      }
+    }
+    if (lost > 0) {
+      std::fprintf(stderr, "%llu of %zu keys do not read back\n",
+                   static_cast<unsigned long long>(lost), acked.size());
+      clean = false;
+    }
   }
 
   std::printf("sealdb_doctor: %s\n", clean ? "clean" : "corruption found");

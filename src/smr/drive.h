@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "smr/device_metrics.h"
@@ -42,7 +41,11 @@ class Drive {
   virtual Status Read(uint64_t offset, uint64_t n, char* scratch) = 0;
   virtual Status Write(uint64_t offset, const Slice& data) = 0;
 
-  // Declare [offset, offset+n) invalid; its contents may be discarded.
+  // Declare [offset, offset+n) invalid. Every model discards the contents:
+  // trimmed blocks read as zeros and their memory leaves the drive image.
+  // Real drives vary (some return the old bytes until the blocks are
+  // rewritten); zeroing is the strictest model, so a host that reads back
+  // anything it trimmed finds out here.
   virtual Status Trim(uint64_t offset, uint64_t n) = 0;
 
   virtual const Geometry& geometry() const = 0;
@@ -59,6 +62,12 @@ class Drive {
 
 // Sparse in-memory backing store shared by the drive models, with per-block
 // validity tracking. Not a Drive itself; a mechanism, not a policy.
+//
+// The image is held in chunks of 64 blocks, one per valid-map word. A chunk
+// exists only while one of its blocks is valid: MarkInvalid zeroes the
+// blocks it invalidates and gives up a chunk left with none, so memory
+// follows live data, not the span ever written. Blocks outside any chunk
+// read as zeros.
 class MediaStore {
  public:
   MediaStore(const Geometry& geo);
@@ -67,15 +76,16 @@ class MediaStore {
   void Read(uint64_t offset, uint64_t n, char* scratch) const;
 
   void MarkValid(uint64_t offset, uint64_t n);
+  // Costs one valid-map word per chunk in range, plus a memset for each
+  // kept chunk that held valid blocks in it.
   void MarkInvalid(uint64_t offset, uint64_t n);
   bool AllValid(uint64_t offset, uint64_t n) const;
   bool AnyValid(uint64_t offset, uint64_t n) const;
 
  private:
-  static constexpr uint64_t kChunkBytes = 256 * 1024;
-
   Geometry geo_;
-  mutable std::unordered_map<uint64_t, std::vector<char>> chunks_;
+  const uint64_t chunk_bytes_;
+  std::vector<std::unique_ptr<char[]>> chunks_;  // one per valid-map word
   std::vector<uint64_t> valid_bits_;  // one bit per block
 };
 

@@ -6,8 +6,10 @@
 
 namespace sealdb::smr {
 
-MediaStore::MediaStore(const Geometry& geo) : geo_(geo) {
+MediaStore::MediaStore(const Geometry& geo)
+    : geo_(geo), chunk_bytes_(64ull * geo.block_bytes) {
   valid_bits_.assign((geo_.num_blocks() + 63) / 64, 0);
+  chunks_.resize(valid_bits_.size());
 }
 
 void MediaStore::Write(uint64_t offset, const Slice& data) {
@@ -15,12 +17,17 @@ void MediaStore::Write(uint64_t offset, const Slice& data) {
   uint64_t remaining = data.size();
   uint64_t pos = offset;
   while (remaining > 0) {
-    const uint64_t chunk_id = pos / kChunkBytes;
-    const uint64_t in_chunk = pos % kChunkBytes;
-    const uint64_t n = std::min(remaining, kChunkBytes - in_chunk);
-    auto& chunk = chunks_[chunk_id];
-    if (chunk.empty()) chunk.assign(kChunkBytes, 0);
-    std::memcpy(chunk.data() + in_chunk, src, n);
+    const uint64_t chunk_id = pos / chunk_bytes_;
+    const uint64_t in_chunk = pos % chunk_bytes_;
+    const uint64_t n = std::min(remaining, chunk_bytes_ - in_chunk);
+    std::unique_ptr<char[]>& chunk = chunks_[chunk_id];
+    if (chunk == nullptr) {
+      chunk = std::make_unique_for_overwrite<char[]>(chunk_bytes_);
+      // Only the bytes this write does not cover need clearing.
+      std::memset(chunk.get(), 0, in_chunk);
+      std::memset(chunk.get() + in_chunk + n, 0, chunk_bytes_ - in_chunk - n);
+    }
+    std::memcpy(chunk.get() + in_chunk, src, n);
     src += n;
     pos += n;
     remaining -= n;
@@ -32,14 +39,14 @@ void MediaStore::Read(uint64_t offset, uint64_t n, char* scratch) const {
   uint64_t pos = offset;
   char* dst = scratch;
   while (remaining > 0) {
-    const uint64_t chunk_id = pos / kChunkBytes;
-    const uint64_t in_chunk = pos % kChunkBytes;
-    const uint64_t m = std::min(remaining, kChunkBytes - in_chunk);
-    auto it = chunks_.find(chunk_id);
-    if (it == chunks_.end()) {
+    const uint64_t chunk_id = pos / chunk_bytes_;
+    const uint64_t in_chunk = pos % chunk_bytes_;
+    const uint64_t m = std::min(remaining, chunk_bytes_ - in_chunk);
+    const char* chunk = chunks_[chunk_id].get();
+    if (chunk == nullptr) {
       std::memset(dst, 0, m);
     } else {
-      std::memcpy(dst, it->second.data() + in_chunk, m);
+      std::memcpy(dst, chunk + in_chunk, m);
     }
     dst += m;
     pos += m;
@@ -72,7 +79,21 @@ void MediaStore::MarkInvalid(uint64_t offset, uint64_t n) {
   const uint64_t first = geo_.block_of(offset);
   const uint64_t last = geo_.block_of(offset + n - 1);
   for (uint64_t w = first >> 6; w <= last >> 6; w++) {
-    valid_bits_[w] &= ~RangeMask(w, first, last);
+    const uint64_t mask = RangeMask(w, first, last);
+    // Invalid blocks of a kept chunk already read as zeros, so a word with
+    // nothing valid in range needs no work.
+    if ((valid_bits_[w] & mask) == 0) continue;
+    valid_bits_[w] &= ~mask;
+    std::unique_ptr<char[]>& chunk = chunks_[w];
+    if (chunk == nullptr) continue;
+    if (valid_bits_[w] == 0) {
+      chunk.reset();
+      continue;
+    }
+    const uint64_t lo = std::max(first, w << 6) - (w << 6);
+    const uint64_t hi = std::min(last, (w << 6) + 63) - (w << 6);
+    std::memset(chunk.get() + lo * geo_.block_bytes, 0,
+                (hi - lo + 1) * geo_.block_bytes);
   }
 }
 

@@ -440,6 +440,53 @@ TEST(ShardedCrashPointTest, DamagedSuperblockFailsTypedAndDoctorFlagsIt) {
       << reopen.ToString();
 }
 
+// The doctor checks that live data is really on the media: a live table
+// with one trimmed block is an error naming the table, in check and in
+// repair mode alike (no metadata rewrite brings the block back).
+TEST(DoctorLiveDataTest, TrimmedBlockOfLiveTableIsAnError) {
+  StackConfig config = SweepConfig(SystemKind::kSEALDB);
+  std::unique_ptr<Stack> stack;
+  ASSERT_TRUE(BuildStack(config, "/db", &stack).ok());
+  WriteOptions sync;
+  sync.sync = true;
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(stack->db()->Put(sync, Key(i), Value(i, i)).ok());
+  }
+  stack->db()->WaitForIdle();
+
+  fs::DoctorOptions dopt;
+  fs::DoctorReport report;
+  ASSERT_TRUE(fs::RunDoctor(stack->drive(), dopt, &report).ok());
+  ASSERT_TRUE(report.ok()) << report.ToString();
+
+  const uint64_t block = stack->drive()->geometry().block_bytes;
+  std::string victim;
+  for (const fs::FileInfo& file : stack->store()->ListFiles()) {
+    if (!file.tag.empty() && file.size > block) {
+      victim = file.name;
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  std::vector<fs::Extent> extents;
+  ASSERT_TRUE(stack->store()->GetFileExtents(victim, &extents).ok());
+  ASSERT_GE(extents[0].length, 2 * block);
+  ASSERT_TRUE(stack->drive()->Trim(extents[0].offset + block, block).ok());
+
+  for (const bool repair : {false, true}) {
+    dopt.repair = repair;
+    ASSERT_TRUE(fs::RunDoctor(stack->drive(), dopt, &report).ok());
+    ASSERT_FALSE(report.ok()) << "repair=" << repair;
+    bool flagged = false;
+    for (const std::string& e : report.shards[0].errors) {
+      flagged = flagged || (e.find(victim) != std::string::npos &&
+                            e.find("not valid on the drive") !=
+                                std::string::npos);
+    }
+    EXPECT_TRUE(flagged) << report.ToString();
+  }
+}
+
 // The recovered free map is derived "data slice minus live extents"
 // (SMORE-style), so it is only sound while live extents are disjoint. A
 // double-allocated range — the damage a buggy allocator or a replayed
@@ -483,15 +530,15 @@ TEST(DoctorRepairTest, RepairFixesDeliberatelyCorruptedFreeMap) {
   ASSERT_TRUE(found);
 
   // Mirror of the store's conventional-slice geometry (see fs/doctor.cc):
-  // two checkpoint slots, then the append journal.
+  // two checkpoint slots, then each slot's append log.
   const core::ShardLayout layout(geo, 1, geo.track_bytes);
   const core::ShardRegion& rg = layout.region(0);
-  const uint64_t slot_bytes = rg.conv_len / 8 / block * block;
-  const uint64_t log_begin = rg.conv_base + 2 * slot_bytes;
-  const uint64_t log_end = rg.conv_base + rg.conv_len / 2 / block * block;
+  const uint64_t slot_bytes = rg.conv_len / 16 / block * block;
+  const uint64_t log_bytes = rg.conv_len / 4 / block * block;
 
-  // Freshest checkpoint sequence, from the slot headers.
+  // Freshest checkpoint sequence and slot, from the slot headers.
   uint64_t ckpt_seq = 0;
+  int ckpt_slot = -1;
   std::string scratch(block, '\0');
   for (int slot = 0; slot < 2; slot++) {
     ASSERT_TRUE(stack->drive()
@@ -502,11 +549,16 @@ TEST(DoctorRepairTest, RepairFixesDeliberatelyCorruptedFreeMap) {
     uint32_t magic, len, crc;
     uint64_t seq;
     if (GetFixed32(&h, &magic) && magic == fs::kCkptMagic &&
-        GetFixed64(&h, &seq) && GetFixed32(&h, &len) && GetFixed32(&h, &crc)) {
-      ckpt_seq = std::max(ckpt_seq, seq);
+        GetFixed64(&h, &seq) && GetFixed32(&h, &len) &&
+        GetFixed32(&h, &crc) && seq > ckpt_seq) {
+      ckpt_seq = seq;
+      ckpt_slot = slot;
     }
   }
   ASSERT_GT(ckpt_seq, 0u);
+  const uint64_t log_begin =
+      rg.conv_base + 2 * slot_bytes + ckpt_slot * log_bytes;
+  const uint64_t log_end = log_begin + log_bytes;
 
   // Walk the journal frames (headers only) to the tail.
   uint64_t pos = log_begin;

@@ -824,8 +824,8 @@ TEST_F(CompactionIoTest, SetCompactionDriveSequenceIsPinned) {
 
   EXPECT_EQ(set_compactions, 105);
   EXPECT_EQ(drive_->log.size(), 3451u);
-  EXPECT_EQ(requests, 3793026418735605606ull);
-  EXPECT_EQ(drive_->written, 3979588271869970618ull);
+  EXPECT_EQ(requests, 17079167403009610102ull);
+  EXPECT_EQ(drive_->written, 16292873472427199908ull);
 }
 
 // Write stalls engage when a slowed device lets L0 files pile past the

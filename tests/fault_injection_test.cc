@@ -3,6 +3,7 @@
 // degraded-mode machinery the layers above build on top of them.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -179,6 +180,21 @@ class FileStoreFaultTest : public ::testing::Test {
   }
 
   void Rebuild(bool format) {
+    if (format) {
+      NewStore();
+      ASSERT_TRUE(store_->Format().ok());
+    } else {
+      ASSERT_TRUE(Reopen().ok());
+    }
+  }
+
+  // A fresh store over the drive, recovered from it.
+  Status Reopen() {
+    NewStore();
+    return store_->Recover();
+  }
+
+  void NewStore() {
     store_.reset();
     allocator_.reset();
     core::DynamicBandOptions opt;
@@ -189,11 +205,6 @@ class FileStoreFaultTest : public ::testing::Test {
     opt.class_unit = 4 << 20;
     allocator_ = std::make_unique<core::DynamicBandAllocator>(opt);
     store_ = std::make_unique<fs::FileStore>(drive_.get(), allocator_.get());
-    if (format) {
-      ASSERT_TRUE(store_->Format().ok());
-    } else {
-      ASSERT_TRUE(store_->Recover().ok());
-    }
   }
 
   void WriteFile(const std::string& name, const std::string& payload) {
@@ -325,17 +336,107 @@ TEST_F(FileStoreFaultTest, CheckpointSlotReadErrorFallsBackToAlternate) {
   for (int i = 0; i < 8; i++) {
     WriteFile("/f" + std::to_string(i), std::string(8 << 10, 'a' + i));
   }
-  // Make one slot unreadable. Geometry: conventional 8 MB, so a slot is
-  // 1 MB and slot i sits at i MB.
-  const uint64_t slot_bytes = (8 << 20) / 8;
+  // Make one slot unreadable.
   const int inactive = 1 - store_->active_checkpoint_slot();
-  fault_->InjectReadError(inactive * slot_bytes, slot_bytes);
+  fault_->InjectReadError(store_->checkpoint_slot_offset(inactive), kBlock);
 
   Rebuild(/*format=*/false);
   for (int i = 0; i < 8; i++) {
     std::string got;
     ASSERT_TRUE(ReadAll("/f" + std::to_string(i), &got).ok());
     EXPECT_EQ(std::string(8 << 10, 'a' + i), got);
+  }
+}
+
+// Each checkpoint slot has its own log, and a checkpoint restarts only its
+// own: after rollovers, damaging either slot loses no committed change.
+// With the newer slot damaged, recovery replays the older slot's log and
+// then the damaged slot's, and it reseeds both slots.
+TEST_F(FileStoreFaultTest, DamagedCheckpointSlotLosesNoChange) {
+  for (const bool damage_newest : {true, false}) {
+    SCOPED_TRACE(damage_newest ? "newest slot damaged" : "older slot damaged");
+    Rebuild(/*format=*/true);
+    std::map<std::string, std::string> want;
+    int rollovers = 0;
+    for (int i = 0; rollovers < 2 || i % 100 != 99; i++) {
+      const int slot = store_->active_checkpoint_slot();
+      const std::string name = "/f" + std::to_string(i % 8);
+      want[name] = std::string(kBlock, static_cast<char>('a' + i % 26)) +
+                   std::to_string(i);
+      WriteFile(name, want[name]);
+      if (store_->active_checkpoint_slot() != slot) rollovers++;
+    }
+    const int active = store_->active_checkpoint_slot();
+    const int damaged = damage_newest ? active : 1 - active;
+    ASSERT_TRUE(drive_->Write(store_->checkpoint_slot_offset(damaged),
+                              std::string(kBlock, '\xa5'))
+                    .ok());
+    // The doctor replays the damaged drive as recovery will.
+    fs::DoctorReport report;
+    ASSERT_TRUE(fs::RunDoctor(drive_.get(), {}, &report).ok());
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    EXPECT_EQ(1, report.shards[0].damaged_checkpoint_slots);
+    EXPECT_EQ(want.size(), report.shards[0].files);
+
+    Rebuild(/*format=*/false);
+    const auto check = [&] {
+      EXPECT_EQ(want.size(), store_->ListFiles().size());
+      for (const auto& [name, payload] : want) {
+        std::string got;
+        ASSERT_TRUE(ReadAll(name, &got).ok()) << name;
+        EXPECT_EQ(payload, got) << name;
+      }
+    };
+    check();
+    ASSERT_TRUE(fs::RunDoctor(drive_.get(), {}, &report).ok());
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    EXPECT_EQ(0, report.shards[0].damaged_checkpoint_slots);
+
+    // The recovered store keeps journaling where recovery left off.
+    want["/after"] = "after";
+    WriteFile("/after", want["/after"]);
+    Rebuild(/*format=*/false);
+    check();
+  }
+}
+
+// A checkpoint rewrite after a damaged slot, by recovery's reseed or by
+// the doctor's repair, writes the damaged slot first, so a power cut during
+// the rewrite still leaves one valid checkpoint.
+TEST_F(FileStoreFaultTest, RewriteAfterDamagedSlotWritesTheDamagedSlotFirst) {
+  for (const bool doctor : {false, true}) {
+    SCOPED_TRACE(doctor ? "doctor repair" : "recovery reseed");
+    // A long name makes every checkpoint span several blocks, so a torn
+    // checkpoint write fails its CRC; a new name each round, so the blocks
+    // a tear leaves behind never complete the checkpoint being written.
+    const std::string longname = "/" + std::string(6000, doctor ? 'd' : 'r');
+    Rebuild(/*format=*/true);
+    WriteFile(longname, "big-name");
+    WriteFile("/after", "after");  // a record in the newest slot's log
+    // The newest slot is slot 1: writing the slots in order reaches it
+    // second.
+    const int newest = store_->active_checkpoint_slot();
+    ASSERT_EQ(1, newest);
+    ASSERT_TRUE(drive_->Write(store_->checkpoint_slot_offset(newest),
+                              std::string(kBlock, '\xa5'))
+                    .ok());
+
+    fault_->TearNextWrite(1);
+    if (doctor) {
+      fs::DoctorOptions dopt;
+      dopt.repair = true;
+      fs::DoctorReport report;
+      EXPECT_FALSE(fs::RunDoctor(drive_.get(), dopt, &report).ok());
+    } else {
+      EXPECT_FALSE(Reopen().ok());
+    }
+
+    Rebuild(/*format=*/false);
+    std::string got;
+    ASSERT_TRUE(ReadAll(longname, &got).ok());
+    EXPECT_EQ("big-name", got);
+    ASSERT_TRUE(ReadAll("/after", &got).ok());
+    EXPECT_EQ("after", got);
   }
 }
 

@@ -700,4 +700,149 @@ TEST(DriveChargeTest, ShingledTrace) {
             (Charges{9563855, 9066667, 1, 1, 0, 65536, 0, 0}));
 }
 
+// ------------------------------------------------------- trim semantics
+
+// Trim is honest in every model: trimmed blocks read as zeros and their
+// memory goes, while the valid blocks around them keep their bytes.
+enum class Model { kHdd, kFixedBand, kShingled };
+
+class TrimSemanticsTest : public ::testing::TestWithParam<Model> {
+ protected:
+  TrimSemanticsTest() : geo_(SmallGeometry()), base_(geo_.conventional_bytes) {
+    switch (GetParam()) {
+      case Model::kHdd:
+        drive_ = NewHddDrive(geo_, LatencyParams::Hdd());
+        break;
+      case Model::kFixedBand: {
+        FixedBandOptions opt;
+        opt.band_bytes = 8ull << 20;
+        drive_ = NewFixedBandDrive(geo_, LatencyParams::Smr(), opt);
+        break;
+      }
+      case Model::kShingled:
+        drive_ = NewShingledDisk(geo_, LatencyParams::Smr());
+        break;
+    }
+  }
+
+  std::string ReadBack(uint64_t offset, uint64_t n) {
+    std::string out(n, '\x5a');
+    EXPECT_TRUE(drive_->Read(offset, n, out.data()).ok());
+    return out;
+  }
+
+  // One media chunk: the 64 blocks of one valid-map word.
+  static constexpr uint64_t kChunk = 64 * 4096;
+  const Geometry geo_;
+  const uint64_t base_;
+  std::unique_ptr<Drive> drive_;
+};
+
+TEST_P(TrimSemanticsTest, TrimmedBlocksReadAsZeros) {
+  const std::string data = Pattern(4 * kChunk, 'a');
+  ASSERT_TRUE(drive_->Write(base_, data).ok());
+  // A whole chunk, and a run of blocks inside the next one.
+  ASSERT_TRUE(drive_->Trim(base_ + kChunk, kChunk).ok());
+  ASSERT_TRUE(drive_->Trim(base_ + 2 * kChunk + 8192, 3 * 4096).ok());
+
+  std::string want = data;
+  std::fill_n(want.begin() + kChunk, kChunk, '\0');
+  std::fill_n(want.begin() + 2 * kChunk + 8192, 3 * 4096, '\0');
+  EXPECT_EQ(ReadBack(base_, 4 * kChunk), want);
+  EXPECT_TRUE(drive_->IsValid(base_, kChunk));
+  EXPECT_FALSE(drive_->IsValid(base_ + kChunk, 4096));
+  EXPECT_TRUE(drive_->IsValid(base_ + 2 * kChunk, 8192));
+  EXPECT_FALSE(drive_->IsValid(base_ + 2 * kChunk + 8192, 4096));
+
+  // Trimming what is already invalid changes nothing.
+  ASSERT_TRUE(drive_->Trim(base_ + kChunk, 2 * kChunk).ok());
+  std::fill_n(want.begin() + 2 * kChunk, kChunk, '\0');
+  EXPECT_EQ(ReadBack(base_, 4 * kChunk), want);
+}
+
+TEST_P(TrimSemanticsTest, PartlyTrimmedChunkKeepsItsValidBlocks) {
+  const std::string data = Pattern(kChunk, 'p');
+  ASSERT_TRUE(drive_->Write(base_, data).ok());
+  // Every other block of the chunk.
+  for (uint64_t b = 0; b < 64; b += 2) {
+    ASSERT_TRUE(drive_->Trim(base_ + b * 4096, 4096).ok());
+  }
+  const std::string got = ReadBack(base_, kChunk);
+  for (uint64_t b = 0; b < 64; b++) {
+    const std::string block = got.substr(b * 4096, 4096);
+    if (b % 2 == 0) {
+      EXPECT_EQ(block, std::string(4096, '\0')) << b;
+    } else {
+      EXPECT_EQ(block, data.substr(b * 4096, 4096)) << b;
+      EXPECT_TRUE(drive_->IsValid(base_ + b * 4096, 4096)) << b;
+    }
+  }
+}
+
+TEST_P(TrimSemanticsTest, ReusedChunkShowsNoStaleBytes) {
+  // Fill and trim whole chunks, so their memory is freed; the heap may
+  // hand it back to the next fresh chunk.
+  ASSERT_TRUE(drive_->Write(base_, Pattern(4 * kChunk, 's')).ok());
+  ASSERT_TRUE(drive_->Trim(base_, 4 * kChunk).ok());
+  EXPECT_EQ(ReadBack(base_, 4 * kChunk), std::string(4 * kChunk, '\0'));
+
+  // A fresh chunk past all written data: only its new block may hold
+  // anything but zeros.
+  const uint64_t fresh = base_ + (8ull << 20);
+  const std::string block = Pattern(4096, 'n');
+  ASSERT_TRUE(drive_->Write(fresh + 5 * 4096, block).ok());
+  std::string want(kChunk, '\0');
+  want.replace(5 * 4096, 4096, block);
+  EXPECT_EQ(ReadBack(fresh, kChunk), want);
+
+  // So does a write that spans the ends of two fresh chunks.
+  const std::string span = Pattern(2 * 4096, 'm');
+  ASSERT_TRUE(drive_->Write(fresh + 2 * kChunk - 4096, span).ok());
+  std::string want2(2 * kChunk, '\0');
+  want2.replace(kChunk - 4096, 2 * 4096, span);
+  EXPECT_EQ(ReadBack(fresh + kChunk, 2 * kChunk), want2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, TrimSemanticsTest,
+                         ::testing::Values(Model::kHdd, Model::kFixedBand,
+                                           Model::kShingled),
+                         [](const ::testing::TestParamInfo<Model>& info) {
+                           switch (info.param) {
+                             case Model::kHdd:
+                               return "Hdd";
+                             case Model::kFixedBand:
+                               return "FixedBand";
+                             case Model::kShingled:
+                               return "Shingled";
+                           }
+                           return "unknown";
+                         });
+
+// A trim inside a band's valid prefix does not change what the band's
+// read-modify-write charges: the staged RMW charges exactly the first one
+// DriveChargeTest.FixedBandTrace pins, and the write-back keeps the
+// trimmed blocks zero.
+TEST(TrimChargeTest, FixedBandRmwAfterTrimChargesAsPinned) {
+  const Geometry geo = SmallGeometry();
+  FixedBandOptions opt;
+  opt.band_bytes = 8ull << 20;
+  auto drive = NewFixedBandDrive(geo, LatencyParams::Smr(), opt);
+  const uint64_t base = geo.conventional_bytes;
+  const uint64_t mb = 1 << 20;
+  ASSERT_TRUE(drive->Write(base, Pattern(2 * mb, 'a')).ok());
+  ASSERT_TRUE(drive->Write(base + 2 * mb, Pattern(2 * mb, 'b')).ok());
+  EXPECT_EQ(Charged(*drive, true,
+                    [&] { return drive->Trim(base + 3 * mb, 64 << 10); }),
+            (Charges{0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(Charged(*drive, true,
+                    [&] { return drive->Write(base + mb, Pattern(mb, 'c')); }),
+            (Charges{32536691, 7016667, 1, 0, 1, 4194304, 0, 1}));
+  EXPECT_EQ(drive->Zone(0).write_pointer, 4 * mb);
+  std::string out(64 << 10, '\x5a');
+  ASSERT_TRUE(drive->Read(base + 3 * mb, 64 << 10, out.data()).ok());
+  EXPECT_EQ(out, std::string(64 << 10, '\0'));
+  ASSERT_TRUE(drive->Read(base + mb, 64 << 10, out.data()).ok());
+  EXPECT_EQ(out, Pattern(mb, 'c').substr(0, 64 << 10));
+}
+
 }  // namespace sealdb::smr
